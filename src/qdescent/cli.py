@@ -6,8 +6,9 @@
     qdescent check euclidean|adc|norm-axioms|n2 ...
 
 Exit codes: 0 success (and clean check reports), 1 input error (bad flags,
-unparseable form or point, precondition violations), 2 oracle failure or a
-check report with failures, 3 value not representable (three-squares only).
+unparseable form or point, precondition violations), 2 oracle failure, a
+search refused over the enumeration budget, or a check report with
+failures, 3 value not representable (three-squares only).
 
 Output is text by default; --format json emits a single document with the
 full step trace, stable across runs for identical inputs.
@@ -225,13 +226,22 @@ def _add_form_point_flags(p, point=True):
     p.add_argument("--form", required=True, help='polynomial text, e.g. "x^2+y^2-5"')
     if point:
         p.add_argument("--point", required=True, help='rational point "a1,...,ad/b"')
-    p.add_argument("--window", type=int, default=2, help="oracle search window (default 2)")
+    p.add_argument(
+        "--window", type=_nonnegative_int, default=2, help="oracle search window (default 2)"
+    )
 
 
 def _positive_int(text):
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
+    return n
+
+
+def _nonnegative_int(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be a nonnegative integer")
     return n
 
 
@@ -252,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("three-squares", help="write n as a sum of three squares")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0, help="seed for the rational-zero draw")
-    p.add_argument("--window", type=int, default=2)
+    p.add_argument("--window", type=_nonnegative_int, default=2)
     _add_output_flags(p)
     p.set_defaults(func=cmd_three_squares)
 
@@ -262,14 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     c = csub.add_parser("euclidean", help="search a box for oracle failures")
     _add_form_point_flags(c, point=False)
     c.add_argument("--height", type=_positive_int, required=True, help="max denominator norm")
-    c.add_argument("--box", type=int, required=True, help="numerator coordinate bound")
+    c.add_argument("--box", type=_nonnegative_int, required=True, help="numerator coordinate bound")
     _add_output_flags(c, trace=False)
     c.set_defaults(func=cmd_check_euclidean)
 
     c = csub.add_parser("adc", help="compare descent with brute-force representation")
     _add_form_point_flags(c, point=False)
     c.add_argument("--height", type=_positive_int, default=1, help="max denominator norm")
-    c.add_argument("--box", type=int, required=True, help="numerator coordinate bound")
+    c.add_argument("--box", type=_nonnegative_int, required=True, help="numerator coordinate bound")
     _add_output_flags(c, trace=False)
     c.set_defaults(func=cmd_check_adc)
 
@@ -277,13 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--domain", required=True, help="Z, Zi, or Fpt:<p>")
     c.add_argument("--samples", type=_positive_int, default=1000)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--box", type=int, default=None, help="sampling bound override")
+    c.add_argument("--box", type=_nonnegative_int, default=None, help="sampling bound override")
     _add_output_flags(c, trace=False)
     c.set_defaults(func=cmd_check_norm_axioms)
 
     c = csub.add_parser("n2", help="norm-one elements are units, via the oracle")
     _add_form_point_flags(c, point=False)
-    c.add_argument("--box", type=int, required=True, help="element enumeration bound")
+    c.add_argument("--box", type=_nonnegative_int, required=True, help="element enumeration bound")
     _add_output_flags(c, trace=False)
     c.set_defaults(func=cmd_check_n2)
 

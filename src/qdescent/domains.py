@@ -15,6 +15,7 @@ fails loudly instead of coercing silently.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -103,11 +104,25 @@ class Domain:
         raise NotImplementedError
 
     # enumerations (raw values, deterministic order) ----------------------
+    #
+    # _box_raws and _denominator_raws may be lazy iterables; _box_count and
+    # _denominator_count give their lengths in closed form, so a search can
+    # be sized before anything is generated.
 
-    def _box_raws(self, bound: int) -> list:
+    def _box_raws(self, bound: int):
         raise NotImplementedError
 
-    def _denominator_raws(self, height: int) -> list:
+    def _box_count(self, bound: int) -> int:
+        raise NotImplementedError
+
+    def _graded_raws(self, bound: int):
+        """The _box_raws elements, lazily, in (norm, sort key) order."""
+        raise NotImplementedError
+
+    def _denominator_raws(self, height: int):
+        raise NotImplementedError
+
+    def _denominator_count(self, height: int) -> int:
         raise NotImplementedError
 
     def _offset_raws(self, window: int) -> list:
@@ -328,10 +343,23 @@ class RationalIntegers(Domain):
         return rng.randint(-bound, bound)
 
     def _box_raws(self, bound):
-        return list(range(-bound, bound + 1))
+        return range(-bound, bound + 1)
+
+    def _box_count(self, bound):
+        return max(0, 2 * bound + 1)
+
+    def _graded_raws(self, bound):
+        if bound >= 0:
+            yield 0
+        for m in range(1, bound + 1):
+            yield -m
+            yield m
 
     def _denominator_raws(self, height):
-        return list(range(2, height + 1))
+        return range(2, height + 1)
+
+    def _denominator_count(self, height):
+        return max(0, height - 1)
 
     def _offset_raws(self, window):
         return list(range(-window, window + 1))
@@ -443,11 +471,32 @@ class GaussianIntegers(Domain):
         return (rng.randint(-bound, bound), rng.randint(-bound, bound))
 
     def _box_raws(self, bound):
-        return [
+        return (
             (re, im)
             for re in range(-bound, bound + 1)
             for im in range(-bound, bound + 1)
-        ]
+        )
+
+    def _box_count(self, bound):
+        return max(0, 2 * bound + 1) ** 2
+
+    def _graded_raws(self, bound):
+        # one column per real part, each already in (norm, im) order; the
+        # merge interleaves the columns by (norm, re, im)
+        ims = list(ZZ._graded_raws(bound))
+
+        def column(re):
+            return ((re * re + im * im, (re, im)) for im in ims)
+
+        for _, a in heapq.merge(*map(column, range(-bound, bound + 1))):
+            yield a
+
+    def _denominator_count(self, height):
+        # (re, im) with re >= 1, im >= 0 and 2 <= re^2 + im^2 <= height
+        return sum(
+            math.isqrt(height - re * re) + (0 if re == 1 else 1)
+            for re in range(1, math.isqrt(max(height, 0)) + 1)
+        )
 
     def _denominator_raws(self, height):
         out = []
@@ -617,24 +666,36 @@ class PrimeFieldPolynomials(Domain):
         return self._strip([rng.randrange(self.p) for _ in range(deg + 1)])
 
     def _box_raws(self, bound):
-        out = [()]
+        yield ()
         for deg in range(0, bound + 1):
             for lead in range(1, self.p):
                 for rest in product(range(self.p), repeat=deg):
-                    out.append(rest + (lead,))
-        return out
+                    yield rest + (lead,)
+
+    def _box_count(self, bound):
+        return self.p ** max(0, bound + 1)
+
+    def _graded_raws(self, bound):
+        # sort key (len, reversed coefficients): by degree, then leading
+        # coefficient, then the lower coefficients from the top down
+        yield ()
+        for deg in range(0, bound + 1):
+            for lead in range(1, self.p):
+                for rest in product(range(self.p), repeat=deg):
+                    yield rest[::-1] + (lead,)
 
     def _denominator_raws(self, height):
-        out = []
         for deg in range(1, height + 1):
             for rest in product(range(self.p), repeat=deg):
-                out.append(rest + (1,))
-        return out
+                yield rest + (1,)
+
+    def _denominator_count(self, height):
+        return sum(self.p ** deg for deg in range(1, height + 1))
 
     def _offset_raws(self, window):
         if window <= 0:
             return [()]
-        return self._box_raws(window - 1)
+        return list(self._box_raws(window - 1))
 
     def _norm_bounded_raws(self, bound):
         return [a for a in self._box_raws(bound) if a]

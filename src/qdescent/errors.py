@@ -41,7 +41,8 @@ class IsotropicDirectionError(ValueError):
 
 
 class SearchBudgetError(RuntimeError):
-    """A randomized search exhausted its attempt budget."""
+    """A randomized search exhausted its attempt budget, or an enumeration
+    was refused because its size exceeds the search budget."""
 
 
 class InternalInvariantError(RuntimeError):

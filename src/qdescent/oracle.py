@@ -19,6 +19,7 @@ from itertools import product
 from typing import Optional, Tuple
 
 from .domains import DomainElement, FractionElement, FractionPoint
+from .enumeration import CanonicalPoints
 from .errors import IntegralPointError, OracleNotFound
 from .quadratic import QuadraticPolynomial
 
@@ -138,24 +139,12 @@ def check_euclidean(
     """Run euclidean_step over every canonical non-integral point with
     denominator norm (degree, for F_p[t]) at most height and numerator
     coordinates in the box; failures are collected in enumeration order."""
-    dom = f.domain
-    d = f.d
-    num_raws = dom._box_raws(box)
     checked = 0
     failures = []
-    for den in dom._denominator_raws(height):
-        for nums in product(num_raws, repeat=d):
-            g = den
-            for nr in nums:
-                g = dom._gcd(g, nr)
-                if dom._is_unit(g):
-                    break
-            if not dom._is_unit(g):
-                continue
-            x = FractionPoint(dom, nums, den)
-            checked += 1
-            try:
-                euclidean_step(f, x, window)
-            except OracleNotFound as err:
-                failures.append(EuclideanFailure(x, window, err.min_norm))
+    for x in CanonicalPoints(f.domain, f.d, height, box):
+        checked += 1
+        try:
+            euclidean_step(f, x, window)
+        except OracleNotFound as err:
+            failures.append(EuclideanFailure(x, window, err.min_norm))
     return EuclideanReport(checked, tuple(failures))

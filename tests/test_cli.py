@@ -289,3 +289,24 @@ def test_check_json_format(capsys):
     doc = json.loads(out)
     assert set(doc) == {"checked", "failures"}
     assert code == (0 if not doc["failures"] else 2)
+
+
+# -- flag validation ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["descend", "--domain", "Z", "--form", "x^2+y^2-5", "--point", "-11,2/5", "--window", "-1"],
+        ["three-squares", "--n", "13", "--window", "-1"],
+        ["check", "euclidean", "--domain", "Z", "--form", "x^2+y^2", "--height", "2", "--box", "-2"],
+        ["check", "adc", "--domain", "Z", "--form", "x^2+y^2", "--box", "-1"],
+        ["check", "n2", "--domain", "Z", "--form", "x^2+y^2", "--box", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_negative_window_or_box_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "must be a nonnegative integer" in err

@@ -1,0 +1,222 @@
+"""The enumeration layer against an in-test reference.
+
+The reference builds the whole box with itertools.product and sorts it by
+(sum of coordinate norms, coordinatewise sort key), the graded order every
+search promises; the lazy enumerations must reproduce it exactly.
+"""
+
+import math
+import random
+from itertools import product
+
+import pytest
+
+from qdescent import (
+    GFpT,
+    QuadraticPolynomial,
+    SearchBox,
+    SearchBudgetError,
+    ZI,
+    ZZ,
+    brute_integral_zero,
+    check_euclidean,
+    parse_form,
+    random_quadratic,
+)
+from qdescent import enumeration
+from qdescent.cli import main
+from qdescent.domains import PrimeFieldPolynomials
+from qdescent.enumeration import CanonicalPoints, GradedBox, first_zero, first_zero_count
+
+F2 = GFpT(2)
+F3 = GFpT(3)
+
+
+def reference_points(dom, bounds):
+    pts = list(product(*[list(dom._box_raws(b)) for b in bounds]))
+    pts.sort(
+        key=lambda pt: (
+            sum(dom._norm(c) for c in pt),
+            tuple(dom._sort_key(c) for c in pt),
+        )
+    )
+    return pts
+
+
+def reference_first_zero(f, bounds):
+    for pt in reference_points(f.domain, bounds):
+        if f.domain._is_zero(f._eval_raw(list(pt))):
+            return pt
+    return None
+
+
+def raws(pt):
+    return None if pt is None else tuple(c.raw for c in pt)
+
+
+def plant_zero(f, rng, bounds):
+    """f shifted by a constant so that it vanishes at a random box point."""
+    dom = f.domain
+    y = [rng.choice(list(dom._box_raws(b))) for b in bounds]
+    value = f._eval_raw(y)
+    return QuadraticPolynomial(dom, f.d, f.quad, f.lin, dom._add(f.const, dom._neg(value)))
+
+
+def random_z_form(rng, d, squares=True):
+    quad = {}
+    for i in range(d):
+        for j in range(i, d):
+            if (i != j or squares) and rng.random() < 0.6:
+                quad[(i, j)] = rng.randint(-4, 4)  # zero and negative included
+    lin = [rng.randint(-4, 4) if rng.random() < 0.5 else 0 for _ in range(d)]
+    return QuadraticPolynomial(ZZ, d, quad, lin, rng.randint(-20, 20))
+
+
+Z_MAX_BOUND = {1: 12, 2: 6, 3: 4, 4: 2}
+
+
+def test_first_zero_z_matches_reference_on_random_forms():
+    rng = random.Random(20261017)
+    found = 0
+    for trial in range(400):
+        d = 1 + trial % 4
+        bounds = [rng.randint(0, Z_MAX_BOUND[d]) for _ in range(d)]
+        f = random_z_form(rng, d, squares=trial % 5 != 0)
+        if rng.random() < 0.6:
+            f = plant_zero(f, rng, bounds)
+        expected = reference_first_zero(f, bounds)
+        assert raws(first_zero(f, bounds)) == expected, (f, bounds)
+        found += expected is not None
+    assert found > 200  # most cases exercise the tie-breaking, not just None
+
+
+def test_first_zero_z_without_square_terms():
+    for c in range(-12, 13):
+        f = QuadraticPolynomial(ZZ, 2, {(0, 1): 1}, const=-c)
+        for bounds in ([4, 4], [2, 5], [6, 1], [0, 3]):
+            assert raws(first_zero(f, bounds)) == reference_first_zero(f, bounds)
+    # f vanishes on a whole fiber: x1*x2 + x3 with x1 = x3 = 0
+    g = parse_form("x1*x2+x3", ZZ)
+    for bounds in ([2, 2, 2], [0, 3, 1], [3, 0, 2]):
+        assert raws(first_zero(g, bounds)) == reference_first_zero(g, bounds)
+
+
+def test_first_zero_z_tie_on_a_pruned_fiber():
+    # solving for x1 (the widest axis), (1,0,0) is found before (0,1,0); the
+    # fiber x2 = 1 already has |x2| equal to the best sum, and its zero wins
+    # the tie in lexicographic order, so pruning must keep equal sums
+    f = QuadraticPolynomial(ZZ, 3, {}, lin=[1, 1, 0], const=-1)
+    assert raws(first_zero(f, [3, 1, 1])) == (0, 1, 0) == reference_first_zero(f, [3, 1, 1])
+
+
+def test_first_zero_three_squares_below_400():
+    # every zero of x^2+y^2+z^2-n lies inside [-isqrt(n), isqrt(n)]^3, so one
+    # sorted box at the largest bound gives every reference answer
+    first = {}
+    for pt in reference_points(ZZ, [math.isqrt(399)] * 3):
+        first.setdefault(sum(c * c for c in pt), pt)
+    q = parse_form("x^2+y^2+z^2", ZZ)
+    for n in range(1, 400):
+        got = first_zero(q.sub_scalar(n), [math.isqrt(n)] * 3)
+        assert raws(got) == first.get(n), n
+
+
+@pytest.mark.parametrize(
+    "dom,bounds",
+    [
+        (ZZ, [3, 1, 2]),
+        (ZI, [1, 2]),
+        (ZI, [2, 0, 1]),
+        (F2, [2, 1]),
+        (F2, [1, 1, 1]),
+        (F3, [1, 2]),
+        (F3, [0, 1, 1]),
+        (F3, [2]),
+        (ZI, [3]),
+    ],
+    ids=str,
+)
+def test_graded_box_order_and_count(dom, bounds):
+    box = GradedBox(dom, bounds)
+    pts = list(box)
+    assert pts == reference_points(dom, bounds)
+    assert box.count() == len(pts)
+
+
+@pytest.mark.parametrize("dom,bound", [(ZI, 2), (F2, 2), (F3, 1)], ids=str)
+def test_first_zero_lazy_shells_match_reference(dom, bound):
+    rng = random.Random(7)
+    for trial in range(40):
+        d = 1 + trial % 3
+        bounds = [rng.randint(0, bound) for _ in range(d)]
+        f = random_quadratic(dom, d, rng, coeff_bound=3)
+        if trial % 4:
+            f = plant_zero(f, rng, bounds)
+        assert raws(first_zero(f, bounds)) == reference_first_zero(f, bounds)
+
+
+def test_counts_match_enumeration_lengths():
+    for dom, bounds in (
+        (ZZ, [0]), (ZZ, [2, 3]), (ZZ, [-1, 2]),
+        (ZI, [0, 1]), (ZI, [-1]), (F2, [0, 2]), (F3, [1]), (F3, [-1, 0]),
+    ):
+        assert GradedBox(dom, bounds).count() == len(list(GradedBox(dom, bounds)))
+    for dom, d, height, box in ((ZZ, 2, 5, 2), (ZI, 2, 5, 1), (F2, 2, 2, 1), (F3, 1, 2, 1)):
+        for integral in (False, True):
+            pts = CanonicalPoints(dom, d, height, box, integral)
+            dens = [dom.coerce_raw(1)] * integral + list(dom._denominator_raws(height))
+            candidates = [(den, nums) for den in dens
+                          for nums in product(list(dom._box_raws(box)), repeat=d)]
+            assert pts.count() == len(candidates)
+            kept = []
+            for den, nums in candidates:
+                g = den
+                for c in nums:
+                    g = dom._gcd(g, c)
+                if dom._is_unit(g):
+                    kept.append((nums, den))
+            assert [(tuple(c.raw for c in x.nums), x.den.raw) for x in pts] == kept
+    # over Z the zero search visits fibers: the box without its widest axis
+    assert first_zero_count(ZZ, [3, 1, 2]) == 3 * 5
+    assert first_zero_count(ZI, [1, 0]) == 9
+
+
+def test_three_squares_large_n_is_answered():
+    f = QuadraticPolynomial(ZZ, 3, {(0, 0): 1, (1, 1): 1, (2, 2): 1}, const=-1000001)
+    assert raws(brute_integral_zero(f, SearchBox(1000))) == (-1000, -1, 0)
+
+
+def test_budget_refusal_before_anything_is_built(monkeypatch):
+    big = GFpT(1000003)
+
+    def boom(self, *args):
+        raise AssertionError("enumeration started before the budget check")
+
+    monkeypatch.setattr(PrimeFieldPolynomials, "_box_raws", boom)
+    monkeypatch.setattr(PrimeFieldPolynomials, "_denominator_raws", boom)
+    monkeypatch.setattr(PrimeFieldPolynomials, "_graded_raws", boom)
+    with pytest.raises(SearchBudgetError):
+        iter(CanonicalPoints(big, 2, 1, 1))
+    with pytest.raises(SearchBudgetError):
+        check_euclidean(parse_form("x^2+y^2", big), 1, 1)
+    with pytest.raises(SearchBudgetError):
+        first_zero(parse_form("x^2+y^2-1", big), [1, 1])
+
+
+def test_budget_applies_to_z_fibers(monkeypatch):
+    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", 100)
+    f = parse_form("x^2+y^2+z^2-13", ZZ)
+    assert raws(brute_integral_zero(f, SearchBox(4))) == (-3, -2, 0)  # 81 fibers
+    with pytest.raises(SearchBudgetError):
+        brute_integral_zero(f, SearchBox(5))  # 121 fibers
+
+
+def test_cli_budget_refusal_exit_2(capsys):
+    code = main([
+        "check", "euclidean", "--domain", "Fpt:1000003", "--form", "x^2+y^2",
+        "--height", "1", "--box", "1",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "search budget" in err
