@@ -21,15 +21,8 @@ from .domains import (
     NormAxiomReport,
     ZI,
     ZZ,
-    add,
     check_norm_axioms,
     domain_from_name,
-    ext_norm,
-    is_integral,
-    is_unit,
-    mul,
-    norm,
-    reduce_point,
 )
 from .errors import (
     DescentAborted,
@@ -94,13 +87,6 @@ __all__ = [
     "ZI",
     "ZZ",
     "domain_from_name",
-    "add",
-    "mul",
-    "norm",
-    "is_unit",
-    "ext_norm",
-    "is_integral",
-    "reduce_point",
     "NormAxiomReport",
     "check_norm_axioms",
     "QuadraticPolynomial",

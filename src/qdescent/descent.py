@@ -61,12 +61,7 @@ class DescentTrace:
     result: Tuple[DomainElement, ...]
 
 
-def descent_step(
-    f: QuadraticPolynomial,
-    x: FractionPoint,
-    window: int = 2,
-    tie_seed: Optional[int] = None,
-) -> DescentStep:
+def descent_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> DescentStep:
     """One descent step from a non-integral zero x of f.
 
     Raises NotAZeroError / IntegralPointError on precondition violations
@@ -81,7 +76,7 @@ def descent_step(
         raise IntegralPointError(f"{x} is already integral")
     dom = f.domain
 
-    found = euclidean_step(f, x, window, tie_seed)
+    found = euclidean_step(f, x, window)
     b_raw = x.den.raw
     y_raws = [e.raw for e in found.y]
     v_raws = [
@@ -141,7 +136,6 @@ def descend(
     x: FractionPoint,
     window: int = 2,
     max_steps: Optional[int] = None,
-    tie_seed: Optional[int] = None,
 ) -> DescentTrace:
     """Iterate descent_step until the zero is integral.
 
@@ -160,7 +154,7 @@ def descend(
         if len(steps) >= cap:
             raise InternalInvariantError(f"descent exceeded its step cap of {cap}")
         try:
-            step = descent_step(f, cur, window, tie_seed)
+            step = descent_step(f, cur, window)
         except OracleNotFound as err:
             raise DescentAborted(len(steps), err.x, err.window, err.min_norm) from err
         if steps and not step.b.norm() <= steps[-1].b_next.norm():

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 from .errors import (
     DimensionMismatchError,
@@ -105,11 +105,14 @@ class Domain:
 
     # enumerations (raw values, deterministic order) ----------------------
     #
-    # _box_raws and _denominator_raws may be lazy iterables; _box_count and
-    # _denominator_count give their lengths in closed form, so a search can
-    # be sized before anything is generated.
+    # _box_raws and _denominator_raws may be lazy iterables; _box_count,
+    # _denominator_count and _offset_count give the lengths of the three
+    # enumerations in closed form, so every search is sized before anything
+    # is generated.
 
     def _box_raws(self, bound: int):
+        """Point coordinates within the box: |a| <= bound for Z, |re|,|im| <=
+        bound for Z[i], deg <= bound for F_p[t]."""
         raise NotImplementedError
 
     def _box_count(self, bound: int) -> int:
@@ -120,15 +123,19 @@ class Domain:
         raise NotImplementedError
 
     def _denominator_raws(self, height: int):
+        """Canonical non-unit denominators of norm <= height (degree <=
+        height for F_p[t])."""
         raise NotImplementedError
 
     def _denominator_count(self, height: int) -> int:
         raise NotImplementedError
 
     def _offset_raws(self, window: int) -> list:
+        """Offsets the oracle scans around a rounded point: norm <= window
+        for Z and Z[i], degree < window for F_p[t].  Always contains 0."""
         raise NotImplementedError
 
-    def _norm_bounded_raws(self, bound: int) -> list:
+    def _offset_count(self, window: int) -> int:
         raise NotImplementedError
 
     def _box_radius(self, a) -> int:
@@ -152,26 +159,6 @@ class Domain:
         """Seeded random element; bound is a magnitude bound (Z, Z[i]) or a
         degree bound (F_p[t])."""
         return DomainElement(self, self._random_raw(rng, bound))
-
-    def box_elements(self, bound: int) -> List["DomainElement"]:
-        """All elements usable as point coordinates within the box: |a| <= bound
-        for Z, |re|,|im| <= bound for Z[i], deg <= bound for F_p[t]."""
-        return [DomainElement(self, r) for r in self._box_raws(bound)]
-
-    def denominator_elements(self, height: int) -> List["DomainElement"]:
-        """Canonical non-unit denominators of norm <= height (degree <= height
-        for F_p[t]), sorted by (norm, sort key)."""
-        return [DomainElement(self, r) for r in self._denominator_raws(height)]
-
-    def offset_elements(self, window: int) -> List["DomainElement"]:
-        """Search offsets around a rounded point: norm <= window for Z and
-        Z[i]; degree < window for F_p[t].  Always contains 0."""
-        return [DomainElement(self, r) for r in self._offset_raws(window)]
-
-    def norm_bounded_elements(self, bound: int) -> List["DomainElement"]:
-        """Nonzero elements with norm <= bound (Z, Z[i]) or degree <= bound
-        (F_p[t]); used by the unit-norm enumeration checks."""
-        return [DomainElement(self, r) for r in self._norm_bounded_raws(bound)]
 
     def __eq__(self, other):
         return type(self) is type(other)
@@ -237,18 +224,6 @@ class DomainElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = self.domain.coerce_raw(1)
-        base = self.raw
-        while n:
-            if n & 1:
-                out = self.domain._mul(out, base)
-            base = self.domain._mul(base, base)
-            n >>= 1
-        return DomainElement(self.domain, out)
-
     def __eq__(self, other):
         # int operands compare through coercion (test convenience); note that
         # hash(element) is deliberately not hash(int), so do not mix the two
@@ -272,9 +247,6 @@ class DomainElement:
 
     def norm(self) -> int:
         return self.domain._norm(self.raw)
-
-    def sort_key(self):
-        return self.domain._sort_key(self.raw)
 
     def __str__(self):
         return self.domain._format(self.raw)
@@ -364,8 +336,8 @@ class RationalIntegers(Domain):
     def _offset_raws(self, window):
         return list(range(-window, window + 1))
 
-    def _norm_bounded_raws(self, bound):
-        return [a for a in range(-bound, bound + 1) if a != 0]
+    def _offset_count(self, window):
+        return max(0, 2 * window + 1)
 
     def _box_radius(self, a):
         return abs(a)
@@ -517,14 +489,10 @@ class GaussianIntegers(Domain):
             if re * re + im * im <= window
         ]
 
-    def _norm_bounded_raws(self, bound):
-        side = math.isqrt(bound)
-        return [
-            (re, im)
-            for re in range(-side, side + 1)
-            for im in range(-side, side + 1)
-            if 0 < re * re + im * im <= bound
-        ]
+    def _offset_count(self, window):
+        # lattice points of the disk re^2 + im^2 <= window, column by column
+        side = math.isqrt(window)
+        return sum(2 * math.isqrt(window - re * re) + 1 for re in range(-side, side + 1))
 
     def _box_radius(self, a):
         return max(abs(a[0]), abs(a[1]))
@@ -697,8 +665,8 @@ class PrimeFieldPolynomials(Domain):
             return [()]
         return list(self._box_raws(window - 1))
 
-    def _norm_bounded_raws(self, bound):
-        return [a for a in self._box_raws(bound) if a]
+    def _offset_count(self, window):
+        return self.p ** max(0, window)
 
     def _box_radius(self, a):
         return max(len(a) - 1, 0)
@@ -729,6 +697,24 @@ def domain_from_name(text: str) -> Domain:
     raise ValueError(f"unknown domain {text!r} (expected Z, Zi, or Fpt:<p>)")
 
 
+def _canonical(domain: Domain, nums: list, den, what: str):
+    """nums/den with gcd(den, *nums) divided out and den replaced by its
+    normalized associate; ZeroDenominatorError when den is zero."""
+    if domain._is_zero(den):
+        raise ZeroDenominatorError(f"{what} with zero denominator")
+    g = den
+    for r in nums:
+        g = domain._gcd(g, r)
+    if not domain._is_unit(g):
+        nums = [domain._divexact(r, g) for r in nums]
+        den = domain._divexact(den, g)
+    u = domain._normalizing_unit(den)
+    if u != domain.coerce_raw(1):
+        nums = [domain._mul(r, u) for r in nums]
+        den = domain._mul(den, u)
+    return nums, den
+
+
 class FractionElement:
     """An element a/b of the fraction field, kept in canonical form.
 
@@ -741,18 +727,9 @@ class FractionElement:
     __slots__ = ("domain", "num", "den")
 
     def __init__(self, domain: Domain, num, den):
-        n = domain.coerce_raw(num)
-        d = domain.coerce_raw(den)
-        if domain._is_zero(d):
-            raise ZeroDenominatorError("fraction with zero denominator")
-        g = domain._gcd(d, n)
-        if not domain._is_unit(g):
-            n = domain._divexact(n, g)
-            d = domain._divexact(d, g)
-        u = domain._normalizing_unit(d)
-        if u != domain.coerce_raw(1):
-            n = domain._mul(n, u)
-            d = domain._mul(d, u)
+        (n,), d = _canonical(
+            domain, [domain.coerce_raw(num)], domain.coerce_raw(den), "fraction"
+        )
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "num", DomainElement(domain, n))
         object.__setattr__(self, "den", DomainElement(domain, d))
@@ -836,19 +813,7 @@ class FractionPoint:
         raws = [domain.coerce_raw(n) for n in nums]
         if not raws:
             raise DimensionMismatchError("a point needs at least one coordinate")
-        d = domain.coerce_raw(den)
-        if domain._is_zero(d):
-            raise ZeroDenominatorError("point with zero denominator")
-        g = d
-        for r in raws:
-            g = domain._gcd(g, r)
-        if not domain._is_unit(g):
-            raws = [domain._divexact(r, g) for r in raws]
-            d = domain._divexact(d, g)
-        u = domain._normalizing_unit(d)
-        if u != domain.coerce_raw(1):
-            raws = [domain._mul(r, u) for r in raws]
-            d = domain._mul(d, u)
+        raws, d = _canonical(domain, raws, domain.coerce_raw(den), "point")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(
             self, "nums", tuple(DomainElement(domain, r) for r in raws)
@@ -861,9 +826,6 @@ class FractionPoint:
     @property
     def dim(self) -> int:
         return len(self.nums)
-
-    def coord(self, i: int) -> FractionElement:
-        return FractionElement(self.domain, self.nums[i], self.den)
 
     def is_integral(self) -> bool:
         return self.den.raw == self.domain.coerce_raw(1)
@@ -889,50 +851,6 @@ class FractionPoint:
         return ",".join(str(n) for n in self.nums) + f"/{self.den}"
 
     __repr__ = __str__
-
-
-# -- spec-level operation names ------------------------------------------
-
-
-def add(u: DomainElement, v: DomainElement) -> DomainElement:
-    return u + v
-
-
-def mul(u: DomainElement, v: DomainElement) -> DomainElement:
-    return u * v
-
-
-def norm(u: DomainElement) -> int:
-    return u.norm()
-
-
-def is_unit(u: DomainElement) -> bool:
-    return u.is_unit()
-
-
-def ext_norm(x: FractionElement) -> Fraction:
-    return x.ext_norm()
-
-
-def reduce_point(a: Iterable, b) -> FractionPoint:
-    """Canonical FractionPoint equal to a/b; the domain is inferred from the
-    first DomainElement found among the arguments."""
-    entries = list(a)
-    dom = None
-    for cand in entries + [b]:
-        if isinstance(cand, DomainElement):
-            dom = cand.domain
-            break
-        if isinstance(cand, FractionElement):
-            dom = cand.domain
-            break
-    if dom is None:
-        raise TypeError("reduce_point needs at least one DomainElement to infer the domain")
-    return FractionPoint(dom, entries, b)
-
-
-def is_integral(x) -> bool:
-    return x.is_integral()
 
 
 # -- norm-axiom spot checks ------------------------------------------------

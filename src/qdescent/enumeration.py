@@ -4,6 +4,7 @@ Each enumeration has a closed-form count() and is checked against
 SEARCH_BUDGET when iteration starts, so an oversized request raises
 SearchBudgetError before anything is generated:
 
+- BoxSweep: the elements of one coordinate box, in Domain._box_raws order;
 - GradedBox: the raw points of a box in graded order, that is by (sum of
   coordinate norms, coordinatewise sort key), produced one shell of equal
   norm sum at a time and merged by sort key within the shell;
@@ -12,6 +13,8 @@ SearchBudgetError before anything is generated:
 - first_zero: the first integral zero of a polynomial in graded order.
   Over Z it solves each fiber exactly (see _first_zero_z) and never scans
   the solved coordinate; elsewhere it scans a GradedBox.
+
+The oracle's window scan is sized the same way, by Domain._offset_count.
 """
 
 from __future__ import annotations
@@ -35,6 +38,22 @@ def _within_budget(count: int, what: str) -> None:
             f"{what} would enumerate {count} candidates, "
             f"over the search budget of {SEARCH_BUDGET}"
         )
+
+
+class BoxSweep:
+    """The elements of box(bound), in Domain._box_raws order."""
+
+    def __init__(self, domain: Domain, bound: int):
+        self.domain = domain
+        self.bound = bound
+
+    def count(self) -> int:
+        return self.domain._box_count(self.bound)
+
+    def __iter__(self):
+        _within_budget(self.count(), "an element sweep")
+        dom = self.domain
+        return (DomainElement(dom, r) for r in dom._box_raws(self.bound))
 
 
 class GradedBox:

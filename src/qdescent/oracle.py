@@ -3,23 +3,23 @@
 For a non-integral point x the oracle first tries plain coordinatewise
 rounding, which already suffices for the diagonal instances shipped here.
 If the rounded value lands on the null cone (norm 0) or is too large, it
-enumerates all points within a per-coordinate offset window around the
-rounded point and returns the admissible witness of least value norm,
-breaking ties lexicographically so identical inputs always give identical
-output.  check_euclidean sweeps a bounded family of non-integral points
+scans all points within a per-coordinate offset window around the rounded
+point, keeping a running minimum of (value norm, coordinatewise sort key),
+so identical inputs always give identical output.  The scan is sized in
+closed form (Domain._offset_count(window) ** d candidates) and refused with
+SearchBudgetError over SEARCH_BUDGET before any offset is built.  check_euclidean sweeps a bounded family of non-integral points
 and collects every point where no witness exists in the window.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .domains import DomainElement, FractionElement, FractionPoint
-from .enumeration import CanonicalPoints
+from .enumeration import CanonicalPoints, _within_budget
 from .errors import IntegralPointError, OracleNotFound
 from .quadratic import QuadraticPolynomial
 
@@ -62,23 +62,13 @@ class EuclideanReport:
         return not self.failures
 
 
-def euclidean_step(
-    f: QuadraticPolynomial,
-    x: FractionPoint,
-    window: int = 2,
-    tie_seed: Optional[int] = None,
-) -> OracleResult:
+def euclidean_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> OracleResult:
     """Find y with 0 < ext_norm(f2(x - y)) < 1, or raise OracleNotFound.
 
     Only the quadratic part of f is consulted.  x must not be integral
     (the inequality quantifies over K^d away from R^d).  The offset window
-    is measured in norm for Z and Z[i] and in degree for F_p[t].
-
-    tie_seed is a test hook: when set, the fast rounding path is skipped
-    and a seeded random choice is made among all admissible witnesses in
-    the window, which lets callers confirm that downstream results do not
-    depend on which admissible witness the oracle picks.  Leave it None
-    for the deterministic min-norm, lexicographic-tie behaviour.
+    is measured in norm for Z and Z[i] and in degree for F_p[t].  A scan of
+    more than SEARCH_BUDGET candidates raises SearchBudgetError.
     """
     f._check_point(x)
     if x.is_integral():
@@ -95,18 +85,18 @@ def euclidean_step(
 
     base = [dom._round_quotient(ai, b) for ai in a]
 
-    if tie_seed is None:
-        num = value_num(base)
-        vn = Fraction(dom._norm(num), nb2)
-        if 0 < vn < 1:
-            return OracleResult(
-                tuple(DomainElement(dom, c) for c in base),
-                FractionElement(dom, num, b2),
-                vn,
-            )
+    num = value_num(base)
+    vn = Fraction(dom._norm(num), nb2)
+    if 0 < vn < 1:
+        return OracleResult(
+            tuple(DomainElement(dom, c) for c in base),
+            FractionElement(dom, num, b2),
+            vn,
+        )
 
+    _within_budget(dom._offset_count(window) ** len(a), "the oracle's window scan")
     offsets = dom._offset_raws(window)
-    admissible = []
+    best = None  # ((vn, sort key), y, num) of the least admissible candidate
     best_nonzero = None
     for offs in product(offsets, repeat=len(a)):
         y = [dom._add(bi, oi) for bi, oi in zip(base, offs)]
@@ -115,17 +105,14 @@ def euclidean_step(
         if vn > 0 and (best_nonzero is None or vn < best_nonzero):
             best_nonzero = vn
         if 0 < vn < 1:
-            key = tuple(dom._sort_key(c) for c in y)
-            admissible.append((vn, key, tuple(y), num))
-    if not admissible:
+            key = (vn, tuple(dom._sort_key(c) for c in y))
+            if best is None or key < best[0]:
+                best = (key, y, num)
+    if best is None:
         raise OracleNotFound(
             x, window, best_nonzero if best_nonzero is not None else Fraction(0)
         )
-    admissible.sort(key=lambda entry: (entry[0], entry[1]))
-    if tie_seed is None:
-        vn, _, y, num = admissible[0]
-    else:
-        vn, _, y, num = random.Random(tie_seed).choice(admissible)
+    (vn, _), y, num = best
     return OracleResult(
         tuple(DomainElement(dom, c) for c in y),
         FractionElement(dom, num, b2),

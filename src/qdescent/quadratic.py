@@ -123,34 +123,8 @@ class QuadraticPolynomial:
         num = dom._add(num, dom._mul(b2, self.const))
         return FractionElement(dom, num, b2)
 
-    def eval_f2(self, x: FractionPoint) -> FractionElement:
-        """Value of the homogeneous quadratic part alone."""
-        self._check_point(x)
-        a = [n.raw for n in x.nums]
-        b = x.den.raw
-        return FractionElement(self.domain, self._f2_raw(a), self.domain._mul(b, b))
-
     def eval_at_integral(self, pt) -> DomainElement:
         return DomainElement(self.domain, self._eval_raw(self._coerce_vector(pt)))
-
-    def f2_at(self, pt) -> DomainElement:
-        return DomainElement(self.domain, self._f2_raw(self._coerce_vector(pt)))
-
-    def bilinear(self, x: FractionPoint, y: FractionPoint) -> FractionElement:
-        """The associated bilinear form f2(x+y) - f2(x) - f2(y), exactly."""
-        self._check_point(x)
-        self._check_point(y)
-        dom = self.domain
-        # common denominator b*e; numerator vectors a*e and c*b
-        b, e = x.den.raw, y.den.raw
-        u = [dom._mul(n.raw, e) for n in x.nums]
-        w = [dom._mul(n.raw, b) for n in y.nums]
-        s = [dom._add(ui, wi) for ui, wi in zip(u, w)]
-        num = self._f2_raw(s)
-        num = dom._add(num, dom._neg(self._f2_raw(u)))
-        num = dom._add(num, dom._neg(self._f2_raw(w)))
-        be = dom._mul(b, e)
-        return FractionElement(dom, num, dom._mul(be, be))
 
     def expand_along_line(self, y, v) -> LineExpansion:
         """Coefficients of F(T) = f(y + T*v) for integral y and v.
@@ -189,18 +163,6 @@ class QuadraticPolynomial:
         dom = self.domain
         new_const = dom._add(self.const, dom._neg(dom.coerce_raw(r)))
         return QuadraticPolynomial(dom, self.d, dict(self.quad), self.lin, new_const)
-
-    def quad_coeff(self, i: int, j: int) -> DomainElement:
-        if i > j:
-            i, j = j, i
-        return DomainElement(self.domain, self.quad.get((i, j), self.domain.coerce_raw(0)))
-
-    def lin_coeff(self, i: int) -> DomainElement:
-        return DomainElement(self.domain, self.lin[i])
-
-    @property
-    def const_coeff(self) -> DomainElement:
-        return DomainElement(self.domain, self.const)
 
     def __eq__(self, other):
         if not isinstance(other, QuadraticPolynomial):

@@ -164,14 +164,16 @@ def test_criterion_6_norm_axioms_and_n2():
             report = check_norm_axioms(dom, samples=1000, seed=int(dom.name != "Z"))
             assert report.ok and report.checked == 1000
         # direct branch: enumerated nonzero non-units all have norm > 1
-        for e in ZZ.norm_bounded_elements(100):
+        # (nonzero |a| <= 100 over Z, nonzero norm <= 50 over Z[i], degree <= 3
+        # over F_3[t])
+        elements = [
+            *(ZZ.element(a) for a in ZZ._box_raws(100) if a),
+            *(ZI.element(a) for a in ZI._box_raws(7) if 0 < ZI._norm(a) <= 50),
+            *(F3.element(a) for a in F3._box_raws(3) if a),
+        ]
+        assert len(elements) == 200 + 160 + 80
+        for e in elements:
             if not e.is_unit():
-                assert e.norm() > 1
-        for e in ZI.norm_bounded_elements(50):
-            if not e.is_unit():
-                assert e.norm() > 1
-        for e in F3.box_elements(3):
-            if not e.is_zero() and not e.is_unit():
                 assert e.norm() > 1
         # constructive branch for q = X^2+Y^2+Z^2, a in {2..10}
         q = parse_form("x^2+y^2+z^2", ZZ)

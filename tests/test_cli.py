@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -310,3 +311,25 @@ def test_negative_window_or_box_is_input_error(capsys, argv):
     assert code == 1
     assert out == ""
     assert "must be a nonnegative integer" in err
+
+
+# -- budget refusals ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["descend", "--domain", "Fpt:1000003", "--form", "x1*x2", "--point", "1,0/t"],
+        ["descend", "--domain", "Z", "--form", "x1*x2", "--point", "1,0/2", "--window", "100000"],
+        ["check", "n2", "--domain", "Fpt:1000003", "--form", "x^2+y^2", "--box", "1"],
+    ],
+    ids=["descend Fpt:1000003", "descend --window 100000", "check n2 Fpt:1000003"],
+)
+def test_oversized_scan_or_sweep_exits_2(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "search budget" in err

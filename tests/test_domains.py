@@ -15,8 +15,6 @@ from qdescent import (
     ZeroDenominatorError,
     check_norm_axioms,
     domain_from_name,
-    ext_norm,
-    reduce_point,
 )
 
 F2 = GFpT(2)
@@ -168,7 +166,7 @@ def test_fraction_arithmetic():
     assert (a - a).is_zero()
     assert a + b == FractionElement(ZZ, 5, 6)
     assert FractionElement(ZZ, 4, 2) == 2
-    assert ext_norm(FractionElement(ZZ, -3, 2)) == Fraction(3, 2)
+    assert FractionElement(ZZ, -3, 2).ext_norm() == Fraction(3, 2)
 
 
 def test_fraction_point_canonicalization():
@@ -192,36 +190,39 @@ def test_fraction_point_canonicalization():
     assert u.den.raw == 2 and [n.raw for n in u.nums] == [-1, -2]
 
 
-def test_reduce_point_infers_domain():
-    p = reduce_point([ZZ.element(2), ZZ.element(4)], ZZ.element(6))
-    assert str(p) == "1,2/3"
-    with pytest.raises(TypeError):
-        reduce_point([1, 2], 3)
-
-
 # -- enumeration helpers -------------------------------------------------------
 
 
 def test_box_enumeration():
-    assert [e.raw for e in ZZ.box_elements(2)] == [-2, -1, 0, 1, 2]
-    zi = [e.raw for e in ZI.box_elements(1)]
+    assert list(ZZ._box_raws(2)) == [-2, -1, 0, 1, 2]
+    zi = list(ZI._box_raws(1))
     assert len(zi) == 9 and (0, 0) in zi and (-1, 1) in zi
-    f2 = [e.raw for e in F2.box_elements(1)]
-    assert f2 == [(), (1,), (0, 1), (1, 1)]  # 0, 1, t, t+1
+    assert list(F2._box_raws(1)) == [(), (1,), (0, 1), (1, 1)]  # 0, 1, t, t+1
 
 
 def test_denominator_enumeration():
-    assert [e.raw for e in ZZ.denominator_elements(3)] == [2, 3]
-    assert [e.raw for e in ZI.denominator_elements(2)] == [(1, 1)]
+    assert list(ZZ._denominator_raws(3)) == [2, 3]
+    assert list(ZI._denominator_raws(2)) == [(1, 1)]
     # first-quadrant representatives only, one per associate class
-    assert [e.raw for e in ZI.denominator_elements(4)] == [(1, 1), (2, 0)]
-    assert [e.raw for e in F2.denominator_elements(1)] == [(0, 1), (1, 1)]
+    assert list(ZI._denominator_raws(4)) == [(1, 1), (2, 0)]
+    assert list(F2._denominator_raws(1)) == [(0, 1), (1, 1)]
 
 
 def test_offset_enumeration_contains_zero():
     for dom, w in ((ZZ, 2), (ZI, 2), (F2, 2), (F3, 0)):
-        raws = [e.raw for e in dom.offset_elements(w)]
-        assert dom.coerce_raw(0) in raws
+        assert dom.coerce_raw(0) in dom._offset_raws(w)
+
+
+@pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3], ids=lambda d: d.name)
+def test_offset_count_matches_enumeration(dom):
+    for w in range(7 if dom.name.startswith("Fpt") else 40):
+        offsets = dom._offset_raws(w)
+        assert dom._offset_count(w) == len(offsets) == len(set(offsets))
+        # norm <= w for Z and Z[i], degree < w for F_p[t]
+        if dom.name.startswith("Fpt"):
+            assert all(len(o) <= w for o in offsets)
+        else:
+            assert all(dom._norm(o) <= w for o in offsets)
 
 
 # -- norm axioms ----------------------------------------------------------------

@@ -20,13 +20,20 @@ from qdescent import (
     ZZ,
     brute_integral_zero,
     check_euclidean,
+    check_n2,
     parse_form,
     random_quadratic,
 )
 from qdescent import enumeration
 from qdescent.cli import main
 from qdescent.domains import PrimeFieldPolynomials
-from qdescent.enumeration import CanonicalPoints, GradedBox, first_zero, first_zero_count
+from qdescent.enumeration import (
+    BoxSweep,
+    CanonicalPoints,
+    GradedBox,
+    first_zero,
+    first_zero_count,
+)
 
 F2 = GFpT(2)
 F3 = GFpT(3)
@@ -220,3 +227,23 @@ def test_cli_budget_refusal_exit_2(capsys):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "search budget" in err
+
+
+@pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3], ids=lambda d: d.name)
+def test_box_sweep_is_box_raws_order(dom):
+    for bound in range(4):
+        sweep = BoxSweep(dom, bound)
+        assert [e.raw for e in sweep] == list(dom._box_raws(bound))
+        assert sweep.count() == len(list(dom._box_raws(bound)))
+
+
+def test_box_sweep_refused_before_anything_is_built(monkeypatch):
+    def boom(self, *args):
+        raise AssertionError("enumeration started before the budget check")
+
+    monkeypatch.setattr(PrimeFieldPolynomials, "_box_raws", boom)
+    big = GFpT(1000003)
+    with pytest.raises(SearchBudgetError, match="element sweep"):
+        iter(BoxSweep(big, 1))
+    with pytest.raises(SearchBudgetError):
+        check_n2(big, parse_form("x^2+y^2", big), BoxSweep(big, 1))

@@ -1,14 +1,19 @@
 import random
+import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from qdescent import (
+    DomainElement,
+    FractionElement,
     FractionPoint,
     GFpT,
     IntegralPointError,
     OracleNotFound,
     QuadraticPolynomial,
+    SearchBudgetError,
     ZI,
     ZZ,
     check_euclidean,
@@ -118,19 +123,77 @@ def test_oracle_deterministic_and_monotone():
     assert 0 < wider.vnorm < 1
 
 
-def test_oracle_tie_seed_returns_admissible_witness():
-    f = CIRCLE
-    x = FractionPoint(ZZ, [-11, 2], 5)
-    dom = ZZ
-    for seed in range(8):
-        found = euclidean_step(f, x, tie_seed=seed)
-        assert 0 < found.vnorm < 1
-        # value really is f2(x - y)
-        nums = [dom._add(n.raw, dom._neg(dom._mul(x.den.raw, c.raw)))
-                for n, c in zip(x.nums, found.y)]
-        assert found.value.ext_norm() == Fraction(
-            dom._norm(f._f2_raw(nums)), x.den.norm() ** 2
-        )
+def _f2_of_difference(f, x, y):
+    dom = f.domain
+    b = x.den.raw
+    w = [dom._add(n.raw, dom._neg(dom._mul(b, c.raw))) for n, c in zip(x.nums, y)]
+    return FractionElement(dom, f._f2_raw(w), dom._mul(b, b))
+
+
+@pytest.mark.parametrize(
+    "f, x, fast",
+    [
+        (CIRCLE, FractionPoint(ZZ, [-11, 2], 5), True),
+        (parse_form("x1*x2", ZZ), FractionPoint(ZZ, [1, 2], 2), False),
+        (parse_form("x1*x2", ZI), FractionPoint(ZI, [(1, 0), (0, 0)], (2, 1)), False),
+        (parse_form("x1^2+t*x2^2", F2), FractionPoint(F2, [(1,), (1,)], (0, 1)), True),
+        (parse_form("x1*x2", F3), FractionPoint(F3, [(1,), ()], (0, 1)), False),
+    ],
+    ids=["Z-fast", "Z-scan", "Zi-scan", "Fpt:2-fast", "Fpt:3-scan"],
+)
+def test_oracle_value_is_f2_of_difference(f, x, fast):
+    # fast means the rounded point itself is admissible, so no scan runs
+    assert (0 < _f2_of_difference(f, x, round_point(x)).ext_norm() < 1) == fast
+    found = euclidean_step(f, x)
+    assert (found.y == round_point(x)) == fast
+    assert found.value == _f2_of_difference(f, x, found.y)
+    assert found.vnorm == found.value.ext_norm()
+    assert 0 < found.vnorm < 1
+
+
+@pytest.mark.parametrize(
+    "f, x, window",
+    [
+        (parse_form("x1*x2", ZZ), FractionPoint(ZZ, [1, 0], 3), 3),
+        (parse_form("x1*x2", F3), FractionPoint(F3, [(1,), (0, 1)], (0, 1)), 2),
+        (parse_form("x1*x2+x3^2", F2), FractionPoint(F2, [(), (1, 1), ()], (0, 1)), 2),
+    ],
+    ids=["Z", "Fpt:3", "Fpt:2"],
+)
+def test_oracle_scan_picks_least_norm_then_least_key(f, x, window):
+    # reference: every admissible candidate of the window, sorted; the
+    # least norm is tied, and over F_p[t] the scan meets the least key late
+    dom = f.domain
+    base = round_point(x)
+    cands = []
+    for offs in product(dom._offset_raws(window), repeat=f.d):
+        y = tuple(c + DomainElement(dom, o) for c, o in zip(base, offs))
+        vn = _f2_of_difference(f, x, y).ext_norm()
+        if 0 < vn < 1:
+            cands.append((vn, tuple(dom._sort_key(c.raw) for c in y), y))
+    cands.sort(key=lambda c: c[:2])
+    assert cands[0][0] == cands[1][0]
+    found = euclidean_step(f, x, window=window)
+    assert (found.vnorm, found.y) == (cands[0][0], cands[0][2])
+
+
+def test_oracle_window_scan_refused_over_budget(monkeypatch):
+    big = GFpT(1000003)
+
+    def boom(self, window):
+        raise AssertionError("offsets built before the budget check")
+
+    monkeypatch.setattr(type(big), "_offset_raws", boom)
+    monkeypatch.setattr(type(ZZ), "_offset_raws", boom)
+    start = time.perf_counter()
+    # (1/t, 0) rounds onto the null cone of x1*x2, so the scan would run
+    with pytest.raises(SearchBudgetError, match="window scan"):
+        euclidean_step(parse_form("x1*x2", big), FractionPoint(big, [1, 0], (0, 1)))
+    with pytest.raises(SearchBudgetError, match="window scan"):
+        euclidean_step(parse_form("x1*x2", ZZ), FractionPoint(ZZ, [1, 0], 2), window=100000)
+    assert time.perf_counter() - start < 1
+    # the fast path never scans, so a wide window alone is not refused
+    assert euclidean_step(CIRCLE, FractionPoint(ZZ, [-11, 2], 5), window=100000).vnorm < 1
 
 
 def test_oracle_value_identity_random():
