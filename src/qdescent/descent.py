@@ -38,7 +38,7 @@ from .errors import (
     OracleNotFound,
     ValueNotIntegralError,
 )
-from .oracle import euclidean_step
+from .oracle import _cleared_difference, euclidean_step
 from .quadratic import QuadraticPolynomial
 
 
@@ -79,10 +79,7 @@ def descent_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> D
     found = euclidean_step(f, x, window)
     b_raw = x.den.raw
     y_raws = [e.raw for e in found.y]
-    v_raws = [
-        dom._add(n.raw, dom._neg(dom._mul(b_raw, yr)))
-        for n, yr in zip(x.nums, y_raws)
-    ]
+    v_raws = _cleared_difference(x, y_raws)
     v = tuple(DomainElement(dom, r) for r in v_raws)
     exp = f.expand_along_line(found.y, v)
     A, B, C = exp.A.raw, exp.B.raw, exp.C.raw
@@ -145,8 +142,9 @@ def descend(
     failure surfaces as DescentAborted carrying the step index.
     """
     f._check_point(x)
-    if not f.eval(x).is_zero():
-        raise NotAZeroError(f"point is not a zero: f({x}) = {f.eval(x)}")
+    value = f.eval(x)
+    if not value.is_zero():
+        raise NotAZeroError(f"point is not a zero: f({x}) = {value}")
     cap = max_steps if max_steps is not None else x.den.norm()
     steps = []
     cur = x
@@ -243,12 +241,8 @@ def check_n2(
                 N2Failure(a, f"no witness in window {window} (best norm {err.min_norm})")
             )
             continue
-        den = x.den.raw
-        w = [
-            DomainElement(domain, domain._add(n.raw, domain._neg(domain._mul(den, yi.raw))))
-            for n, yi in zip(x.nums, found.y)
-        ]
-        nv = q.eval_at_integral(w).norm()
+        w = _cleared_difference(x, [yi.raw for yi in found.y])
+        nv = domain._norm(q._eval_raw(w))
         bound = x.den.norm() ** 2
         if not 0 < nv < bound:
             failures.append(

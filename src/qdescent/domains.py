@@ -874,8 +874,12 @@ def check_norm_axioms(
     Per sample pair (u, v): norm vanishes exactly at zero, the norm is
     multiplicative, nonzero elements have nonzero product, units have norm
     one, and the fraction-field extension norm(a)/norm(b) is multiplicative
-    and agrees with the ring norm on denominators equal to 1.
+    and agrees with the ring norm on denominators equal to 1.  More than
+    SEARCH_BUDGET samples raises SearchBudgetError before any is drawn.
     """
+    from .enumeration import _within_budget  # enumeration imports this module
+
+    _within_budget(samples, "the norm-axiom check")
     if bound is None:
         bound = 8 if isinstance(domain, PrimeFieldPolynomials) else 10**6
     rng = random.Random(seed)

@@ -1,21 +1,42 @@
 """Witness search for the Euclidean-form inequality 0 < |f2(x - y)| < 1.
 
-For a non-integral point x the oracle first tries plain coordinatewise
-rounding, which already suffices for the diagonal instances shipped here.
-If the rounded value lands on the null cone (norm 0) or is too large, it
-scans all points within a per-coordinate offset window around the rounded
-point, keeping a running minimum of (value norm, coordinatewise sort key),
-so identical inputs always give identical output.  The scan is sized in
-closed form (Domain._offset_count(window) ** d candidates) and refused with
-SearchBudgetError over SEARCH_BUDGET before any offset is built.  check_euclidean sweeps a bounded family of non-integral points
-and collects every point where no witness exists in the window.
+For a non-integral point x = a/b the oracle first tries plain
+coordinatewise rounding, y = base, which already suffices for the diagonal
+instances shipped here.  If the rounded value lands on the null cone
+(norm 0) or is too large, it scans every y = base + o with o in the
+per-coordinate offset window and keeps the strict minimum of (value norm,
+coordinatewise sort key), so identical inputs always give identical output.
+
+The scan never evaluates f2 from scratch.  With w0 = a - b*base and
+f2 = sum_{i<=k} c_ik X_i X_k, the cleared value of a candidate is
+
+    b^2 f2(x - y) = f2(w0 - b*o)
+                  = f2(w0) + sum_k [-b*g_k*o_k + b^2*c_kk*o_k^2]
+                           + b^2 * sum_{i<k} c_ik*o_i*o_k,
+
+where g_k = 2*c_kk*w0_k + sum_{i<k} c_ik*w0_i + sum_{k<j} c_kj*w0_j is the
+gradient row of the table-based bilinear form at w0.  Nothing is halved,
+so the identity holds in characteristic 2.  The offsets are walked axis
+by axis with one running partial sum per depth: the per-axis terms come
+from one precomputed row of |offsets| values per axis, and the cross
+coefficient b^2 * sum_{i<k} c_ik*o_i is formed once per prefix.  So each
+candidate costs O(1) ring operations and an integer comparison of its
+norm against N(b^2), memory is O(d * |offsets|), and a Fraction is built
+only for the winner (or, on failure, for OracleNotFound.min_norm).
+
+The scan is sized in closed form, Domain._offset_count(window) ** d
+candidates, and refused with SearchBudgetError over SEARCH_BUDGET before
+any offset is built.
+
+check_euclidean sweeps a bounded family of non-integral points and
+collects every point where no witness exists in the window.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Tuple
 
 from .domains import DomainElement, FractionElement, FractionPoint
@@ -62,6 +83,21 @@ class EuclideanReport:
         return not self.failures
 
 
+def _cleared_difference(x: FractionPoint, y) -> list:
+    """The raw vector a - b*y, which is b*(x - y), for x = a/b and raw y."""
+    dom = x.domain
+    b = x.den.raw
+    return [dom._add(n.raw, dom._neg(dom._mul(b, yi))) for n, yi in zip(x.nums, y)]
+
+
+def _witness(dom, y, num, b2, n: int, nb2: int) -> OracleResult:
+    return OracleResult(
+        tuple(DomainElement(dom, c) for c in y),
+        FractionElement(dom, num, b2),
+        Fraction(n, nb2),
+    )
+
+
 def euclidean_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> OracleResult:
     """Find y with 0 < ext_norm(f2(x - y)) < 1, or raise OracleNotFound.
 
@@ -69,55 +105,92 @@ def euclidean_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) ->
     (the inequality quantifies over K^d away from R^d).  The offset window
     is measured in norm for Z and Z[i] and in degree for F_p[t].  A scan of
     more than SEARCH_BUDGET candidates raises SearchBudgetError.
+
+    Every comparison is on integers, N(b^2 f2(x - y)) against N(b^2).  The
+    scan updates b^2 f2(x - y) incrementally from f2(a - b*round(x)) (see
+    the module docstring): O(1) ring operations per candidate and
+    O(d * |offsets|) memory.  The sort key of a candidate is formed only
+    when its norm ties the least admissible norm so far.
     """
     f._check_point(x)
     if x.is_integral():
         raise IntegralPointError(f"{x} is integral; the witness inequality excludes R^d")
     dom = f.domain
-    a = [n.raw for n in x.nums]
     b = x.den.raw
     b2 = dom._mul(b, b)
     nb2 = dom._norm(b2)
+    base = [dom._round_quotient(n.raw, b) for n in x.nums]
+    w0 = _cleared_difference(x, base)
+    f2w0 = f._f2_raw(w0)
+    n0 = dom._norm(f2w0)
+    if 0 < n0 < nb2:
+        return _witness(dom, base, f2w0, b2, n0, nb2)
 
-    def value_num(y_raws):
-        w = [dom._add(ai, dom._neg(dom._mul(b, yi))) for ai, yi in zip(a, y_raws)]
-        return f._f2_raw(w)
-
-    base = [dom._round_quotient(ai, b) for ai in a]
-
-    num = value_num(base)
-    vn = Fraction(dom._norm(num), nb2)
-    if 0 < vn < 1:
-        return OracleResult(
-            tuple(DomainElement(dom, c) for c in base),
-            FractionElement(dom, num, b2),
-            vn,
-        )
-
-    _within_budget(dom._offset_count(window) ** len(a), "the oracle's window scan")
+    d = f.d
+    _within_budget(dom._offset_count(window) ** d, "the oracle's window scan")
     offsets = dom._offset_raws(window)
-    best = None  # ((vn, sort key), y, num) of the least admissible candidate
-    best_nonzero = None
-    for offs in product(offsets, repeat=len(a)):
-        y = [dom._add(bi, oi) for bi, oi in zip(base, offs)]
-        num = value_num(y)
-        vn = Fraction(dom._norm(num), nb2)
-        if vn > 0 and (best_nonzero is None or vn < best_nonzero):
-            best_nonzero = vn
-        if 0 < vn < 1:
-            key = (vn, tuple(dom._sort_key(c) for c in y))
-            if best is None or key < best[0]:
-                best = (key, y, num)
-    if best is None:
-        raise OracleNotFound(
-            x, window, best_nonzero if best_nonzero is not None else Fraction(0)
-        )
-    (vn, _), y, num = best
-    return OracleResult(
-        tuple(DomainElement(dom, c) for c in y),
-        FractionElement(dom, num, b2),
-        vn,
-    )
+    add, mul, norm, sort_key = dom._add, dom._mul, dom._norm, dom._sort_key
+    zero = dom.coerce_raw(0)
+
+    # gradient row g at w0, the diagonal, and cross[k] = [(i, b^2*c_ik), i < k]
+    g = [zero] * d
+    diag = [zero] * d
+    cross = [[] for _ in range(d)]
+    for (i, j), c in f.quad.items():
+        if i == j:
+            diag[i] = c
+            t = mul(c, w0[i])
+            g[i] = add(g[i], add(t, t))
+        else:
+            g[i] = add(g[i], mul(c, w0[j]))
+            g[j] = add(g[j], mul(c, w0[i]))
+            cross[j].append((i, mul(b2, c)))
+    squares = [mul(o, o) for o in offsets]
+    rows = []  # rows[k][j]: -b*g_k*o_j + b^2*c_kk*o_j^2
+    for k in range(d):
+        lin = dom._neg(mul(b, g[k]))
+        quad = mul(b2, diag[k])
+        rows.append([add(mul(lin, o), mul(quad, sq)) for o, sq in zip(offsets, squares)])
+
+    def key_of(ix):
+        return tuple(sort_key(add(bk, offsets[j])) for bk, j in zip(base, ix))
+
+    idx = [0] * d
+    least = math.inf  # least nonzero norm seen
+    at = at_num = at_key = None  # its offset indices, value, sort key (lazy)
+
+    def walk(k, s):
+        nonlocal least, at, at_num, at_key
+        row = rows[k]
+        lk = zero
+        for i, c in cross[k]:
+            lk = add(lk, mul(c, offsets[idx[i]]))
+        if not dom._is_zero(lk):
+            row = [add(r, mul(lk, o)) for r, o in zip(row, offsets)]
+        if k + 1 < d:
+            for j, r in enumerate(row):
+                idx[k] = j
+                walk(k + 1, add(s, r))
+            return
+        for j, r in enumerate(row):
+            v = add(s, r)
+            n = norm(v)
+            if n and n <= least:
+                idx[k] = j
+                if n < least:
+                    least, at, at_num, at_key = n, tuple(idx), v, None
+                elif n < nb2:
+                    key = key_of(idx)
+                    if at_key is None:
+                        at_key = key_of(at)
+                    if key < at_key:
+                        at, at_num, at_key = tuple(idx), v, key
+
+    walk(0, f2w0)
+    if least >= nb2:
+        raise OracleNotFound(x, window, Fraction(least, nb2) if at is not None else Fraction(0))
+    y = [add(bk, offsets[j]) for bk, j in zip(base, at)]
+    return _witness(dom, y, at_num, b2, least, nb2)
 
 
 def check_euclidean(

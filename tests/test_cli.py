@@ -322,8 +322,14 @@ def test_negative_window_or_box_is_input_error(capsys, argv):
         ["descend", "--domain", "Fpt:1000003", "--form", "x1*x2", "--point", "1,0/t"],
         ["descend", "--domain", "Z", "--form", "x1*x2", "--point", "1,0/2", "--window", "100000"],
         ["check", "n2", "--domain", "Fpt:1000003", "--form", "x^2+y^2", "--box", "1"],
+        ["check", "norm-axioms", "--domain", "Z", "--samples", "1000000000"],
     ],
-    ids=["descend Fpt:1000003", "descend --window 100000", "check n2 Fpt:1000003"],
+    ids=[
+        "descend Fpt:1000003",
+        "descend --window 100000",
+        "check n2 Fpt:1000003",
+        "check norm-axioms --samples 1000000000",
+    ],
 )
 def test_oversized_scan_or_sweep_exits_2(capsys, argv):
     start = time.perf_counter()

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,14 @@ from qdescent import (
     FractionElement,
     FractionPoint,
     GFpT,
+    SearchBudgetError,
     ZI,
     ZZ,
     ZeroDenominatorError,
     check_norm_axioms,
     domain_from_name,
 )
+from qdescent.enumeration import SEARCH_BUDGET
 
 F2 = GFpT(2)
 F3 = GFpT(3)
@@ -233,6 +236,14 @@ def test_norm_axioms_hold(dom):
     report = check_norm_axioms(dom, samples=300, seed=11)
     assert report.ok, report.failures
     assert report.checked == 300
+
+
+def test_norm_axioms_refused_over_budget():
+    start = time.perf_counter()
+    with pytest.raises(SearchBudgetError, match="norm-axiom check"):
+        check_norm_axioms(ZZ, samples=SEARCH_BUDGET + 1)
+    assert time.perf_counter() - start < 1
+    assert check_norm_axioms(ZZ, samples=1).checked == 1
 
 
 @given(a=st.integers(-50, 50), b=st.integers(-50, 50), c=st.integers(-7, 7), d=st.integers(-7, 7))

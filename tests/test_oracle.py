@@ -177,6 +177,77 @@ def test_oracle_scan_picks_least_norm_then_least_key(f, x, window):
     assert (found.vnorm, found.y) == (cands[0][0], cands[0][2])
 
 
+def _reference_step(f, x, window):
+    """euclidean_step by definition: f2(x - y) evaluated afresh for every
+    candidate.  Returns (y, value, vnorm), or the least nonzero norm when
+    no candidate is admissible."""
+    dom = f.domain
+    base = round_point(x)
+    v = _f2_of_difference(f, x, base)
+    if 0 < v.ext_norm() < 1:
+        return base, v, v.ext_norm()
+    best, least = None, None
+    for offs in product(dom._offset_raws(window), repeat=f.d):
+        y = tuple(c + DomainElement(dom, o) for c, o in zip(base, offs))
+        v = _f2_of_difference(f, x, y)
+        vn = v.ext_norm()
+        if vn > 0 and (least is None or vn < least):
+            least = vn
+        if 0 < vn < 1:
+            key = (vn, tuple(dom._sort_key(c.raw) for c in y))
+            if best is None or key < best[0]:
+                best = (key, y, v)
+    if best is None:
+        return Fraction(0) if least is None else least
+    return best[1], best[2], best[0][0]
+
+
+def _random_case(rng, dom):
+    """A seeded form (cross terms included), non-integral point and window
+    whose scan stays under 400 candidates."""
+    poly = isinstance(dom, type(F2))
+    d = rng.randint(1, 4)
+    quad = {}
+    for i in range(d):
+        for j in range(i, d):
+            if rng.random() < (0.7 if i == j else 0.35):
+                quad[(i, j)] = dom._random_raw(rng, 1 if poly else 3)
+    if all(dom._is_zero(c) for c in quad.values()):
+        quad[(0, d - 1)] = dom.coerce_raw(1)
+    f = QuadraticPolynomial(dom, d, quad)
+    while True:
+        den = dom._random_raw(rng, 2 if poly else 6)
+        if not (dom._is_zero(den) or dom._is_unit(den)):
+            break
+    x = FractionPoint(dom, [dom._random_raw(rng, 3 if poly else 20) for _ in range(d)], den)
+    window = rng.randint(0, 3)
+    while dom._offset_count(window) ** d > 400:
+        window -= 1
+    return f, x, window
+
+
+@pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3], ids=lambda d: d.name)
+def test_oracle_matches_reference_scan(dom):
+    rng = random.Random(f"oracle-{dom.name}")
+    scanned = failed = 0
+    for _ in range(200):
+        f, x, window = _random_case(rng, dom)
+        if x.is_integral():
+            continue
+        ref = _reference_step(f, x, window)
+        scanned += not (isinstance(ref, tuple) and ref[0] == round_point(x))
+        if isinstance(ref, Fraction):
+            failed += 1
+            with pytest.raises(OracleNotFound) as err:
+                euclidean_step(f, x, window)
+            assert err.value.min_norm == ref
+        else:
+            found = euclidean_step(f, x, window)
+            assert (found.y, found.value, found.vnorm) == ref
+    # the sample reaches the scan and its failure branch, not only rounding
+    assert scanned >= 20 and failed >= 5
+
+
 def test_oracle_window_scan_refused_over_budget(monkeypatch):
     big = GFpT(1000003)
 
