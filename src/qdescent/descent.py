@@ -69,12 +69,11 @@ def descent_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> D
     window.  All postconditions are asserted exactly before returning.
     """
     f._check_point(x)
-    value = f.eval(x)
-    if not value.is_zero():
-        raise NotAZeroError(f"point is not a zero: f({x}) = {value}")
+    dom = f.domain
+    if not dom._is_zero(f._cleared_raw(x)):
+        raise NotAZeroError(f"point is not a zero: f({x}) = {f.eval(x)}")
     if x.is_integral():
         raise IntegralPointError(f"{x} is already integral")
-    dom = f.domain
 
     found = euclidean_step(f, x, window)
     b_raw = x.den.raw
@@ -112,7 +111,7 @@ def descent_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> D
         for yr, vr in zip(y_raws, v_raws)
     ]
     x_next = FractionPoint(dom, a_next, bn_raw)
-    if not f.eval(x_next).is_zero():
+    if not dom._is_zero(f._cleared_raw(x_next)):
         raise InternalInvariantError("f(x') != 0 after the step")
 
     return DescentStep(
@@ -142,9 +141,8 @@ def descend(
     failure surfaces as DescentAborted carrying the step index.
     """
     f._check_point(x)
-    value = f.eval(x)
-    if not value.is_zero():
-        raise NotAZeroError(f"point is not a zero: f({x}) = {value}")
+    if not f.domain._is_zero(f._cleared_raw(x)):
+        raise NotAZeroError(f"point is not a zero: f({x}) = {f.eval(x)}")
     cap = max_steps if max_steps is not None else x.den.norm()
     steps = []
     cur = x

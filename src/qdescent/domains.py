@@ -182,6 +182,10 @@ class DomainElement:
     def __setattr__(self, name, value):
         raise AttributeError("DomainElement is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not __setattr__
+        return (DomainElement, (self.domain, self.raw))
+
     def _peer_raw(self, other):
         if isinstance(other, DomainElement):
             if other.domain != self.domain:
@@ -498,10 +502,24 @@ class GaussianIntegers(Domain):
         return max(abs(a[0]), abs(a[1]))
 
 
+# F_p[t] products of fewer than this many coefficient pairs use the
+# schoolbook loop, larger ones Kronecker substitution with one-byte slots.
+# Chosen from a per-call crossover table (CHANGES.md): below it both cost a
+# few microseconds; above it the bigint product wins by a growing factor.
+_KRONECKER_MIN_TERMS = 32
+
+
 class PrimeFieldPolynomials(Domain):
     """F_p[t] as coefficient tuples in ascending degree, no trailing zero.
 
     The norm of a nonzero polynomial is p^deg; constants are the units.
+
+    Multiplication costs O(len a * len b) coefficient operations in Python
+    below _KRONECKER_MIN_TERMS coefficient pairs, or when a product
+    coefficient could exceed one byte (min(len a, len b) * (p-1)^2 > 255).
+    Otherwise each factor is packed into one integer (Kronecker
+    substitution), so the work is one C-level bigint product plus
+    O(len a + len b) packing and reduction.
     """
 
     def __init__(self, p: int):
@@ -556,11 +574,21 @@ class PrimeFieldPolynomials(Domain):
     def _mul(self, a, b):
         if not a or not b:
             return ()
-        out = [0] * (len(a) + len(b) - 1)
+        p = self.p
+        la, lb = len(a), len(b)
+        n = la + lb - 1
+        if la * lb >= _KRONECKER_MIN_TERMS and min(la, lb) * (p - 1) ** 2 < 256:
+            # Kronecker substitution: read each factor as the base-256 digits
+            # of one integer, multiply once, reduce each digit mod p.  A
+            # product digit is a sum of at most min(la, lb) terms below p^2,
+            # so under 256 it never carries.
+            prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
+            return self._strip([c % p for c in prod.to_bytes(n, "little")])
+        out = [0] * n
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
-                    out[i + j] = (out[i + j] + ca * cb) % self.p
+                    out[i + j] = (out[i + j] + ca * cb) % p
         return self._strip(out)
 
     def _is_zero(self, a):
@@ -736,6 +764,9 @@ class FractionElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("FractionElement is immutable")
+
+    def __reduce__(self):
+        return (FractionElement, (self.domain, self.num.raw, self.den.raw))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -35,7 +35,7 @@ collects every point where no witness exists in the window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Tuple
 
@@ -57,13 +57,62 @@ def round_point(x: FractionPoint) -> Tuple[DomainElement, ...]:
     return tuple(DomainElement(dom, dom._round_quotient(n.raw, b)) for n in x.nums)
 
 
-@dataclass(frozen=True)
 class OracleResult:
-    """A witness y with value = f2(x - y) and vnorm = ext_norm(value) in (0, 1)."""
+    """A witness y with value = f2(x - y) and vnorm = ext_norm(value) in (0, 1).
 
-    y: Tuple[DomainElement, ...]
-    value: FractionElement
-    vnorm: Fraction
+    An immutable value object, compared, hashed and printed by (y, value,
+    vnorm), copied and pickled as OracleResult(y, value, vnorm).
+    euclidean_step keeps the cleared value b^2 f2(x - y) and b^2
+    as raws and builds the canonical value, a FractionElement (one ring
+    gcd), on first access to .value; descent reads only y and vnorm.
+    """
+
+    __slots__ = ("y", "vnorm", "_value", "_cleared")
+
+    def __init__(self, y: Tuple[DomainElement, ...], value: FractionElement, vnorm: Fraction):
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "vnorm", vnorm)
+        object.__setattr__(self, "_value", value)
+        object.__setattr__(self, "_cleared", None)
+
+    @classmethod
+    def _lazy(cls, y, dom, num, den, vnorm: Fraction) -> "OracleResult":
+        """A result whose value num/den is canonicalized on first access."""
+        self = cls(y, None, vnorm)
+        object.__setattr__(self, "_cleared", (dom, num, den))
+        return self
+
+    @property
+    def value(self) -> FractionElement:
+        if self._cleared is not None:
+            object.__setattr__(self, "_value", FractionElement(*self._cleared))
+            object.__setattr__(self, "_cleared", None)
+        return self._value
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _fields(self):
+        return (self.y, self.value, self.vnorm)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"OracleResult(y={self.y!r}, value={self.value!r}, vnorm={self.vnorm!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which assigns the
+        # slots itself; __setattr__ would refuse them
+        return (OracleResult, self._fields())
 
 
 @dataclass(frozen=True)
@@ -91,10 +140,8 @@ def _cleared_difference(x: FractionPoint, y) -> list:
 
 
 def _witness(dom, y, num, b2, n: int, nb2: int) -> OracleResult:
-    return OracleResult(
-        tuple(DomainElement(dom, c) for c in y),
-        FractionElement(dom, num, b2),
-        Fraction(n, nb2),
+    return OracleResult._lazy(
+        tuple(DomainElement(dom, c) for c in y), dom, num, b2, Fraction(n, nb2)
     )
 
 

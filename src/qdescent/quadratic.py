@@ -111,17 +111,20 @@ class QuadraticPolynomial:
 
     # -- public evaluation -------------------------------------------------
 
-    def eval(self, x: FractionPoint) -> FractionElement:
-        """Exact value f(x) in the fraction field."""
-        self._check_point(x)
+    def _cleared_raw(self, x: FractionPoint):
+        """The raw numerator b^2 f(x) = f2(a) + b*(f1(a) + b*f0) at x = a/b,
+        which vanishes exactly when x is a zero of f."""
         dom = self.domain
         a = [n.raw for n in x.nums]
         b = x.den.raw
-        num = self._f2_raw(a)
-        num = dom._add(num, dom._mul(b, self._f1_raw(a)))
-        b2 = dom._mul(b, b)
-        num = dom._add(num, dom._mul(b2, self.const))
-        return FractionElement(dom, num, b2)
+        tail = dom._add(self._f1_raw(a), dom._mul(b, self.const))
+        return dom._add(self._f2_raw(a), dom._mul(b, tail))
+
+    def eval(self, x: FractionPoint) -> FractionElement:
+        """Exact value f(x) in the fraction field."""
+        self._check_point(x)
+        b = x.den.raw
+        return FractionElement(self.domain, self._cleared_raw(x), self.domain._mul(b, b))
 
     def eval_at_integral(self, pt) -> DomainElement:
         return DomainElement(self.domain, self._eval_raw(self._coerce_vector(pt)))

@@ -24,6 +24,7 @@ from qdescent import (
     adc_trace,
     brute_integral_zero,
     check_n2,
+    chord_zero,
     descend,
     descent_step,
     parse_form,
@@ -31,6 +32,7 @@ from qdescent import (
     round_point,
     SearchBox,
 )
+from qdescent.domains import _KRONECKER_MIN_TERMS
 
 F2 = GFpT(2)
 F3 = GFpT(3)
@@ -193,6 +195,59 @@ def test_descent_certificates_hold_for_any_admissible_witness(monkeypatch, dom, 
         results.add(tuple(c.raw for c in trace.result))
     # the seeds reach different integral zeros, so other witnesses were used
     assert len(results) > 1
+
+
+def _fp_mul(a, b, p):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = (out[i + j] + ca * cb) % p
+    return out
+
+
+def _fp_sum(polys, p):
+    out = [0] * max(map(len, polys))
+    for poly in polys:
+        for i, c in enumerate(poly):
+            out[i] = (out[i] + c) % p
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", [3, 5], ids=["Fpt:3", "Fpt:5"])
+def test_descent_odd_characteristic_large_denominators(p):
+    # f = x1^2 + t*x2^2 + x2 + c, whose quadratic part is anisotropic with
+    # |f2(v)| = max(|v1|^2, p*|v2|^2), so rounding always gives a witness;
+    # chord zeros from degree-20..24 directions have denominators of degree
+    # >= 40, so products in the descent take the Kronecker path wherever the
+    # shorter factor fits one-byte slots (up to 63 coefficients for p = 3,
+    # 15 for p = 5) and the schoolbook loop otherwise
+    dom = GFpT(p)
+    rng = random.Random(100 + p)
+
+    def poly(deg):
+        return tuple(rng.randrange(p) for _ in range(deg)) + (rng.randrange(1, p),)
+
+    def value(y, c=()):  # y1^2 + t*y2^2 + y2 + c with test-local arithmetic
+        y1, y2 = y
+        return _fp_sum([_fp_mul(y1, y1, p), _fp_mul((0, 1), _fp_mul(y2, y2, p), p), y2, c], p)
+
+    zeros = 0
+    while zeros < 4:
+        y0 = (poly(rng.randint(0, 3)), poly(rng.randint(0, 3)))
+        c = tuple(-v % p for v in value(y0))
+        f = QuadraticPolynomial(dom, 2, {(0, 0): 1, (1, 1): (0, 1)}, lin=(0, 1), const=c)
+        x = chord_zero(f, y0, [poly(rng.randint(20, 24)), poly(rng.randint(20, 24))])
+        if len(x.den.raw) - 1 < 40:
+            continue
+        zeros += 1
+        assert len(x.den.raw) ** 2 >= _KRONECKER_MIN_TERMS
+        trace = descend(f, x)
+        assert trace.steps
+        for step in trace.steps:
+            assert_step_invariants(f, step)
+        assert value(tuple(e.raw for e in trace.result), c) == ()
 
 
 def test_descend_max_steps_cap():

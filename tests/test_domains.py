@@ -94,6 +94,72 @@ def test_polynomial_arithmetic():
     assert (b * b).raw == (1, 0, 1)
 
 
+def _schoolbook(a, b, p):
+    """Reference F_p[t] product: every coefficient pair, reduced at the end."""
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    out = [c % p for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _kernel_operands(p, length, rng):
+    """Polynomials with exactly `length` coefficients: random ones, one with
+    leading coefficient p-1, and the all-(p-1) one, which fills every slot
+    of a Kronecker product to its bound min(len)*(p-1)^2."""
+    if length == 0:
+        return [()]
+    top = p - 1
+    polys = [
+        tuple(rng.randrange(p) for _ in range(length - 1)) + (rng.randrange(1, p),),
+        tuple(rng.randrange(p) for _ in range(length - 1)) + (top,),
+        (top,) * length,
+    ]
+    if length > 2:  # sparse: a monomial-like shape with zeros inside
+        polys.append((rng.randrange(1, p),) + (0,) * (length - 2) + (top,))
+    return polys
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 1000003, 2**31 - 1])
+def test_polynomial_mul_matches_schoolbook(p):
+    # lengths 0-40 cover both sides of the schoolbook/Kronecker cutoff,
+    # including products of exactly 31 and 32 coefficient pairs; p = 2 fits
+    # one-byte slots throughout, p = 3 and 7 only while the shorter factor is
+    # short, and 1000003 and 2**31-1 never, so they keep the schoolbook loop
+    dom = GFpT(p)
+    rng = random.Random(p)
+    for la in range(41):
+        for lb in (0, 1, 2, 3, 4, 5, 7, 8, 11, 16, 23, 32, 40):
+            for a in _kernel_operands(p, la, rng):
+                for b in _kernel_operands(p, lb, rng)[:2]:
+                    prod = dom._mul(a, b)
+                    assert prod == _schoolbook(a, b, p), (la, lb, a, b)
+                    assert dom._mul(b, a) == prod
+                    if b:
+                        assert dom._divexact(prod, b) == a
+
+
+@pytest.mark.parametrize(
+    "p, lengths", [(2, range(254, 259)), (3, range(62, 67))], ids=["Fpt:2", "Fpt:3"]
+)
+def test_polynomial_mul_across_one_byte_slot_limit(p, lengths):
+    # one-byte Kronecker slots hold min(len)*(p-1)^2 <= 255: up to 255
+    # coefficients for p = 2 and 63 for p = 3; past that the schoolbook loop
+    # takes over
+    dom = GFpT(p)
+    rng = random.Random(p)
+    for la in lengths:
+        for lb in lengths:
+            for a in _kernel_operands(p, la, rng)[1:3]:
+                for b in _kernel_operands(p, lb, rng)[1:3]:
+                    prod = dom._mul(a, b)
+                    assert prod == _schoolbook(a, b, p), (la, lb)
+                    assert dom._divexact(prod, b) == a
+
+
 def test_element_str():
     assert str(ZZ.element(-3)) == "-3"
     assert str(ZI.element((3, -2))) == "3-2i"

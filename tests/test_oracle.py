@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -12,6 +14,7 @@ from qdescent import (
     GFpT,
     IntegralPointError,
     OracleNotFound,
+    OracleResult,
     QuadraticPolynomial,
     SearchBudgetError,
     ZI,
@@ -135,20 +138,63 @@ def _f2_of_difference(f, x, y):
     [
         (CIRCLE, FractionPoint(ZZ, [-11, 2], 5), True),
         (parse_form("x1*x2", ZZ), FractionPoint(ZZ, [1, 2], 2), False),
+        (parse_form("x1*x2", ZI), FractionPoint(ZI, [(1, 0), (1, 0)], (2, 1)), True),
         (parse_form("x1*x2", ZI), FractionPoint(ZI, [(1, 0), (0, 0)], (2, 1)), False),
         (parse_form("x1^2+t*x2^2", F2), FractionPoint(F2, [(1,), (1,)], (0, 1)), True),
+        (parse_form("x1*x2+x3^2", F2), FractionPoint(F2, [(), (1, 1), ()], (0, 1)), False),
+        (parse_form("x1^2+t*x2^2", F3), FractionPoint(F3, [(1,), (2,)], (0, 1)), True),
         (parse_form("x1*x2", F3), FractionPoint(F3, [(1,), ()], (0, 1)), False),
     ],
-    ids=["Z-fast", "Z-scan", "Zi-scan", "Fpt:2-fast", "Fpt:3-scan"],
+    ids=[f"{dom}-{path}" for dom in ("Z", "Zi", "Fpt:2", "Fpt:3") for path in ("fast", "scan")],
 )
 def test_oracle_value_is_f2_of_difference(f, x, fast):
     # fast means the rounded point itself is admissible, so no scan runs
     assert (0 < _f2_of_difference(f, x, round_point(x)).ext_norm() < 1) == fast
     found = euclidean_step(f, x)
+    # equal calls give equal results, compared and hashed before .value is read
+    again = euclidean_step(f, x)
+    assert found == again and hash(found) == hash(again)
     assert (found.y == round_point(x)) == fast
     assert found.value == _f2_of_difference(f, x, found.y)
     assert found.vnorm == found.value.ext_norm()
     assert 0 < found.vnorm < 1
+
+
+def test_oracle_result_is_an_immutable_value():
+    x = FractionPoint(ZZ, [-11, 2], 5)
+    found = euclidean_step(CIRCLE, x)
+    # the positional constructor, with the value built eagerly, gives an
+    # equal result with the same hash and the same repr
+    eager = OracleResult(found.y, _f2_of_difference(CIRCLE, x, found.y), Fraction(1, 5))
+    assert repr(found) == "OracleResult(y=(-2, 0), value=1/5, vnorm=Fraction(1, 5))"
+    assert eager == found and found == eager
+    assert hash(eager) == hash(found) == hash((found.y, found.value, found.vnorm))
+    assert repr(eager) == repr(found)
+    assert found != OracleResult(found.y, eager.value, Fraction(1, 4))
+    assert found.value is found.value  # built once
+    for name in ("y", "value", "vnorm", "other"):
+        with pytest.raises(AttributeError):
+            setattr(found, name, None)
+        with pytest.raises(AttributeError):
+            delattr(found, name)
+    assert found == eager
+
+
+@pytest.mark.parametrize("copier", ["copy", "deepcopy", "pickle"])
+def test_oracle_result_copies_and_pickles(copier):
+    x = FractionPoint(F3, [(1,), (2,)], (0, 1))
+    f = parse_form("x1^2+t*x2^2", F3)
+    found = euclidean_step(f, x)  # value not yet built
+    dup = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda r: pickle.loads(pickle.dumps(r)),
+    }[copier](found)
+    assert type(dup) is OracleResult
+    assert dup == found and hash(dup) == hash(found) and repr(dup) == repr(found)
+    assert dup.value == _f2_of_difference(f, x, dup.y)
+    with pytest.raises(AttributeError):
+        dup.vnorm = None
 
 
 @pytest.mark.parametrize(
