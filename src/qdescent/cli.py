@@ -24,7 +24,7 @@ import sys
 from .descent import adc_trace, check_n2, descend
 from .domains import FractionPoint, ZZ, check_norm_axioms, domain_from_name
 from .enumeration import BoxSweep
-from .errors import FormError, OracleNotFound, SearchBudgetError
+from .errors import OracleNotFound, SearchBudgetError
 from .formparse import format_form, parse_element, parse_form
 from .oracle import check_euclidean
 from .quadratic import QuadraticPolynomial
@@ -330,15 +330,9 @@ def main(argv=None) -> int:
         return err.code if isinstance(err.code, int) else 1
     try:
         return args.func(args)
-    except OracleNotFound as err:
+    except (OracleNotFound, SearchBudgetError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except SearchBudgetError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FormError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except (ValueError, TypeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -509,6 +509,49 @@ class GaussianIntegers(Domain):
 _KRONECKER_MIN_TERMS = 32
 
 
+_TRIAL_LIMIT = 1 << 20
+_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Sorenson and Webster, "Strong pseudoprimes to twelve prime bases" (Math.
+# Comp. 2017): every composite below this bound fails a strong
+# probable-prime test to at least one of the bases above.
+_SPRP_BOUND = 3317044064679887385961981
+
+
+def _check_prime(p) -> None:
+    """Raise ValueError unless p is provably prime.
+
+    Trial division below _TRIAL_LIMIT names the smallest divisor and
+    settles every p < 2^40.  Beyond that a strong probable-prime test to
+    _SPRP_BASES is a proof below _SPRP_BOUND; larger p are refused.
+    """
+    if not isinstance(p, int) or p < 2:
+        raise ValueError(f"characteristic must be an integer >= 2, got {p!r}")
+    d = 2
+    while d * d <= p and d < _TRIAL_LIMIT:
+        if p % d == 0:
+            raise ValueError(f"{p} is not prime (divisible by {d})")
+        d += 1 if d == 2 else 2
+    if d * d > p:
+        return
+    if p >= _SPRP_BOUND:
+        raise ValueError(
+            f"characteristic {p} is too large: primality is decided only below {_SPRP_BOUND}"
+        )
+    odd, s = p - 1, 0
+    while odd % 2 == 0:
+        odd, s = odd // 2, s + 1
+    for a in _SPRP_BASES:
+        x = pow(a, odd, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise ValueError(f"{p} is not prime (fails a strong probable-prime test to base {a})")
+
+
 class PrimeFieldPolynomials(Domain):
     """F_p[t] as coefficient tuples in ascending degree, no trailing zero.
 
@@ -523,13 +566,7 @@ class PrimeFieldPolynomials(Domain):
     """
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or p < 2:
-            raise ValueError(f"characteristic must be an integer >= 2, got {p!r}")
-        d = 2
-        while d * d <= p:
-            if p % d == 0:
-                raise ValueError(f"{p} is not prime (divisible by {d})")
-            d += 1
+        _check_prime(p)
         self.p = p
         self.name = f"Fpt:{p}"
 

@@ -158,13 +158,11 @@ class CanonicalPoints:
 
         for den in dens:
             for nums in numerators():
-                g = den
-                for nr in nums:
-                    g = dom._gcd(g, nr)
-                    if dom._is_unit(g):
-                        break
-                if dom._is_unit(g):
-                    yield FractionPoint(dom, nums, den)
+                # den is drawn normalized, so canonicalization leaves it
+                # unchanged exactly when gcd(den, nums) is a unit
+                pt = FractionPoint(dom, nums, den)
+                if pt.den.raw == den:
+                    yield pt
 
 
 def _fiber_axis(bounds: Sequence[int]) -> int:

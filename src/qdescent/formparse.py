@@ -9,21 +9,28 @@ Grammar (whitespace insignificant, offsets are character positions):
 
 Variables are x1..xd, with x, y, z, w accepted as aliases for x1..x4.
 Literals follow the domain: decimal integers everywhere, `i`/`3i` for
-Gaussian integers, polynomials in `t` for F_p[t].  The expression is
-expanded and collected first and the total-degree <= 2 bound is enforced
-on the result, so inputs like "(x+y)^2 - x^2" are fine.  The leading
-optional minus is there so that formatted output such as "-x1^2" reads
-back in.
+Gaussian integers, polynomials in `t` for F_p[t].  Parsing is one pass:
+each production returns its expanded and collected polynomial, and the
+total-degree <= 2 bound is enforced on the final result, so inputs like
+"(x+y)^2 - x^2" are fine.  The leading optional minus is there so that
+formatted output such as "-x1^2" reads back in.  Parentheses nest at
+most _MAX_DEPTH deep.
 
 Every diagnostic carries the character offset it points at; for a
 degree violation that is the position where the offending monomial was
-first created.
+first created.  A variable or literal creates its monomial at its own
+token; a product or power creates its monomials at the start of its
+first factor.  A parenthesized single term starts where that term
+starts, while a sum or a leading minus starts at its own first token,
+so "((x)+y)*z*w" reports offset 1 and "((x))*y*z" offset 2.  A
+monomial-budget overflow is reported as soon as it happens, ahead of any
+fault later in the text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .domains import (
     Domain,
@@ -42,6 +49,7 @@ from .quadratic import QuadraticPolynomial
 
 _MAX_EXPONENT = 64
 _MAX_MONOMIALS = 20000
+_MAX_DEPTH = 100
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
 
@@ -92,185 +100,6 @@ def _lex(text: str):
     return tokens
 
 
-# -- syntax tree --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Sum:
-    parts: Tuple[object, ...]
-    offset: int
-
-
-@dataclass(frozen=True)
-class Negation:
-    inner: object
-    offset: int
-
-
-@dataclass(frozen=True)
-class Product:
-    factors: Tuple[object, ...]
-    offset: int
-
-
-@dataclass(frozen=True)
-class Power:
-    base: object
-    exponent: int
-    offset: int
-
-
-@dataclass(frozen=True)
-class Variable:
-    index: int  # 1-based
-    offset: int
-
-
-@dataclass(frozen=True)
-class Coefficient:
-    raw: object  # raw carrier value of the domain
-    offset: int
-
-
-class _Parser:
-    """Recursive-descent parser producing the node types above.
-
-    Variable and literal resolution happen during parsing because both
-    depend on the domain and the dimension.
-    """
-
-    def __init__(self, text: str, domain: Domain, d: Optional[int]):
-        self.text = text
-        self.domain = domain
-        self.d = d
-        self.max_index = 0
-        self.tokens = _lex(text)
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def eat(self, kind, text=None) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise FormSyntaxError(f"expected {want}, found {tok.text or 'end of input'!r}", tok.pos)
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "END":
-            raise FormSyntaxError(f"unexpected {tok.text!r}", tok.pos)
-        return node
-
-    def expr(self):
-        parts = []
-        tok = self.peek()
-        start = tok.pos
-        if tok.kind == "OP" and tok.text == "-":
-            self.eat("OP", "-")
-            first = self.term()
-            parts.append(Negation(first, start))
-        else:
-            parts.append(self.term())
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text in "+-":
-                self.eat("OP", tok.text)
-                nxt = self.term()
-                if tok.text == "-":
-                    nxt = Negation(nxt, tok.pos)
-                parts.append(nxt)
-            else:
-                break
-        if len(parts) == 1:
-            return parts[0]
-        return Sum(tuple(parts), start)
-
-    def term(self):
-        factors = [self.factor()]
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text == "*":
-                self.eat("OP", "*")
-                factors.append(self.factor())
-            else:
-                break
-        if len(factors) == 1:
-            return factors[0]
-        return Product(tuple(factors), factors[0].offset)
-
-    def factor(self):
-        base = self.base()
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "^":
-            self.eat("OP", "^")
-            num = self.eat("NUM")
-            exp = int(num.text)
-            if exp > _MAX_EXPONENT:
-                raise FormDegreeError(f"exponent {exp} is too large", num.pos)
-            return Power(base, exp, base.offset)
-        return base
-
-    def base(self):
-        tok = self.peek()
-        if tok.kind == "NUM":
-            self.eat("NUM")
-            return Coefficient(self.domain.coerce_raw(int(tok.text)), tok.pos)
-        if tok.kind == "IMAG":
-            self.eat("IMAG")
-            if not isinstance(self.domain, GaussianIntegers):
-                raise FormCoefficientError(
-                    f"imaginary literal {tok.text!r} is not an element of {self.domain.name}",
-                    tok.pos,
-                )
-            return Coefficient((0, int(tok.text[:-1])), tok.pos)
-        if tok.kind == "NAME":
-            self.eat("NAME")
-            return self.resolve_name(tok)
-        if tok.kind == "OP" and tok.text == "(":
-            self.eat("OP", "(")
-            inner = self.expr()
-            self.eat("OP", ")")
-            return inner
-        raise FormSyntaxError(
-            f"expected a variable, literal, or '(', found {tok.text or 'end of input'!r}",
-            tok.pos,
-        )
-
-    def resolve_name(self, tok: _Token):
-        name = tok.text
-        if name == "i":
-            if isinstance(self.domain, GaussianIntegers):
-                return Coefficient((0, 1), tok.pos)
-            raise FormCoefficientError(
-                f"'i' is not an element of {self.domain.name}", tok.pos
-            )
-        if name == "t":
-            if isinstance(self.domain, PrimeFieldPolynomials):
-                return Coefficient((0, 1), tok.pos)
-            raise FormCoefficientError(
-                f"'t' is not an element of {self.domain.name}", tok.pos
-            )
-        index = None
-        if name in _ALIASES:
-            index = _ALIASES[name]
-        elif name.startswith("x") and name[1:].isdigit():
-            index = int(name[1:])
-            if index < 1:
-                raise FormVariableError(f"variable indices start at 1: {name!r}", tok.pos)
-        if index is None:
-            raise FormVariableError(f"unknown variable {name!r}", tok.pos)
-        if self.d is not None and index > self.d:
-            raise FormVariableError(
-                f"variable {name!r} exceeds dimension {self.d}", tok.pos
-            )
-        self.max_index = max(self.max_index, index)
-        return Variable(index, tok.pos)
-
-
 # -- expansion ----------------------------------------------------------------
 
 # A polynomial under expansion: monomial key -> raw coefficient, where the
@@ -311,33 +140,153 @@ def _poly_mul(dom, p1, o1, p2, o2, at):
     return out, offs
 
 
-def _expand(dom, node):
-    if isinstance(node, Coefficient):
-        return {(): node.raw}, {(): node.offset}
-    if isinstance(node, Variable):
-        return {(node.index,): dom.coerce_raw(1)}, {(node.index,): node.offset}
-    if isinstance(node, Negation):
-        p, o = _expand(dom, node.inner)
-        return _poly_neg(dom, p, o)
-    if isinstance(node, Sum):
-        p, o = _expand(dom, node.parts[0])
-        for part in node.parts[1:]:
-            q, qo = _expand(dom, part)
+# -- parser -------------------------------------------------------------------
+
+
+class _Parser:
+    """Recursive-descent parser that expands as it goes.
+
+    Each production returns (poly, offsets, start), where start is the
+    offset the production's monomials are created at (see the module
+    docstring).  Variable and literal resolution depend on the domain and
+    the dimension.
+    """
+
+    def __init__(self, text: str, domain: Domain, d: Optional[int]):
+        self.domain = domain
+        self.d = d
+        self.max_index = 0
+        self.depth = 0
+        self.tokens = _lex(text)
+        self.pos = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def eat(self, kind, text=None) -> _Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != kind or (text is not None and tok.text != text):
+            want = text if text is not None else kind
+            raise FormSyntaxError(f"expected {want}, found {tok.text or 'end of input'!r}", tok.pos)
+        self.pos += 1
+        return tok
+
+    def take(self, ops: str) -> Optional[_Token]:
+        """Consume the next token if it is one of the operators ops."""
+        tok = self.tokens[self.pos]
+        if tok.kind == "OP" and tok.text in ops:
+            self.pos += 1
+            return tok
+        return None
+
+    def parse(self):
+        poly, offsets, _ = self.expr()
+        tok = self.peek()
+        if tok.kind != "END":
+            raise FormSyntaxError(f"unexpected {tok.text!r}", tok.pos)
+        return poly, offsets
+
+    def expr(self):
+        dom = self.domain
+        start = self.peek().pos
+        if self.take("-"):
+            p, o, _ = self.term()
+            p, o = _poly_neg(dom, p, o)
+        else:
+            p, o, first = self.term()
+            if self.peek().text not in ("+", "-"):
+                return p, o, first
+        while (tok := self.take("+-")) is not None:
+            q, qo, _ = self.term()
+            if tok.text == "-":
+                q, qo = _poly_neg(dom, q, qo)
             p, o = _poly_add(dom, p, o, q, qo)
-        return p, o
-    if isinstance(node, Product):
-        p, o = _expand(dom, node.factors[0])
-        for factor in node.factors[1:]:
-            q, qo = _expand(dom, factor)
-            p, o = _poly_mul(dom, p, o, q, qo, node.offset)
-        return p, o
-    if isinstance(node, Power):
-        base, baseo = _expand(dom, node.base)
-        p, o = {(): dom.coerce_raw(1)}, {(): node.offset}
-        for _ in range(node.exponent):
-            p, o = _poly_mul(dom, p, o, base, baseo, node.offset)
-        return p, o
-    raise TypeError(f"unknown node {node!r}")
+        return p, o, start
+
+    def term(self):
+        p, o, start = self.factor()
+        while self.take("*"):
+            q, qo, _ = self.factor()
+            p, o = _poly_mul(self.domain, p, o, q, qo, start)
+        return p, o, start
+
+    def factor(self):
+        base, baseo, start = self.base()
+        if not self.take("^"):
+            return base, baseo, start
+        num = self.eat("NUM")
+        exp = int(num.text)
+        if exp > _MAX_EXPONENT:
+            raise FormDegreeError(f"exponent {exp} is too large", num.pos)
+        dom = self.domain
+        p, o = {(): dom.coerce_raw(1)}, {(): start}
+        for _ in range(exp):
+            p, o = _poly_mul(dom, p, o, base, baseo, start)
+        return p, o, start
+
+    def base(self):
+        tok = self.peek()
+        if tok.kind == "NUM":
+            self.eat("NUM")
+            return self.constant(self.domain.coerce_raw(int(tok.text)), tok)
+        if tok.kind == "IMAG":
+            self.eat("IMAG")
+            if not isinstance(self.domain, GaussianIntegers):
+                raise FormCoefficientError(
+                    f"imaginary literal {tok.text!r} is not an element of {self.domain.name}",
+                    tok.pos,
+                )
+            return self.constant((0, int(tok.text[:-1])), tok)
+        if tok.kind == "NAME":
+            self.eat("NAME")
+            return self.resolve_name(tok)
+        if tok.kind == "OP" and tok.text == "(":
+            if self.depth == _MAX_DEPTH:
+                raise FormSyntaxError(f"parentheses nested deeper than {_MAX_DEPTH}", tok.pos)
+            self.eat("OP", "(")
+            self.depth += 1
+            inner = self.expr()
+            self.eat("OP", ")")
+            self.depth -= 1
+            return inner
+        raise FormSyntaxError(
+            f"expected a variable, literal, or '(', found {tok.text or 'end of input'!r}",
+            tok.pos,
+        )
+
+    @staticmethod
+    def constant(raw, tok: _Token):
+        return {(): raw}, {(): tok.pos}, tok.pos
+
+    def resolve_name(self, tok: _Token):
+        name = tok.text
+        if name == "i":
+            if isinstance(self.domain, GaussianIntegers):
+                return self.constant((0, 1), tok)
+            raise FormCoefficientError(
+                f"'i' is not an element of {self.domain.name}", tok.pos
+            )
+        if name == "t":
+            if isinstance(self.domain, PrimeFieldPolynomials):
+                return self.constant((0, 1), tok)
+            raise FormCoefficientError(
+                f"'t' is not an element of {self.domain.name}", tok.pos
+            )
+        index = None
+        if name in _ALIASES:
+            index = _ALIASES[name]
+        elif name.startswith("x") and name[1:].isdigit():
+            index = int(name[1:])
+            if index < 1:
+                raise FormVariableError(f"variable indices start at 1: {name!r}", tok.pos)
+        if index is None:
+            raise FormVariableError(f"unknown variable {name!r}", tok.pos)
+        if self.d is not None and index > self.d:
+            raise FormVariableError(
+                f"variable {name!r} exceeds dimension {self.d}", tok.pos
+            )
+        self.max_index = max(self.max_index, index)
+        return {(index,): self.domain.coerce_raw(1)}, {(index,): tok.pos}, tok.pos
 
 
 def parse_form(text: str, domain: Domain, d: Optional[int] = None) -> QuadraticPolynomial:
@@ -348,8 +297,7 @@ def parse_form(text: str, domain: Domain, d: Optional[int] = None) -> QuadraticP
     Raises a FormError subclass with a character offset on any problem.
     """
     parser = _Parser(text, domain, d)
-    tree = parser.parse()
-    poly, offsets = _expand(domain, tree)
+    poly, offsets = parser.parse()
     poly = {k: c for k, c in poly.items() if not domain._is_zero(c)}
     over = [k for k in poly if len(k) > 2]
     if over:
@@ -373,14 +321,9 @@ def parse_form(text: str, domain: Domain, d: Optional[int] = None) -> QuadraticP
 
 def parse_element(text: str, domain: Domain) -> DomainElement:
     """Parse a single ring element (no variables allowed)."""
-    parser = _Parser(text, domain, 0)
-    tree = parser.parse()
-    poly, _ = _expand(domain, tree)
-    acc = domain.coerce_raw(0)
-    for key, c in poly.items():
-        # d = 0 rejects every variable during parsing, so only () remains
-        acc = domain._add(acc, c)
-    return DomainElement(domain, acc)
+    poly, _ = _Parser(text, domain, 0).parse()
+    # d = 0 rejects every variable during parsing, so only () remains
+    return DomainElement(domain, poly[()])
 
 
 # -- formatting ----------------------------------------------------------------

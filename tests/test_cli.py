@@ -44,6 +44,34 @@ def test_bad_n_is_input_error(capsys):
     assert code == 1
 
 
+_DEEP = "(" * 300
+
+
+@pytest.mark.parametrize(
+    "form, point",
+    [(f"{_DEEP}x{')' * 300}^2-1", "1"), ("x^2-1", f"{_DEEP}1{')' * 300}")],
+    ids=["form", "point"],
+)
+def test_deeply_nested_text_is_input_error(capsys, form, point):
+    code, out, err = run(
+        capsys, "descend", "--domain", "Z", "--form", form, "--point", point
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: parentheses nested deeper than 100 (at offset 100)\n"
+
+
+def test_large_prime_characteristic_is_accepted_quickly(capsys):
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys,
+        "descend", "--domain", "Fpt:2305843009213693951", "--form", "x^2", "--point", "1/t",
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert err == "error: point is not a zero: f(1/t) = 1/t^2\n"
+
+
 # -- descend ------------------------------------------------------------------
 
 

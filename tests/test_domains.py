@@ -44,6 +44,23 @@ def test_gfpt_rejects_composite_characteristic():
         GFpT(1)
 
 
+def test_large_characteristic_primality_is_decided_quickly():
+    start = time.perf_counter()
+    assert GFpT(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError, match=r"divisible by 1000003\)"):
+        GFpT(1000036000099)  # 1000003 * 1000033, found by trial division
+    # both factors lie above the trial-division limit 2^20
+    assert 1048583 * 1048589 == 1099532599387
+    with pytest.raises(ValueError, match="strong probable-prime test"):
+        GFpT(1099532599387)
+    # the strong pseudoprime to the first twelve prime bases needs the 13th
+    with pytest.raises(ValueError, match="base 41"):
+        GFpT(318665857834031151167461)
+    with pytest.raises(ValueError, match="too large"):
+        GFpT(2**89 - 1)  # prime, but above the bound where the test is a proof
+
+
 def test_element_coercion():
     assert ZZ.element(7).raw == 7
     assert ZI.element(7).raw == (7, 0)

@@ -5,6 +5,7 @@ import pytest
 from qdescent import (
     FormCoefficientError,
     FormDegreeError,
+    FormError,
     FormSyntaxError,
     FormVariableError,
     GFpT,
@@ -106,6 +107,30 @@ def test_degree_error_positions():
     # enormous exponents are rejected before expansion
     with pytest.raises(FormDegreeError):
         parse_form("x^999", ZZ)
+    # a product or power creates its monomials where its first factor
+    # starts: inside a parenthesized single term, but at the first token
+    # of a sum or of a leading minus
+    for text, offset in [
+        ("((x)+y)*z*w", 1),
+        ("((x+y))*((z))*w", 2),
+        ("-(x)*y*z", 2),
+        ("(x+1)^2*y", 1),
+    ]:
+        with pytest.raises(FormDegreeError) as err:
+            parse_form(text, ZZ)
+        assert err.value.offset == offset, text
+    with pytest.raises(FormError) as err:
+        parse_form("(" + "+".join(f"x{k}" for k in range(1, 31)) + ")^4", ZZ)
+    assert err.value.offset == 1
+
+
+@pytest.mark.parametrize("parse", [parse_form, parse_element], ids=["form", "element"])
+def test_nesting_deeper_than_limit_is_refused(parse):
+    assert parse("(" * 100 + "2" + ")" * 100, ZZ) is not None
+    with pytest.raises(FormSyntaxError) as err:
+        parse("(" * 300 + "2" + ")" * 300 + "^2", ZZ)
+    assert err.value.offset == 100
+    assert "nested deeper than 100" in str(err.value)
 
 
 def test_variable_and_coefficient_errors():
