@@ -78,7 +78,7 @@ def descent_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> D
     found = euclidean_step(f, x, window)
     b_raw = x.den.raw
     y_raws = [e.raw for e in found.y]
-    v_raws = _cleared_difference(x, y_raws)
+    v_raws = _cleared_difference(dom, [n.raw for n in x.nums], b_raw, y_raws)
     v = tuple(DomainElement(dom, r) for r in v_raws)
     exp = f.expand_along_line(found.y, v)
     A, B, C = exp.A.raw, exp.B.raw, exp.C.raw
@@ -239,7 +239,9 @@ def check_n2(
                 N2Failure(a, f"no witness in window {window} (best norm {err.min_norm})")
             )
             continue
-        w = _cleared_difference(x, [yi.raw for yi in found.y])
+        w = _cleared_difference(
+            domain, [n.raw for n in x.nums], x.den.raw, [yi.raw for yi in found.y]
+        )
         nv = domain._norm(q._eval_raw(w))
         bound = x.den.norm() ** 2
         if not 0 < nv < bound:

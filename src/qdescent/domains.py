@@ -888,6 +888,17 @@ class FractionPoint:
         )
         object.__setattr__(self, "den", DomainElement(domain, d))
 
+    @classmethod
+    def _trusted(cls, domain: Domain, nums, den) -> "FractionPoint":
+        """The point nums/den from raws already in canonical form (gcd a
+        unit, den normalized), as enumeration.CanonicalPoints yields them;
+        nothing is re-checked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "nums", tuple(DomainElement(domain, r) for r in nums))
+        object.__setattr__(self, "den", DomainElement(domain, den))
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("FractionPoint is immutable")
 

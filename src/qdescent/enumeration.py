@@ -8,8 +8,10 @@ SearchBudgetError before anything is generated:
 - GradedBox: the raw points of a box in graded order, that is by (sum of
   coordinate norms, coordinatewise sort key), produced one shell of equal
   norm sum at a time and merged by sort key within the shell;
-- CanonicalPoints: the fraction points a/b with numerators a in a box and
-  b a canonical denominator, gcd(a, b) a unit, denominators first;
+- CanonicalPoints: the canonical fraction points a/b with numerators a in
+  a box and b a normalized denominator, gcd(a, b) a unit, denominators
+  first, as raw (nums, den) pairs; callers build a FractionPoint (through
+  FractionPoint._trusted) only for the points they keep;
 - first_zero: the first integral zero of a polynomial in graded order.
   Over Z it solves each fiber exactly (see _first_zero_z) and never scans
   the solved coordinate; elsewhere it scans a GradedBox.
@@ -24,7 +26,7 @@ import math
 from itertools import chain, groupby, product
 from typing import Optional, Sequence, Tuple
 
-from .domains import Domain, DomainElement, FractionPoint, RationalIntegers
+from .domains import Domain, DomainElement, RationalIntegers
 from .errors import SearchBudgetError
 
 # Largest count() an enumeration may start with.  A Z zero search of this
@@ -117,13 +119,16 @@ def _graded_product(axes, sort_key):
 
 
 class CanonicalPoints:
-    """Canonical fraction points in the box, denominators first.
+    """Canonical fraction points in the box, denominators first, as raw
+    (nums, den) pairs with nums a tuple.
 
     Denominators come in Domain._denominator_raws order (non-units of norm,
     or degree for F_p[t], at most height), preceded by 1 when integral is
     set; for each, the numerator vectors run over the box in product order
-    and only those with gcd(nums, den) a unit are kept.  count() is the
-    number of (den, nums) candidates examined, kept or not.
+    and only those with gcd(nums, den) a unit are kept.  Every denominator
+    is drawn normalized, so a kept pair is exactly the canonical form
+    FractionPoint(domain, nums, den) would compute.  count() is the number
+    of (den, nums) candidates examined, kept or not.
     """
 
     def __init__(self, domain: Domain, d: int, height: int, box: int, integral: bool = False):
@@ -156,13 +161,15 @@ class CanonicalPoints:
             def numerators():
                 return product(raws, repeat=self.d)
 
+        gcd, is_unit = dom._gcd, dom._is_unit
         for den in dens:
             for nums in numerators():
-                # den is drawn normalized, so canonicalization leaves it
-                # unchanged exactly when gcd(den, nums) is a unit
-                pt = FractionPoint(dom, nums, den)
-                if pt.den.raw == den:
-                    yield pt
+                g = den
+                for r in nums:
+                    g = gcd(g, r)
+                    if is_unit(g):
+                        yield nums, den
+                        break
 
 
 def _fiber_axis(bounds: Sequence[int]) -> int:

@@ -24,7 +24,8 @@ first factor.  A parenthesized single term starts where that term
 starts, while a sum or a leading minus starts at its own first token,
 so "((x)+y)*z*w" reports offset 1 and "((x))*y*z" offset 2.  A
 monomial-budget overflow is reported as soon as it happens, ahead of any
-fault later in the text.
+fault later in the text.  Variable indices stop at _MAX_VARIABLES, which
+bounds the dimension before any coefficient vector is built.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ from .quadratic import QuadraticPolynomial
 _MAX_EXPONENT = 64
 _MAX_MONOMIALS = 20000
 _MAX_DEPTH = 100
+# largest variable index, so the dimension is bounded before lin is built
+_MAX_VARIABLES = 1000
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
 
@@ -276,6 +279,12 @@ class _Parser:
         if name in _ALIASES:
             index = _ALIASES[name]
         elif name.startswith("x") and name[1:].isdigit():
+            digits = name[1:].lstrip("0")
+            # the length test keeps int() off overlong digit strings
+            if len(digits) > len(str(_MAX_VARIABLES)) or int(digits or 0) > _MAX_VARIABLES:
+                raise FormVariableError(
+                    f"variable {name!r} is beyond x{_MAX_VARIABLES}", tok.pos
+                )
             index = int(name[1:])
             if index < 1:
                 raise FormVariableError(f"variable indices start at 1: {name!r}", tok.pos)

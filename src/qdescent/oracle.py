@@ -28,8 +28,12 @@ The scan is sized in closed form, Domain._offset_count(window) ** d
 candidates, and refused with SearchBudgetError over SEARCH_BUDGET before
 any offset is built.
 
-check_euclidean sweeps a bounded family of non-integral points and
-collects every point where no witness exists in the window.
+euclidean_step wraps _search, which runs all of the above on raw values
+and returns either the winning raws or the least norm seen.
+check_euclidean sweeps a bounded family of non-integral points, calls
+_search on the raw pairs of CanonicalPoints and collects every point
+where no witness exists in the window; it builds a FractionPoint only for
+those.
 """
 
 from __future__ import annotations
@@ -132,17 +136,9 @@ class EuclideanReport:
         return not self.failures
 
 
-def _cleared_difference(x: FractionPoint, y) -> list:
-    """The raw vector a - b*y, which is b*(x - y), for x = a/b and raw y."""
-    dom = x.domain
-    b = x.den.raw
-    return [dom._add(n.raw, dom._neg(dom._mul(b, yi))) for n, yi in zip(x.nums, y)]
-
-
-def _witness(dom, y, num, b2, n: int, nb2: int) -> OracleResult:
-    return OracleResult._lazy(
-        tuple(DomainElement(dom, c) for c in y), dom, num, b2, Fraction(n, nb2)
-    )
+def _cleared_difference(dom, a, b, y) -> list:
+    """The raw vector a - b*y, which is b*(x - y), for x = a/b; all raws."""
+    return [dom._add(n, dom._neg(dom._mul(b, yi))) for n, yi in zip(a, y)]
 
 
 def euclidean_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> OracleResult:
@@ -163,15 +159,33 @@ def euclidean_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) ->
     if x.is_integral():
         raise IntegralPointError(f"{x} is integral; the witness inequality excludes R^d")
     dom = f.domain
-    b = x.den.raw
+    y, v, n, b2, nb2 = _search(f, [c.raw for c in x.nums], x.den.raw, window)
+    if y is None:
+        raise OracleNotFound(x, window, Fraction(n, nb2))
+    return OracleResult._lazy(
+        tuple(DomainElement(dom, c) for c in y), dom, v, b2, Fraction(n, nb2)
+    )
+
+
+def _search(f: QuadraticPolynomial, a, b, window: int):
+    """The oracle on raws, for the non-integral point a/b.
+
+    Returns (y, v, n, b^2, N(b^2)): on success the witness y, the cleared
+    value v = b^2 f2(a/b - y) and its norm n, with 0 < n < N(b^2); on
+    failure y and v are None and n is the least nonzero norm scanned (0
+    when every candidate lands on the null cone), so n / N(b^2) is
+    OracleNotFound.min_norm.  Nothing is wrapped: no DomainElement,
+    Fraction or OracleResult is built here.
+    """
+    dom = f.domain
     b2 = dom._mul(b, b)
     nb2 = dom._norm(b2)
-    base = [dom._round_quotient(n.raw, b) for n in x.nums]
-    w0 = _cleared_difference(x, base)
+    base = [dom._round_quotient(n, b) for n in a]
+    w0 = _cleared_difference(dom, a, b, base)
     f2w0 = f._f2_raw(w0)
     n0 = dom._norm(f2w0)
     if 0 < n0 < nb2:
-        return _witness(dom, base, f2w0, b2, n0, nb2)
+        return base, f2w0, n0, b2, nb2
 
     d = f.d
     _within_budget(dom._offset_count(window) ** d, "the oracle's window scan")
@@ -235,23 +249,30 @@ def euclidean_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) ->
 
     walk(0, f2w0)
     if least >= nb2:
-        raise OracleNotFound(x, window, Fraction(least, nb2) if at is not None else Fraction(0))
+        return None, None, (least if at is not None else 0), b2, nb2
     y = [add(bk, offsets[j]) for bk, j in zip(base, at)]
-    return _witness(dom, y, at_num, b2, least, nb2)
+    return y, at_num, least, b2, nb2
 
 
 def check_euclidean(
     f: QuadraticPolynomial, height: int, box: int, window: int = 2
 ) -> EuclideanReport:
-    """Run euclidean_step over every canonical non-integral point with
+    """Run the oracle over every canonical non-integral point with
     denominator norm (degree, for F_p[t]) at most height and numerator
-    coordinates in the box; failures are collected in enumeration order."""
+    coordinates in the box; failures are collected in enumeration order.
+
+    The sweep decides each point as euclidean_step would, on the raw
+    (nums, den) pairs of CanonicalPoints, whose denominators are non-units,
+    so no point is integral: a FractionPoint and a min_norm Fraction are
+    built only for the points that fail.
+    """
+    dom = f.domain
     checked = 0
     failures = []
-    for x in CanonicalPoints(f.domain, f.d, height, box):
+    for nums, den in CanonicalPoints(dom, f.d, height, box):
         checked += 1
-        try:
-            euclidean_step(f, x, window)
-        except OracleNotFound as err:
-            failures.append(EuclideanFailure(x, window, err.min_norm))
+        y, _, n, _, nb2 = _search(f, nums, den, window)
+        if y is None:
+            x = FractionPoint._trusted(dom, nums, den)
+            failures.append(EuclideanFailure(x, window, Fraction(n, nb2)))
     return EuclideanReport(checked, tuple(failures))

@@ -16,8 +16,12 @@ any other way is hard.
 
 verify_adc is the referee: over the canonical fraction points of a box
 (enumeration.CanonicalPoints, integral ones included) it compares the
-descent route (adc_represent) with an independent brute-force search for
-an integral point of equal value, and reports disagreements.  A descent
+descent route with an independent brute-force search for an integral
+point of equal value, and reports disagreements.  It works on the raw
+(nums, den) pairs: q(a/b) = q2(a)/b^2 is integral exactly when b^2
+divides q2(a), one exact division with no fraction built, and only the
+points that pass get a FractionPoint and a descent of q - r, the same
+descent adc_represent runs, with q - r built once per value r.  A descent
 that merely fails for want of an oracle witness is classified
 "inapplicable", not a failure: it does not refute value representability,
 it only means the quadratic part is not covered by the rounding oracle
@@ -34,13 +38,14 @@ from typing import Optional, Tuple
 
 from .domains import Domain, DomainElement, FractionPoint, RationalIntegers
 from .errors import (
+    ExactDivisionError,
     IsotropicDirectionError,
     NotAFormError,
     NotAZeroError,
     OracleNotFound,
     SearchBudgetError,
 )
-from .descent import adc_trace
+from .descent import descend
 from .enumeration import CanonicalPoints, first_zero
 from .quadratic import QuadraticPolynomial
 
@@ -199,18 +204,27 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
         cache[key] = result
         return result
 
+    one = dom.coerce_raw(1)
+    shifted = {}  # r -> q - r, built once per value
     checked = 0
     failures = []
     inapplicable = []
-    for x in CanonicalPoints(dom, d, box.height, box.num_bound, integral=True):
-        value = q.eval(x)
-        if not value.is_integral():
-            continue
+    for nums, den in CanonicalPoints(dom, d, box.height, box.num_bound, integral=True):
+        # q is a form, so q(a/b) = q2(a)/b^2: integral exactly when b^2 | q2(a)
+        r_raw = q._f2_raw(nums)
+        if den != one:
+            try:
+                r_raw = dom._divexact(r_raw, dom._mul(den, den))
+            except ExactDivisionError:
+                continue
         checked += 1
-        r = value.to_element()
+        r = DomainElement(dom, r_raw)
+        x = FractionPoint._trusted(dom, nums, den)
+        qr = shifted.get(r_raw)
+        if qr is None:
+            qr = shifted[r_raw] = q.sub_scalar(r_raw)
         try:
-            trace, _ = adc_trace(q, x, window)
-            y = trace.result
+            y = descend(qr, x, window).result
         except OracleNotFound as err:
             y = None
             note = f"no oracle witness in window {window} (best norm {err.min_norm})"
@@ -221,13 +235,13 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
             radius = max(
                 [box.num_bound] + [dom._box_radius(c.raw) for c in y]
             )
-            witness, _ = brute_witness(r.raw, radius)
+            witness, _ = brute_witness(r_raw, radius)
             if witness is None:
                 failures.append(
                     AdcFinding(x, r, "brute search missed a value descent represents")
                 )
         else:
-            witness, definitive = brute_witness(r.raw, box.num_bound)
+            witness, definitive = brute_witness(r_raw, box.num_bound)
             if witness is not None:
                 inapplicable.append(
                     AdcFinding(x, r, note + "; brute search still represents the value")

@@ -124,6 +124,18 @@ def test_descend_form_error_positioned(capsys):
     assert "offset 0" in err
 
 
+@pytest.mark.parametrize("name", ["x99999999999999999999", "x30000000"])
+def test_variable_index_beyond_limit_is_input_error(capsys, name):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "descend", "--domain", "Z", "--form", f"{name}^2-1", "--point", "1"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert err == f"error: variable '{name}' is beyond x1000 (at offset 0)\n"
+
+
 def test_descend_json_document(capsys):
     code, out, _ = run(
         capsys,

@@ -12,6 +12,7 @@ from itertools import product
 import pytest
 
 from qdescent import (
+    FractionPoint,
     GFpT,
     QuadraticPolynomial,
     SearchBox,
@@ -37,6 +38,7 @@ from qdescent.enumeration import (
 
 F2 = GFpT(2)
 F3 = GFpT(3)
+F5 = GFpT(5)
 
 
 def reference_points(dom, bounds):
@@ -182,10 +184,34 @@ def test_counts_match_enumeration_lengths():
                     g = dom._gcd(g, c)
                 if dom._is_unit(g):
                     kept.append((nums, den))
-            assert [(tuple(c.raw for c in x.nums), x.den.raw) for x in pts] == kept
+            assert list(pts) == kept
     # over Z the zero search visits fibers: the box without its widest axis
     assert first_zero_count(ZZ, [3, 1, 2]) == 3 * 5
     assert first_zero_count(ZI, [1, 0]) == 9
+
+
+@pytest.mark.parametrize(
+    "dom, d, height, box",
+    [(ZZ, 3, 6, 2), (ZI, 2, 5, 1), (F2, 3, 2, 1), (F3, 2, 2, 1), (F5, 2, 1, 1)],
+    ids=lambda v: getattr(v, "name", str(v)),
+)
+def test_canonical_points_are_the_canonicalizing_filter(dom, d, height, box):
+    """The raw pairs are exactly the points the canonicalizing constructor
+    leaves unchanged, and the trusted constructor rebuilds each of them."""
+    for integral in (False, True):
+        dens = [dom.coerce_raw(1)] * integral + list(dom._denominator_raws(height))
+        kept = [
+            (nums, den)
+            for den in dens
+            for nums in product(list(dom._box_raws(box)), repeat=d)
+            if FractionPoint(dom, nums, den).den.raw == den
+        ]
+        pairs = list(CanonicalPoints(dom, d, height, box, integral))
+        assert pairs == kept
+        assert any(not dom._is_unit(den) for _, den in pairs)
+        for nums, den in pairs:
+            x, public = FractionPoint._trusted(dom, nums, den), FractionPoint(dom, nums, den)
+            assert (x, str(x), hash(x)) == (public, str(public), hash(public))
 
 
 def test_three_squares_large_n_is_answered():

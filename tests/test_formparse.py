@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -147,6 +148,17 @@ def test_variable_and_coefficient_errors():
         parse_form("t*x^2", ZZ)  # polynomial variable outside F_p[t]
     with pytest.raises(FormCoefficientError):
         parse_form("x^2+2i", F3)
+
+
+@pytest.mark.parametrize("name", ["x99999999999999999999", "x30000000", "x1001", "x" + "9" * 5000])
+def test_variable_index_beyond_limit_is_refused(name):
+    start = time.perf_counter()
+    with pytest.raises(FormVariableError) as err:
+        parse_form(f"y^2+{name}^2-1", ZZ)
+    assert time.perf_counter() - start < 1
+    assert err.value.offset == 4
+    assert "beyond x1000" in str(err.value)
+    assert parse_form("x1000^2", ZZ).d == 1000
 
 
 def test_error_message_carries_offset():

@@ -9,6 +9,8 @@ import pytest
 
 from qdescent import (
     DomainElement,
+    EuclideanFailure,
+    EuclideanReport,
     FractionElement,
     FractionPoint,
     GFpT,
@@ -361,3 +363,71 @@ def test_check_euclidean_empty_enumeration():
     report = check_euclidean(CIRCLE, 1, 2)  # no denominators of norm <= 1
     assert report.checked == 0
     assert report.ok
+
+
+# -- check_euclidean against a reference built from public objects -----------
+
+
+def reference_points(dom, d, height, box):
+    """The points check_euclidean sweeps, through the canonicalizing
+    constructor: each normalized non-unit denominator of norm <= height
+    with the numerator vectors that stay coprime to it."""
+    for den in dom._denominator_raws(height):
+        for nums in product(list(dom._box_raws(box)), repeat=d):
+            x = FractionPoint(dom, nums, den)
+            if x.den.raw == den:
+                yield x
+
+
+def reference_check_euclidean(f, height, box, window=2):
+    checked, failures = 0, []
+    for x in reference_points(f.domain, f.d, height, box):
+        checked += 1
+        try:
+            euclidean_step(f, x, window)
+        except OracleNotFound as err:
+            failures.append(EuclideanFailure(x, window, err.min_norm))
+    return EuclideanReport(checked, tuple(failures))
+
+
+EUCLID_CASES = [
+    # domain, form, height, box, window, failures
+    (ZZ, "5*x^2", 4, 3, 2, 4),
+    (ZZ, "x^2+x*y+y^2", 5, 3, 2, 0),
+    (ZZ, "x^2-2*y^2", 4, 3, 2, 0),
+    (ZZ, "x^2+y^2+7*z^2", 2, 3, 2, 196),
+    (ZZ, "x^2+y^2+7*z^2", 2, 3, 0, 196),
+    (ZZ, "w^2+2*x*y+y^2+z^2-w*z", 2, 1, 2, 2),
+    (ZZ, "w^2+x^2+y^2+z^2", 4, 3, 2, 256),
+    (ZI, "(1+i)*x^2", 2, 2, 2, 0),
+    (ZI, "x^2+3*y^2", 2, 1, 2, 16),
+    (ZI, "x^2+i*x*y+2*y^2", 2, 1, 2, 36),
+    (ZI, "x^2+y^2+i*z^2", 2, 1, 1, 80),
+    (ZI, "x1^2+x2*x3+x4^2", 2, 1, 0, 2456),
+    (F2, "t*x^2", 3, 2, 2, 0),
+    (F2, "x1^2+t*x2^2", 2, 2, 2, 0),
+    (F2, "x1^2+t*x2*x3+x3^2", 2, 1, 2, 16),
+    (F2, "x1*x2+x3*x4", 1, 1, 1, 0),
+    (F3, "(t+1)*x^2", 3, 2, 2, 0),
+    (F3, "x1^2+t^3*x2^2", 3, 1, 2, 594),
+    (F3, "x1^2+x1*x2+t*x2^2+x3^2", 1, 1, 2, 0),
+    (F3, "x1^2+x2^2+x3^2+t*x4^2", 1, 0, 2, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "dom, text, height, box, window, n_fail",
+    EUCLID_CASES,
+    ids=[f"{c[0].name}:{c[1]}:h{c[2]}b{c[3]}w{c[4]}" for c in EUCLID_CASES],
+)
+def test_check_euclidean_matches_public_reference(dom, text, height, box, window, n_fail):
+    f = parse_form(text, dom)
+    report = check_euclidean(f, height, box, window)
+    expected = reference_check_euclidean(f, height, box, window)
+    assert report.checked == expected.checked
+    assert report.failures == expected.failures
+    # same text too: the CLI prints the points and min_norm with str()
+    assert [(str(e.x), str(e.min_norm)) for e in report.failures] == [
+        (str(e.x), str(e.min_norm)) for e in expected.failures
+    ]
+    assert len(report.failures) == n_fail

@@ -1,18 +1,24 @@
+import math
 import random
+from itertools import product
 
 import pytest
 
 from qdescent import (
+    AdcFinding,
+    AdcReport,
     FractionPoint,
     GFpT,
     IsotropicDirectionError,
     NotAFormError,
     NotAZeroError,
+    OracleNotFound,
     QuadraticPolynomial,
     SearchBox,
     SearchBudgetError,
     ZI,
     ZZ,
+    adc_trace,
     brute_integral_zero,
     chord_zero,
     parse_form,
@@ -20,8 +26,10 @@ from qdescent import (
     random_rational_zero,
     verify_adc,
 )
+from qdescent.enumeration import first_zero
 
 F2 = GFpT(2)
+F3 = GFpT(3)
 
 
 def test_search_box_validation():
@@ -133,3 +141,108 @@ def test_random_quadratic_shape():
             assert f.d == 3
             for (i, j) in f.quad:
                 assert 0 <= i <= j < 3
+
+
+# -- verify_adc against a reference built from public objects -----------------
+
+
+def reference_points(dom, d, height, box):
+    """The points verify_adc checks, through the canonicalizing constructor:
+    denominator 1, then every normalized non-unit of norm <= height, each
+    with the numerator vectors that stay coprime to it."""
+    dens = [dom.coerce_raw(1)] + list(dom._denominator_raws(height))
+    for den in dens:
+        for nums in product(list(dom._box_raws(box)), repeat=d):
+            x = FractionPoint(dom, nums, den)
+            if x.den.raw == den:
+                yield x
+
+
+def reference_verify_adc(q, box, window=2):
+    """verify_adc spelled out with q.eval, adc_trace and a brute search
+    memoized per (value, box); witness boxes as documented on verify_adc."""
+    dom, d = q.domain, q.d
+    diagonal = dom == ZZ and all(i == j and c > 0 for (i, j), c in q.quad.items())
+    memo = {}
+
+    def brute(r, bound):
+        if not diagonal:
+            if (r, bound) not in memo:
+                memo[r, bound] = first_zero(q.sub_scalar(r), [bound] * d)
+            return memo[r, bound], False
+        if r.raw < 0:
+            return None, True
+        bounds = [math.isqrt(r.raw // q.quad[(i, i)]) if (i, i) in q.quad else 0 for i in range(d)]
+        return first_zero(q.sub_scalar(r), bounds), True
+
+    checked, failures, inapplicable = 0, [], []
+    for x in reference_points(dom, d, box.height, box.num_bound):
+        value = q.eval(x)
+        if not value.is_integral():
+            continue
+        checked += 1
+        r = value.to_element()
+        try:
+            trace, r_trace = adc_trace(q, x, window)
+        except OracleNotFound as err:
+            note = f"no oracle witness in window {window} (best norm {err.min_norm})"
+            witness, definitive = brute(r, box.num_bound)
+            if witness is not None:
+                inapplicable.append(AdcFinding(x, r, note + "; brute search still represents the value"))
+            elif definitive:
+                failures.append(AdcFinding(x, r, "value attained on K^d but on no integral point"))
+            else:
+                failures.append(AdcFinding(x, r, note + "; no witness in the heuristic box either"))
+            continue
+        assert r_trace == r
+        y = trace.result
+        if q.eval_at_integral(y) != r:
+            failures.append(AdcFinding(x, r, "descent result has the wrong value"))
+            continue
+        radius = max([box.num_bound] + [dom._box_radius(c.raw) for c in y])
+        if brute(r, radius)[0] is None:
+            failures.append(AdcFinding(x, r, "brute search missed a value descent represents"))
+    return AdcReport(checked, tuple(failures), tuple(inapplicable))
+
+
+ADC_CASES = [
+    # domain, form, height, box, failures, inapplicable
+    (ZZ, "3*x^2", 6, 5, 0, 0),
+    (ZZ, "2*x^2+x*y-3*y^2", 3, 2, 0, 0),
+    (ZZ, "x^2+y*z-2*z^2", 3, 1, 0, 0),
+    (ZZ, "w^2+2*x*y+y^2+z^2-w*z", 2, 1, 0, 2),
+    (ZZ, "x^2+y^2+7*z^2", 2, 3, 32, 64),
+    (ZZ, "w^2+x^2+y^2+z^2", 2, 2, 0, 16),
+    (ZI, "(1+i)*x^2", 2, 2, 0, 0),
+    (ZI, "x^2+i*x*y+2*y^2", 2, 1, 8, 4),
+    (ZI, "x^2+3*y^2", 2, 1, 8, 8),
+    (ZI, "x^2+y^2+i*z^2", 2, 1, 0, 80),
+    (ZI, "x1^2+x2*x3+x4^2", 2, 0, 0, 0),
+    (F2, "t*x^2", 3, 2, 0, 0),
+    (F2, "x1^2+x1*x2+t*x2^2", 2, 1, 0, 0),
+    (F2, "x1^2+t*x2*x3+x3^2", 2, 1, 0, 19),
+    (F2, "x1*x2+x3*x4", 1, 1, 0, 0),
+    (F3, "(t+1)*x^2", 3, 2, 0, 0),
+    (F3, "x1^2+t^3*x2^2", 3, 1, 22, 8),
+    (F3, "x1^2+x1*x2+t*x2^2+x3^2", 1, 1, 0, 0),
+    (F3, "x1^2+x2^2+x3^2+t*x4^2", 1, 0, 0, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "dom, text, height, box, n_fail, n_inapp",
+    ADC_CASES,
+    ids=[f"{c[0].name}:{c[1]}:h{c[2]}b{c[3]}" for c in ADC_CASES],
+)
+def test_verify_adc_matches_public_reference(dom, text, height, box, n_fail, n_inapp):
+    q = parse_form(text, dom)
+    report = verify_adc(q, SearchBox(box, height))
+    expected = reference_verify_adc(q, SearchBox(box, height))
+    assert report.checked == expected.checked
+    assert report.failures == expected.failures
+    assert report.inapplicable == expected.inapplicable
+    # same text too: the CLI prints the points and values with str()
+    assert [str(f.x) for f in report.failures + report.inapplicable] == [
+        str(f.x) for f in expected.failures + expected.inapplicable
+    ]
+    assert (len(report.failures), len(report.inapplicable)) == (n_fail, n_inapp)
