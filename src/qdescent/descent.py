@@ -13,6 +13,13 @@ elements; a violation raises InternalInvariantError because it can only
 mean a bug, never bad input.  Iterating must therefore terminate within
 norm(b) steps, which descend enforces as a hard cap.
 
+Each point is certified a zero once.  descent_step checks its input x and
+then runs the step; descend checks the starting point and loops the step
+alone, because the step's own post-check f(x') = 0 certifies every later
+point, so a descent of k steps evaluates f at k + 1 points.  The step
+runs the raw oracle (oracle._search), checks its norm with integers and
+wraps y and v once, for the DescentStep.
+
 adc_represent wraps the iteration for value representation: for a
 homogeneous q and a point x with q(x) = r in the ring, descending q - r
 from x lands on an integral point with the same value.  check_n2 uses the
@@ -38,7 +45,7 @@ from .errors import (
     OracleNotFound,
     ValueNotIntegralError,
 )
-from .oracle import _cleared_difference, euclidean_step
+from .oracle import _cleared_difference, _search, euclidean_step
 from .quadratic import QuadraticPolynomial
 
 
@@ -69,18 +76,27 @@ def descent_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> D
     window.  All postconditions are asserted exactly before returning.
     """
     f._check_point(x)
-    dom = f.domain
-    if not dom._is_zero(f._cleared_raw(x)):
+    if not f.domain._is_zero(f._cleared_raw(x)):
         raise NotAZeroError(f"point is not a zero: f({x}) = {f.eval(x)}")
     if x.is_integral():
         raise IntegralPointError(f"{x} is already integral")
+    return _step(f, x, window)
 
-    found = euclidean_step(f, x, window)
+
+def _step(f: QuadraticPolynomial, x: FractionPoint, window: int) -> DescentStep:
+    """descent_step for a point x already known to be a non-integral zero
+    of f in f's domain and dimension; every postcondition is still checked,
+    the zero check on x_next included."""
+    dom = f.domain
+    a_raws = [n.raw for n in x.nums]
     b_raw = x.den.raw
-    y_raws = [e.raw for e in found.y]
-    v_raws = _cleared_difference(dom, [n.raw for n in x.nums], b_raw, y_raws)
+    y_raws, _, n, _, nb2 = _search(f, a_raws, b_raw, window)
+    if y_raws is None:
+        raise OracleNotFound(x, window, Fraction(n, nb2))
+    v_raws = _cleared_difference(dom, a_raws, b_raw, y_raws)
+    y = tuple(DomainElement(dom, r) for r in y_raws)
     v = tuple(DomainElement(dom, r) for r in v_raws)
-    exp = f.expand_along_line(found.y, v)
+    exp = f.expand_along_line(y, v)
     A, B, C = exp.A.raw, exp.B.raw, exp.C.raw
 
     if dom._is_zero(A):
@@ -93,7 +109,9 @@ def descent_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> D
     try:
         bn_raw = dom._divexact(A, b_raw)
     except ExactDivisionError as err:
-        raise InternalInvariantError(f"b does not divide A = f2(v): {err}") from err
+        raise InternalInvariantError(
+            f"b = {dom._format(b_raw)} does not divide A = f2(v) = {dom._format(A)}"
+        ) from err
     cross = dom._add(dom._neg(B), dom._neg(dom._mul(C, b_raw)))
     if bn_raw != cross:
         raise InternalInvariantError("A/b != -B - C*b")
@@ -103,7 +121,8 @@ def descent_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> D
     nbn = dom._norm(bn_raw)
     if not nbn < nb:
         raise InternalInvariantError(f"no descent: norm(b') = {nbn} >= norm(b) = {nb}")
-    if Fraction(nbn) != found.vnorm * nb:
+    # norm(b') = norm(f2(x - y)) * norm(b) with norm(f2(x - y)) = n / N(b^2)
+    if nbn * nb2 != n * nb:
         raise InternalInvariantError("norm(b') != norm(f2(x - y)) * norm(b)")
 
     a_next = [
@@ -116,7 +135,7 @@ def descent_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> D
 
     return DescentStep(
         x=x,
-        y=found.y,
+        y=y,
         v=v,
         A=exp.A,
         B=exp.B,
@@ -133,12 +152,15 @@ def descend(
     window: int = 2,
     max_steps: Optional[int] = None,
 ) -> DescentTrace:
-    """Iterate descent_step until the zero is integral.
+    """Iterate the descent step until the zero is integral.
 
-    The denominator norms strictly decrease, so a successful run takes at
-    most norm(b0) steps; max_steps defaults to exactly that bound and
-    crossing it is an internal error, not an input error.  An oracle
-    failure surfaces as DescentAborted carrying the step index.
+    x is checked once on entry (NotAZeroError when f(x) != 0); every later
+    point is a zero because the step that built it checked f(x') = 0, so
+    a descent of k steps evaluates f at k + 1 points.  The denominator
+    norms strictly decrease, so a successful run takes at most norm(b0)
+    steps; max_steps defaults to exactly that bound and crossing it is an
+    internal error, not an input error.  An oracle failure surfaces as
+    DescentAborted carrying the step index.
     """
     f._check_point(x)
     if not f.domain._is_zero(f._cleared_raw(x)):
@@ -150,7 +172,7 @@ def descend(
         if len(steps) >= cap:
             raise InternalInvariantError(f"descent exceeded its step cap of {cap}")
         try:
-            step = descent_step(f, cur, window)
+            step = _step(f, cur, window)
         except OracleNotFound as err:
             raise DescentAborted(len(steps), err.x, err.window, err.min_norm) from err
         if steps and not step.b.norm() <= steps[-1].b_next.norm():
@@ -170,10 +192,11 @@ def adc_trace(
     """
     if not q.is_form():
         raise NotAFormError("value representation needs a homogeneous form")
-    value = q.eval(x)
-    if not value.is_integral():
-        raise ValueNotIntegralError(f"q({x}) = {value} is not in the base ring")
-    r = value.to_element()
+    q._check_point(x)
+    r_raw = q._form_value_raw([n.raw for n in x.nums], x.den.raw)
+    if r_raw is None:
+        raise ValueNotIntegralError(f"q({x}) = {q.eval(x)} is not in the base ring")
+    r = DomainElement(q.domain, r_raw)
     trace = descend(q.sub_scalar(r), x, window)
     return trace, r
 

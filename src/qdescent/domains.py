@@ -57,6 +57,8 @@ class Domain:
 
     # -- raw-value protocol, implemented by subclasses -------------------
 
+    _ZERO = _ONE = None  # the raw zero and one
+
     def coerce_raw(self, obj):
         raise NotImplementedError
 
@@ -149,11 +151,11 @@ class Domain:
 
     @property
     def zero(self) -> "DomainElement":
-        return self.element(0)
+        return DomainElement(self, self._ZERO)
 
     @property
     def one(self) -> "DomainElement":
-        return self.element(1)
+        return DomainElement(self, self._ONE)
 
     def random_element(self, rng: random.Random, bound: int) -> "DomainElement":
         """Seeded random element; bound is a magnitude bound (Z, Z[i]) or a
@@ -262,6 +264,7 @@ class RationalIntegers(Domain):
     """Z with the absolute-value norm."""
 
     name = "Z"
+    _ZERO, _ONE = 0, 1
 
     def coerce_raw(self, obj):
         if isinstance(obj, DomainElement):
@@ -295,7 +298,7 @@ class RationalIntegers(Domain):
             raise ExactDivisionError("division by zero")
         q, r = divmod(a, b)
         if r:
-            raise ExactDivisionError(f"{b} does not divide {a}")
+            raise ExactDivisionError("inexact division")
         return q
 
     def _gcd(self, a, b):
@@ -351,6 +354,7 @@ class GaussianIntegers(Domain):
     """Z[i] as (re, im) pairs, norm re^2 + im^2."""
 
     name = "Zi"
+    _ZERO, _ONE = (0, 0), (1, 0)
 
     _UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
@@ -395,7 +399,7 @@ class GaussianIntegers(Domain):
         nre = a[0] * b[0] + a[1] * b[1]
         nim = a[1] * b[0] - a[0] * b[1]
         if nre % n or nim % n:
-            raise ExactDivisionError(f"{self._format(b)} does not divide {self._format(a)}")
+            raise ExactDivisionError("inexact division")
         return (nre // n, nim // n)
 
     def _round_quotient(self, a, b):
@@ -565,6 +569,8 @@ class PrimeFieldPolynomials(Domain):
     O(len a + len b) packing and reduction.
     """
 
+    _ZERO, _ONE = (), (1,)
+
     def __init__(self, p: int):
         _check_prime(p)
         self.p = p
@@ -656,7 +662,7 @@ class PrimeFieldPolynomials(Domain):
     def _divexact(self, a, b):
         q, r = self._divmod(a, b)
         if r:
-            raise ExactDivisionError(f"{self._format(b)} does not divide {self._format(a)}")
+            raise ExactDivisionError("inexact division")
         return q
 
     def _round_quotient(self, a, b):
@@ -774,7 +780,7 @@ def _canonical(domain: Domain, nums: list, den, what: str):
         nums = [domain._divexact(r, g) for r in nums]
         den = domain._divexact(den, g)
     u = domain._normalizing_unit(den)
-    if u != domain.coerce_raw(1):
+    if u != domain._ONE:
         nums = [domain._mul(r, u) for r in nums]
         den = domain._mul(den, u)
     return nums, den
@@ -809,7 +815,7 @@ class FractionElement:
         return self.num.is_zero()
 
     def is_integral(self) -> bool:
-        return self.den.raw == self.domain.coerce_raw(1)
+        return self.den.raw == self.domain._ONE
 
     def to_element(self) -> DomainElement:
         if not self.is_integral():
@@ -907,7 +913,7 @@ class FractionPoint:
         return len(self.nums)
 
     def is_integral(self) -> bool:
-        return self.den.raw == self.domain.coerce_raw(1)
+        return self.den.raw == self.domain._ONE
 
     def integral_point(self) -> Tuple[DomainElement, ...]:
         if not self.is_integral():

@@ -151,7 +151,7 @@ class CanonicalPoints:
         dom = self.domain
         dens = dom._denominator_raws(self.height)
         if self.integral:
-            dens = chain([dom.coerce_raw(1)], dens)
+            dens = chain([dom._ONE], dens)
         if self.d == 1:
             def numerators():
                 return ((a,) for a in dom._box_raws(self.box))

@@ -76,9 +76,9 @@ def _lex(text: str):
         if ch in " \t\r\n":
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == "i" and (j + 1 >= n or not text[j + 1].isalnum()):
                 tokens.append(_Token("IMAG", text[i : j + 1], i))
@@ -222,7 +222,7 @@ class _Parser:
         if exp > _MAX_EXPONENT:
             raise FormDegreeError(f"exponent {exp} is too large", num.pos)
         dom = self.domain
-        p, o = {(): dom.coerce_raw(1)}, {(): start}
+        p, o = {(): dom._ONE}, {(): start}
         for _ in range(exp):
             p, o = _poly_mul(dom, p, o, base, baseo, start)
         return p, o, start
@@ -278,7 +278,7 @@ class _Parser:
         index = None
         if name in _ALIASES:
             index = _ALIASES[name]
-        elif name.startswith("x") and name[1:].isdigit():
+        elif name.startswith("x") and name[1:].isdecimal():
             digits = name[1:].lstrip("0")
             # the length test keeps int() off overlong digit strings
             if len(digits) > len(str(_MAX_VARIABLES)) or int(digits or 0) > _MAX_VARIABLES:
@@ -295,7 +295,7 @@ class _Parser:
                 f"variable {name!r} exceeds dimension {self.d}", tok.pos
             )
         self.max_index = max(self.max_index, index)
-        return {(index,): self.domain.coerce_raw(1)}, {(index,): tok.pos}, tok.pos
+        return {(index,): self.domain._ONE}, {(index,): tok.pos}, tok.pos
 
 
 def parse_form(text: str, domain: Domain, d: Optional[int] = None) -> QuadraticPolynomial:
@@ -317,7 +317,7 @@ def parse_form(text: str, domain: Domain, d: Optional[int] = None) -> QuadraticP
     dim = d if d is not None else max(1, parser.max_index)
     quad = {}
     lin = [0] * dim
-    const = domain.coerce_raw(0)
+    const = domain._ZERO
     for key, c in poly.items():
         if len(key) == 0:
             const = c
@@ -359,7 +359,7 @@ def _coefficient_text(domain: Domain, raw) -> Tuple[str, str]:
 
 
 def _monomial_piece(dom, c, mono) -> Tuple[str, str]:
-    one = dom.coerce_raw(1)
+    one = dom._ONE
     sign, mag = _coefficient_text(dom, c)
     if c == one:
         return (sign, mono)

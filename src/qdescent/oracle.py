@@ -28,18 +28,20 @@ The scan is sized in closed form, Domain._offset_count(window) ** d
 candidates, and refused with SearchBudgetError over SEARCH_BUDGET before
 any offset is built.
 
-euclidean_step wraps _search, which runs all of the above on raw values
-and returns either the winning raws or the least norm seen.
-check_euclidean sweeps a bounded family of non-integral points, calls
-_search on the raw pairs of CanonicalPoints and collects every point
-where no witness exists in the window; it builds a FractionPoint only for
-those.
+_search runs all of the above on raw values and returns either the
+winning raws or the least norm seen, wrapping nothing.  euclidean_step,
+the public oracle, checks its point and returns an OracleResult holding
+the canonical value f2(x - y) (one ring gcd).  The descent step and
+check_euclidean call _search directly: the step wraps y once, for its
+DescentStep, and check_euclidean sweeps the raw pairs of CanonicalPoints
+and builds a FractionPoint only for the points where no witness exists
+in the window.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
@@ -61,62 +63,13 @@ def round_point(x: FractionPoint) -> Tuple[DomainElement, ...]:
     return tuple(DomainElement(dom, dom._round_quotient(n.raw, b)) for n in x.nums)
 
 
+@dataclass(frozen=True)
 class OracleResult:
-    """A witness y with value = f2(x - y) and vnorm = ext_norm(value) in (0, 1).
+    """A witness y with value = f2(x - y) and vnorm = ext_norm(value) in (0, 1)."""
 
-    An immutable value object, compared, hashed and printed by (y, value,
-    vnorm), copied and pickled as OracleResult(y, value, vnorm).
-    euclidean_step keeps the cleared value b^2 f2(x - y) and b^2
-    as raws and builds the canonical value, a FractionElement (one ring
-    gcd), on first access to .value; descent reads only y and vnorm.
-    """
-
-    __slots__ = ("y", "vnorm", "_value", "_cleared")
-
-    def __init__(self, y: Tuple[DomainElement, ...], value: FractionElement, vnorm: Fraction):
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "vnorm", vnorm)
-        object.__setattr__(self, "_value", value)
-        object.__setattr__(self, "_cleared", None)
-
-    @classmethod
-    def _lazy(cls, y, dom, num, den, vnorm: Fraction) -> "OracleResult":
-        """A result whose value num/den is canonicalized on first access."""
-        self = cls(y, None, vnorm)
-        object.__setattr__(self, "_cleared", (dom, num, den))
-        return self
-
-    @property
-    def value(self) -> FractionElement:
-        if self._cleared is not None:
-            object.__setattr__(self, "_value", FractionElement(*self._cleared))
-            object.__setattr__(self, "_cleared", None)
-        return self._value
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def _fields(self):
-        return (self.y, self.value, self.vnorm)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return f"OracleResult(y={self.y!r}, value={self.value!r}, vnorm={self.vnorm!r})"
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, which assigns the
-        # slots itself; __setattr__ would refuse them
-        return (OracleResult, self._fields())
+    y: Tuple[DomainElement, ...]
+    value: FractionElement
+    vnorm: Fraction
 
 
 @dataclass(frozen=True)
@@ -162,9 +115,8 @@ def euclidean_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) ->
     y, v, n, b2, nb2 = _search(f, [c.raw for c in x.nums], x.den.raw, window)
     if y is None:
         raise OracleNotFound(x, window, Fraction(n, nb2))
-    return OracleResult._lazy(
-        tuple(DomainElement(dom, c) for c in y), dom, v, b2, Fraction(n, nb2)
-    )
+    y = tuple(DomainElement(dom, c) for c in y)
+    return OracleResult(y, FractionElement(dom, v, b2), Fraction(n, nb2))
 
 
 def _search(f: QuadraticPolynomial, a, b, window: int):
@@ -191,7 +143,7 @@ def _search(f: QuadraticPolynomial, a, b, window: int):
     _within_budget(dom._offset_count(window) ** d, "the oracle's window scan")
     offsets = dom._offset_raws(window)
     add, mul, norm, sort_key = dom._add, dom._mul, dom._norm, dom._sort_key
-    zero = dom.coerce_raw(0)
+    zero = dom._ZERO
 
     # gradient row g at w0, the diagonal, and cross[k] = [(i, b^2*c_ik), i < k]
     g = [zero] * d

@@ -20,6 +20,7 @@ from .domains import Domain, DomainElement, FractionElement, FractionPoint
 from .errors import (
     DimensionMismatchError,
     DomainMismatchError,
+    ExactDivisionError,
     InternalInvariantError,
 )
 
@@ -54,7 +55,7 @@ class QuadraticPolynomial:
             raw = domain.coerce_raw(c)
             if not domain._is_zero(raw):
                 table[(i, j)] = raw
-        linv = [domain.coerce_raw(0)] * d
+        linv = [domain._ZERO] * d
         for i, c in enumerate(lin):
             if i >= d:
                 raise DimensionMismatchError("linear part longer than dimension")
@@ -72,14 +73,14 @@ class QuadraticPolynomial:
 
     def _f2_raw(self, vec):
         dom = self.domain
-        acc = dom.coerce_raw(0)
+        acc = dom._ZERO
         for (i, j), c in self.quad.items():
             acc = dom._add(acc, dom._mul(c, dom._mul(vec[i], vec[j])))
         return acc
 
     def _f1_raw(self, vec):
         dom = self.domain
-        acc = dom.coerce_raw(0)
+        acc = dom._ZERO
         for i, c in enumerate(self.lin):
             if not dom._is_zero(c):
                 acc = dom._add(acc, dom._mul(c, vec[i]))
@@ -119,6 +120,19 @@ class QuadraticPolynomial:
         b = x.den.raw
         tail = dom._add(self._f1_raw(a), dom._mul(b, self.const))
         return dom._add(self._f2_raw(a), dom._mul(b, tail))
+
+    def _form_value_raw(self, a, b):
+        """The raw q2(a)/b^2 when b^2 divides q2(a), else None.  For a form
+        q = q2 this is the value q(a/b), which is in the ring exactly when
+        it is not None."""
+        dom = self.domain
+        r = self._f2_raw(a)
+        if b == dom._ONE:
+            return r
+        try:
+            return dom._divexact(r, dom._mul(b, b))
+        except ExactDivisionError:
+            return None
 
     def eval(self, x: FractionPoint) -> FractionElement:
         """Exact value f(x) in the fraction field."""

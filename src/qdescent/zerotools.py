@@ -38,7 +38,6 @@ from typing import Optional, Tuple
 
 from .domains import Domain, DomainElement, FractionPoint, RationalIntegers
 from .errors import (
-    ExactDivisionError,
     IsotropicDirectionError,
     NotAFormError,
     NotAZeroError,
@@ -204,19 +203,14 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
         cache[key] = result
         return result
 
-    one = dom.coerce_raw(1)
     shifted = {}  # r -> q - r, built once per value
     checked = 0
     failures = []
     inapplicable = []
     for nums, den in CanonicalPoints(dom, d, box.height, box.num_bound, integral=True):
-        # q is a form, so q(a/b) = q2(a)/b^2: integral exactly when b^2 | q2(a)
-        r_raw = q._f2_raw(nums)
-        if den != one:
-            try:
-                r_raw = dom._divexact(r_raw, dom._mul(den, den))
-            except ExactDivisionError:
-                continue
+        r_raw = q._form_value_raw(nums, den)
+        if r_raw is None:
+            continue
         checked += 1
         r = DomainElement(dom, r_raw)
         x = FractionPoint._trusted(dom, nums, den)

@@ -136,6 +136,21 @@ def test_variable_index_beyond_limit_is_input_error(capsys, name):
     assert err == f"error: variable '{name}' is beyond x1000 (at offset 0)\n"
 
 
+@pytest.mark.parametrize(
+    "form, message",
+    [
+        ("x\u00b2^2-1", "unknown variable 'x\u00b2'"),
+        ("\u00b2x^2-1", "unexpected character '\u00b2'"),
+    ],
+    ids=["index", "leading"],
+)
+def test_non_ascii_digit_is_positioned_form_error(capsys, form, message):
+    code, out, err = run(capsys, "descend", "--domain", "Z", "--form", form, "--point", "1")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message} (at offset 0)\n"
+
+
 def test_descend_json_document(capsys):
     code, out, _ = run(
         capsys,

@@ -5,17 +5,18 @@ from fractions import Fraction
 import pytest
 
 import qdescent.descent as descent_module
+import qdescent.oracle as oracle_module
 from qdescent import (
     DescentAborted,
-    DomainElement,
+    DescentTrace,
     DomainMismatchError,
-    FractionElement,
     FractionPoint,
     GFpT,
     IntegralPointError,
+    InternalInvariantError,
     NotAFormError,
     NotAZeroError,
-    OracleResult,
+    OracleNotFound,
     QuadraticPolynomial,
     ValueNotIntegralError,
     ZI,
@@ -29,7 +30,6 @@ from qdescent import (
     descent_step,
     parse_form,
     random_rational_zero,
-    round_point,
     SearchBox,
 )
 from qdescent.domains import _KRONECKER_MIN_TERMS
@@ -152,34 +152,35 @@ def test_descent_chain_certificates():
         assert all(a > b for a, b in zip(chain, chain[1:]))
 
 
-def _seeded_random_oracle(seed):
-    """An oracle that skips rounding and returns a seeded random admissible
-    witness from its own window scan."""
+def _seeded_random_search(seed):
+    """A raw oracle in place of oracle._search that skips rounding and
+    returns a seeded random admissible witness from its own window scan."""
     rng = random.Random(seed)
 
-    def oracle(f, x, window=2):
+    def search(f, a, b, window):
         dom = f.domain
-        b = x.den.raw
-        base = [c.raw for c in round_point(x)]
+        b2 = dom._mul(b, b)
+        nb2 = dom._norm(b2)
+        base = [dom._round_quotient(n, b) for n in a]
         admissible = []
         for offs in product(dom._offset_raws(window), repeat=f.d):
             y = [dom._add(c, o) for c, o in zip(base, offs)]
-            w = [dom._add(n.raw, dom._neg(dom._mul(b, c))) for n, c in zip(x.nums, y)]
-            value = FractionElement(dom, f._f2_raw(w), dom._mul(b, b))
-            if 0 < value.ext_norm() < 1:
-                admissible.append(
-                    OracleResult(tuple(DomainElement(dom, c) for c in y), value, value.ext_norm())
-                )
+            v = f._f2_raw([dom._add(n, dom._neg(dom._mul(b, c))) for n, c in zip(a, y)])
+            if 0 < dom._norm(v) < nb2:
+                admissible.append((y, v, dom._norm(v), b2, nb2))
         return rng.choice(admissible)
 
-    return oracle
+    return search
 
 
-@pytest.mark.parametrize(
+ADMISSIBLE_CASES = pytest.mark.parametrize(
     "dom, text, bound",
     [(ZZ, "x^2+y^2+z^2-26", 6), (ZI, "x1*x2-2*i", 2), (F2, "x1*x2+x3^2+t", 1)],
     ids=["Z", "Zi", "Fpt:2"],
 )
+
+
+@ADMISSIBLE_CASES
 def test_descent_certificates_hold_for_any_admissible_witness(monkeypatch, dom, text, bound):
     # the certificates must not depend on which admissible witness is used
     f = parse_form(text, dom)
@@ -187,7 +188,7 @@ def test_descent_certificates_hold_for_any_admissible_witness(monkeypatch, dom, 
     x = random_rational_zero(f, y0, seed=77, height_min=3)
     results = set()
     for seed in range(6):
-        monkeypatch.setattr(descent_module, "euclidean_step", _seeded_random_oracle(seed))
+        monkeypatch.setattr(descent_module, "_search", _seeded_random_search(seed))
         trace = descend(f, x)
         for step in trace.steps:
             assert_step_invariants(f, step)
@@ -195,6 +196,95 @@ def test_descent_certificates_hold_for_any_admissible_witness(monkeypatch, dom, 
         results.add(tuple(c.raw for c in trace.result))
     # the seeds reach different integral zeros, so other witnesses were used
     assert len(results) > 1
+
+
+def _misreported_norm(f, a, b, window):
+    y, v, n, b2, nb2 = oracle_module._search(f, a, b, window)
+    return y, v, n + 1, b2, nb2
+
+
+def _origin_witness(f, a, b, window):
+    # f = f2 - c with N(c) >= 1 in every ADMISSIBLE_CASES form, so at a zero
+    # x the origin has |f2(x - 0)| = |c| >= 1: reported honestly, but not
+    # admissible
+    dom = f.domain
+    b2 = dom._mul(b, b)
+    v = f._f2_raw(a)
+    return [dom._ZERO] * f.d, v, dom._norm(v), b2, dom._norm(b2)
+
+
+@ADMISSIBLE_CASES
+@pytest.mark.parametrize("fake", [_misreported_norm, _origin_witness])
+def test_descent_rejects_a_lying_oracle(monkeypatch, dom, text, bound, fake):
+    f = parse_form(text, dom)
+    x = random_rational_zero(f, brute_integral_zero(f, SearchBox(bound)), seed=77, height_min=3)
+    monkeypatch.setattr(descent_module, "_search", fake)
+    with pytest.raises(InternalInvariantError):
+        descend(f, x)
+
+
+def _iterated_descent(f, x):
+    """descend by definition: the public descent_step, from x until integral."""
+    steps = []
+    while not x.is_integral():
+        steps.append(descent_step(f, x))
+        x = steps[-1].x_next
+    return DescentTrace(tuple(steps), x.integral_point())
+
+
+@pytest.mark.parametrize(
+    "dom, text, bound",
+    [
+        (ZZ, "x^2+y^2+z^2-26", 6),
+        (ZI, "x1*x2-2*i", 2),
+        (F2, "x1*x2+x3^2+t", 1),
+        (F3, "x1^2+t*x2^2+x2-t", 1),
+    ],
+    ids=["Z", "Zi", "Fpt:2", "Fpt:3"],
+)
+def test_descend_equals_iterated_descent_step(dom, text, bound):
+    f = parse_form(text, dom)
+    y0 = brute_integral_zero(f, SearchBox(bound))
+    for seed in range(8):
+        x = random_rational_zero(f, y0, seed=seed, height_min=3, direction_bound=40)
+        assert descend(f, x) == _iterated_descent(f, x)
+
+
+def test_descend_aborts_where_descent_step_does():
+    f = parse_form("w^2+x^2+y^2+z^2-15", ZZ)
+    x = FractionPoint(ZZ, [-97, -13, 11, -54], 29)
+    with pytest.raises(DescentAborted) as aborted:
+        descend(f, x)
+    with pytest.raises(OracleNotFound) as failed:
+        _iterated_descent(f, x)
+    assert not isinstance(failed.value, DescentAborted)
+    assert aborted.value.step_index == 2
+    assert str(failed.value.x) == "5,1,5,3/2"
+    assert (aborted.value.x, aborted.value.window, aborted.value.min_norm) == (
+        failed.value.x, failed.value.window, failed.value.min_norm
+    )
+
+
+@pytest.mark.parametrize(
+    "dom, text, bound",
+    [(ZZ, "x^2+y^2+z^2-26", 6), (ZI, "x1*x2-2*i", 2), (F2, "x1*x2+x3^2+t", 1)],
+    ids=["Z", "Zi", "Fpt:2"],
+)
+def test_descend_checks_each_point_once(monkeypatch, dom, text, bound):
+    calls = []
+    cleared = QuadraticPolynomial._cleared_raw
+
+    def counted(self, x):
+        calls.append(x)
+        return cleared(self, x)
+
+    f = parse_form(text, dom)
+    y0 = brute_integral_zero(f, SearchBox(bound))
+    x = random_rational_zero(f, y0, seed=1, height_min=3, direction_bound=40)
+    monkeypatch.setattr(QuadraticPolynomial, "_cleared_raw", counted)
+    trace = descend(f, x)
+    assert len(trace.steps) >= 2
+    assert calls == [x] + [s.x_next for s in trace.steps]
 
 
 def _fp_mul(a, b, p):
@@ -251,8 +341,6 @@ def test_descent_odd_characteristic_large_denominators(p):
 
 
 def test_descend_max_steps_cap():
-    from qdescent import InternalInvariantError
-
     f = parse_form("x^2+y^2-5", ZZ)
     x = FractionPoint(ZZ, [-11, 2], 5)
     with pytest.raises(InternalInvariantError):

@@ -161,6 +161,18 @@ def test_variable_index_beyond_limit_is_refused(name):
     assert parse_form("x1000^2", ZZ).d == 1000
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [("x\u00b2^2-1", FormVariableError), ("\u00b2x^2-1", FormSyntaxError)],
+    ids=["index", "leading"],
+)
+def test_non_ascii_digits_are_form_errors(text, error):
+    # '\u00b2' (superscript two) passes str.isdigit() but not int()
+    with pytest.raises(error) as err:
+        parse_form(text, ZZ)
+    assert err.value.offset == 0
+
+
 def test_error_message_carries_offset():
     with pytest.raises(FormDegreeError) as err:
         parse_form("y*x^2", ZZ)

@@ -153,7 +153,7 @@ def test_oracle_value_is_f2_of_difference(f, x, fast):
     # fast means the rounded point itself is admissible, so no scan runs
     assert (0 < _f2_of_difference(f, x, round_point(x)).ext_norm() < 1) == fast
     found = euclidean_step(f, x)
-    # equal calls give equal results, compared and hashed before .value is read
+    # equal calls give equal results, with equal hashes
     again = euclidean_step(f, x)
     assert found == again and hash(found) == hash(again)
     assert (found.y == round_point(x)) == fast
@@ -165,28 +165,27 @@ def test_oracle_value_is_f2_of_difference(f, x, fast):
 def test_oracle_result_is_an_immutable_value():
     x = FractionPoint(ZZ, [-11, 2], 5)
     found = euclidean_step(CIRCLE, x)
-    # the positional constructor, with the value built eagerly, gives an
+    # the positional constructor, given the value f2(x - y), gives an
     # equal result with the same hash and the same repr
-    eager = OracleResult(found.y, _f2_of_difference(CIRCLE, x, found.y), Fraction(1, 5))
+    direct = OracleResult(found.y, _f2_of_difference(CIRCLE, x, found.y), Fraction(1, 5))
     assert repr(found) == "OracleResult(y=(-2, 0), value=1/5, vnorm=Fraction(1, 5))"
-    assert eager == found and found == eager
-    assert hash(eager) == hash(found) == hash((found.y, found.value, found.vnorm))
-    assert repr(eager) == repr(found)
-    assert found != OracleResult(found.y, eager.value, Fraction(1, 4))
-    assert found.value is found.value  # built once
+    assert direct == found and found == direct
+    assert hash(direct) == hash(found) == hash((found.y, found.value, found.vnorm))
+    assert repr(direct) == repr(found)
+    assert found != OracleResult(found.y, direct.value, Fraction(1, 4))
     for name in ("y", "value", "vnorm", "other"):
         with pytest.raises(AttributeError):
             setattr(found, name, None)
         with pytest.raises(AttributeError):
             delattr(found, name)
-    assert found == eager
+    assert found == direct
 
 
 @pytest.mark.parametrize("copier", ["copy", "deepcopy", "pickle"])
 def test_oracle_result_copies_and_pickles(copier):
     x = FractionPoint(F3, [(1,), (2,)], (0, 1))
     f = parse_form("x1^2+t*x2^2", F3)
-    found = euclidean_step(f, x)  # value not yet built
+    found = euclidean_step(f, x)
     dup = {
         "copy": copy.copy,
         "deepcopy": copy.deepcopy,
