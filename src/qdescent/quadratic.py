@@ -73,9 +73,10 @@ class QuadraticPolynomial:
 
     def _f2_raw(self, vec):
         dom = self.domain
+        add, mul = dom._add, dom._mul
         acc = dom._ZERO
         for (i, j), c in self.quad.items():
-            acc = dom._add(acc, dom._mul(c, dom._mul(vec[i], vec[j])))
+            acc = add(acc, mul(c, mul(vec[i], vec[j])))
         return acc
 
     def _f1_raw(self, vec):
