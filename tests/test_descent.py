@@ -265,11 +265,7 @@ def test_descend_aborts_where_descent_step_does():
     )
 
 
-@pytest.mark.parametrize(
-    "dom, text, bound",
-    [(ZZ, "x^2+y^2+z^2-26", 6), (ZI, "x1*x2-2*i", 2), (F2, "x1*x2+x3^2+t", 1)],
-    ids=["Z", "Zi", "Fpt:2"],
-)
+@ADMISSIBLE_CASES
 def test_descend_checks_each_point_once(monkeypatch, dom, text, bound):
     calls = []
     cleared = QuadraticPolynomial._cleared_raw
