@@ -8,7 +8,8 @@
 Exit codes: 0 success (and clean check reports), 1 input error (bad flags,
 unparseable form or point, precondition violations), 2 oracle failure, a
 search refused over the enumeration budget, or a check report with
-failures, 3 value not representable (three-squares only).
+failures, 3 value not representable (three-squares only), 4 internal fault (a
+violated invariant the algorithm guarantees, never bad input).
 
 Output is text by default; --format json emits a single document with the
 full step trace, stable across runs for identical inputs.
@@ -24,7 +25,7 @@ import sys
 from .descent import adc_trace, check_n2, descend
 from .domains import FractionPoint, ZZ, check_norm_axioms, domain_from_name
 from .enumeration import BoxSweep
-from .errors import OracleNotFound, SearchBudgetError
+from .errors import ExactDivisionError, InternalInvariantError, OracleNotFound, SearchBudgetError
 from .formparse import format_form, parse_element, parse_form
 from .oracle import check_euclidean
 from .quadratic import QuadraticPolynomial
@@ -336,6 +337,11 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except (InternalInvariantError, ExactDivisionError) as err:
+        # the divisions that input can make inexact catch their own
+        # ExactDivisionError, so one that escapes is a fault as well
+        print(f"error: internal invariant violated: {err}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -17,8 +17,9 @@ Each point is certified a zero once.  descent_step checks its input x and
 then runs the step; descend checks the starting point and loops the step
 alone, because the step's own post-check f(x') = 0 certifies every later
 point, so a descent of k steps evaluates f at k + 1 points.  The step
-runs the raw oracle (oracle._search), checks its norm with integers and
-wraps y and v once, for the DescentStep.
+runs the raw oracle (oracle._search), checks its norm with integers,
+expands f along the line on raws (QuadraticPolynomial._line_raw) and
+wraps y, v, A, B and C once, for the DescentStep.
 
 adc_represent wraps the iteration for value representation: for a
 homogeneous q and a point x with q(x) = r in the ring, descending q - r
@@ -29,11 +30,10 @@ witnesses forces non-units to have norm > 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple
 
-from .domains import Domain, DomainElement, FractionPoint
+from .domains import Domain, DomainElement, FractionPoint, _Record
 from .errors import (
     DescentAborted,
     DomainMismatchError,
@@ -49,11 +49,10 @@ from .oracle import _cleared_difference, _search, euclidean_step
 from .quadratic import QuadraticPolynomial
 
 
-@dataclass(frozen=True)
-class DescentStep:
+class DescentStep(_Record):
     x: FractionPoint
-    y: Tuple[DomainElement, ...]
-    v: Tuple[DomainElement, ...]
+    y: tuple[DomainElement, ...]
+    v: tuple[DomainElement, ...]
     A: DomainElement
     B: DomainElement
     C: DomainElement
@@ -62,10 +61,9 @@ class DescentStep:
     x_next: FractionPoint
 
 
-@dataclass(frozen=True)
-class DescentTrace:
-    steps: Tuple[DescentStep, ...]
-    result: Tuple[DomainElement, ...]
+class DescentTrace(_Record):
+    steps: tuple[DescentStep, ...]
+    result: tuple[DomainElement, ...]
 
 
 def descent_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> DescentStep:
@@ -94,10 +92,7 @@ def _step(f: QuadraticPolynomial, x: FractionPoint, window: int) -> DescentStep:
     if y_raws is None:
         raise OracleNotFound(x, window, Fraction(n, nb2))
     v_raws = _cleared_difference(dom, a_raws, b_raw, y_raws)
-    y = tuple(DomainElement(dom, r) for r in y_raws)
-    v = tuple(DomainElement(dom, r) for r in v_raws)
-    exp = f.expand_along_line(y, v)
-    A, B, C = exp.A.raw, exp.B.raw, exp.C.raw
+    A, B, C = f._line_raw(y_raws, v_raws)
 
     if dom._is_zero(A):
         raise InternalInvariantError("A = f2(v) vanished despite the oracle guarantee")
@@ -134,15 +129,15 @@ def _step(f: QuadraticPolynomial, x: FractionPoint, window: int) -> DescentStep:
         raise InternalInvariantError("f(x') != 0 after the step")
 
     return DescentStep(
-        x=x,
-        y=y,
-        v=v,
-        A=exp.A,
-        B=exp.B,
-        C=exp.C,
-        b=x.den,
-        b_next=DomainElement(dom, bn_raw),
-        x_next=x_next,
+        x,
+        tuple(DomainElement(dom, r) for r in y_raws),
+        tuple(DomainElement(dom, r) for r in v_raws),
+        DomainElement(dom, A),
+        DomainElement(dom, B),
+        DomainElement(dom, C),
+        x.den,
+        DomainElement(dom, bn_raw),
+        x_next,
     )
 
 
@@ -150,7 +145,7 @@ def descend(
     f: QuadraticPolynomial,
     x: FractionPoint,
     window: int = 2,
-    max_steps: Optional[int] = None,
+    max_steps: int | None = None,
 ) -> DescentTrace:
     """Iterate the descent step until the zero is integral.
 
@@ -184,7 +179,7 @@ def descend(
 
 def adc_trace(
     q: QuadraticPolynomial, x: FractionPoint, window: int = 2
-) -> Tuple[DescentTrace, DomainElement]:
+) -> tuple[DescentTrace, DomainElement]:
     """Descent trace for the representation problem, plus the value r = q(x).
 
     q must be homogeneous and q(x) must lie in the ring; the trace descends
@@ -203,21 +198,19 @@ def adc_trace(
 
 def adc_represent(
     q: QuadraticPolynomial, x: FractionPoint, window: int = 2
-) -> Tuple[DomainElement, ...]:
+) -> tuple[DomainElement, ...]:
     """An integral point y with q(y) = q(x), found by descending q - q(x)."""
     return adc_trace(q, x, window)[0].result
 
 
-@dataclass(frozen=True)
-class N2Failure:
+class N2Failure(_Record):
     element: DomainElement
     reason: str
 
 
-@dataclass(frozen=True)
-class N2Report:
+class N2Report(_Record):
     checked: int
-    failures: Tuple[N2Failure, ...]
+    failures: tuple[N2Failure, ...]
 
     @property
     def ok(self) -> bool:

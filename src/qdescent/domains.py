@@ -18,11 +18,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Tuple
 
 from .errors import (
     DimensionMismatchError,
@@ -31,6 +30,66 @@ from .errors import (
     ValueNotIntegralError,
     ZeroDenominatorError,
 )
+
+
+class _Record:
+    """Base of the package's frozen result records.
+
+    A subclass names its fields by annotating them in its class body, in
+    order; the annotations stay unevaluated strings and only their names
+    are read.  Records take their fields positionally or by keyword, every
+    field exactly once, and compare, hash and print by the field values in
+    declaration order, with equality only between records of one class.
+    Assignment and deletion raise AttributeError.  The values live in the
+    instance __dict__, so copy and pickle need no hook.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if not kwargs and len(args) == len(fields):
+            self.__dict__.update(zip(fields, args))
+            return
+        name = type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)} positionally")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unknown field {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got field {key!r} twice")
+            values[key] = value
+        missing = [f for f in fields if f not in values]
+        if missing:
+            raise TypeError(f"{name}() is missing field(s) {', '.join(missing)}")
+        self.__dict__.update((f, values[f]) for f in fields)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _round_half_toward_zero(n: int, d: int) -> int:
@@ -908,6 +967,9 @@ class FractionPoint:
     def __setattr__(self, name, value):
         raise AttributeError("FractionPoint is immutable")
 
+    def __reduce__(self):
+        return (FractionPoint, (self.domain, tuple(n.raw for n in self.nums), self.den.raw))
+
     @property
     def dim(self) -> int:
         return len(self.nums)
@@ -915,7 +977,7 @@ class FractionPoint:
     def is_integral(self) -> bool:
         return self.den.raw == self.domain._ONE
 
-    def integral_point(self) -> Tuple[DomainElement, ...]:
+    def integral_point(self) -> tuple[DomainElement, ...]:
         if not self.is_integral():
             raise ValueNotIntegralError(f"{self} is not integral")
         return self.nums
@@ -941,10 +1003,9 @@ class FractionPoint:
 # -- norm-axiom spot checks ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormAxiomReport:
+class NormAxiomReport(_Record):
     checked: int
-    failures: Tuple[str, ...]
+    failures: tuple[str, ...]
 
     @property
     def ok(self) -> bool:

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Sequence
 from itertools import chain, groupby, product
-from typing import Optional, Sequence, Tuple
 
 from .domains import Domain, DomainElement, RationalIntegers
 from .errors import SearchBudgetError
@@ -186,7 +186,7 @@ def first_zero_count(domain: Domain, bounds: Sequence[int]) -> int:
     return GradedBox(domain, bounds).count()
 
 
-def first_zero(f, bounds: Sequence[int]) -> Optional[Tuple[DomainElement, ...]]:
+def first_zero(f, bounds: Sequence[int]) -> tuple[DomainElement, ...] | None:
     """The first integral zero of f in graded order over the box
     prod_i box(bounds[i]), or None; bounds has one entry per variable."""
     dom = f.domain

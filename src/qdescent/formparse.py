@@ -14,7 +14,10 @@ each production returns its expanded and collected polynomial, and the
 total-degree <= 2 bound is enforced on the final result, so inputs like
 "(x+y)^2 - x^2" are fine.  The leading optional minus is there so that
 formatted output such as "-x1^2" reads back in.  Parentheses nest at
-most _MAX_DEPTH deep.
+most _MAX_DEPTH deep.  Exponents stop at _MAX_EXPONENT, because a power
+is expanded by repeated multiplication; a power of the bare literal t
+is the monomial itself and stops at _MAX_MONOMIALS instead, so the
+F_p[t] elements the package prints read back up to that degree.
 
 Every diagnostic carries the character offset it points at; for a
 degree violation that is the position where the offending monomial was
@@ -30,14 +33,12 @@ bounds the dimension before any coefficient vector is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
-
 from .domains import (
     Domain,
     DomainElement,
     GaussianIntegers,
     PrimeFieldPolynomials,
+    _Record,
 )
 from .errors import (
     FormCoefficientError,
@@ -60,8 +61,7 @@ _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
 # -- lexer ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(_Record):
     kind: str  # NUM, IMAG, NAME, OP, END
     text: str
     pos: int
@@ -155,7 +155,7 @@ class _Parser:
     the dimension.
     """
 
-    def __init__(self, text: str, domain: Domain, d: Optional[int]):
+    def __init__(self, text: str, domain: Domain, d: int | None):
         self.domain = domain
         self.d = d
         self.max_index = 0
@@ -174,7 +174,7 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def take(self, ops: str) -> Optional[_Token]:
+    def take(self, ops: str) -> _Token | None:
         """Consume the next token if it is one of the operators ops."""
         tok = self.tokens[self.pos]
         if tok.kind == "OP" and tok.text in ops:
@@ -214,11 +214,19 @@ class _Parser:
         return p, o, start
 
     def factor(self):
+        tok = self.peek()
         base, baseo, start = self.base()
         if not self.take("^"):
             return base, baseo, start
         num = self.eat("NUM")
         exp = int(num.text)
+        if tok.kind == "NAME" and tok.text == "t":
+            # a power of the bare t literal (base() accepted it, so the
+            # domain is F_p[t]) is the monomial t^exp itself, built in
+            # O(exp) with no expansion
+            if exp > _MAX_MONOMIALS:
+                raise FormDegreeError(f"exponent {exp} is too large", num.pos)
+            return self.constant((0,) * exp + (1,), tok)
         if exp > _MAX_EXPONENT:
             raise FormDegreeError(f"exponent {exp} is too large", num.pos)
         dom = self.domain
@@ -298,7 +306,7 @@ class _Parser:
         return {(index,): self.domain._ONE}, {(index,): tok.pos}, tok.pos
 
 
-def parse_form(text: str, domain: Domain, d: Optional[int] = None) -> QuadraticPolynomial:
+def parse_form(text: str, domain: Domain, d: int | None = None) -> QuadraticPolynomial:
     """Parse text into a QuadraticPolynomial over the domain.
 
     With d given, variables beyond x_d are rejected; with d omitted the
@@ -338,7 +346,7 @@ def parse_element(text: str, domain: Domain) -> DomainElement:
 # -- formatting ----------------------------------------------------------------
 
 
-def _coefficient_text(domain: Domain, raw) -> Tuple[str, str]:
+def _coefficient_text(domain: Domain, raw) -> tuple[str, str]:
     """Render a coefficient as (sign, magnitude text).
 
     The sign is lifted out only when the element is the negative of
@@ -358,7 +366,7 @@ def _coefficient_text(domain: Domain, raw) -> Tuple[str, str]:
     return ("-", str(-raw)) if raw < 0 else ("+", str(raw))
 
 
-def _monomial_piece(dom, c, mono) -> Tuple[str, str]:
+def _monomial_piece(dom, c, mono) -> tuple[str, str]:
     one = dom._ONE
     sign, mag = _coefficient_text(dom, c)
     if c == one:

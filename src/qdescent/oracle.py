@@ -41,17 +41,15 @@ in the window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
 
-from .domains import DomainElement, FractionElement, FractionPoint
+from .domains import DomainElement, FractionElement, FractionPoint, _Record
 from .enumeration import CanonicalPoints, _within_budget
 from .errors import IntegralPointError, OracleNotFound
 from .quadratic import QuadraticPolynomial
 
 
-def round_point(x: FractionPoint) -> Tuple[DomainElement, ...]:
+def round_point(x: FractionPoint) -> tuple[DomainElement, ...]:
     """Coordinatewise nearest ring point.
 
     Z rounds to the nearest integer with ties toward zero; Z[i] does the
@@ -63,26 +61,23 @@ def round_point(x: FractionPoint) -> Tuple[DomainElement, ...]:
     return tuple(DomainElement(dom, dom._round_quotient(n.raw, b)) for n in x.nums)
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(_Record):
     """A witness y with value = f2(x - y) and vnorm = ext_norm(value) in (0, 1)."""
 
-    y: Tuple[DomainElement, ...]
+    y: tuple[DomainElement, ...]
     value: FractionElement
     vnorm: Fraction
 
 
-@dataclass(frozen=True)
-class EuclideanFailure:
+class EuclideanFailure(_Record):
     x: FractionPoint
     window: int
     min_norm: Fraction
 
 
-@dataclass(frozen=True)
-class EuclideanReport:
+class EuclideanReport(_Record):
     checked: int
-    failures: Tuple[EuclideanFailure, ...]
+    failures: tuple[EuclideanFailure, ...]
 
     @property
     def ok(self) -> bool:

@@ -13,10 +13,9 @@ b^2*f0) / b^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from collections.abc import Iterable
 
-from .domains import Domain, DomainElement, FractionElement, FractionPoint
+from .domains import Domain, DomainElement, FractionElement, FractionPoint, _Record
 from .errors import (
     DimensionMismatchError,
     DomainMismatchError,
@@ -25,8 +24,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class LineExpansion:
+class LineExpansion(_Record):
     """Coefficients of f(y + T*v) = C + B*T + A*T^2; A always equals f2(v)."""
 
     A: DomainElement
@@ -44,7 +42,7 @@ class QuadraticPolynomial:
 
     __slots__ = ("domain", "d", "quad", "lin", "const")
 
-    def __init__(self, domain: Domain, d: int, quad: Dict[Tuple[int, int], object],
+    def __init__(self, domain: Domain, d: int, quad: dict[tuple[int, int], object],
                  lin: Iterable = (), const=0):
         if d < 1:
             raise DimensionMismatchError(f"dimension must be >= 1, got {d}")
@@ -68,6 +66,9 @@ class QuadraticPolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticPolynomial is immutable")
+
+    def __reduce__(self):
+        return (QuadraticPolynomial, (self.domain, self.d, self.quad, self.lin, self.const))
 
     # -- raw-vector evaluation helpers ------------------------------------
 
@@ -152,8 +153,15 @@ class QuadraticPolynomial:
         expansion itself is broken, so it raises InternalInvariantError.
         """
         dom = self.domain
-        yv = self._coerce_vector(y)
-        vv = self._coerce_vector(v)
+        A, B, C = self._line_raw(self._coerce_vector(y), self._coerce_vector(v))
+        return LineExpansion(
+            DomainElement(dom, A), DomainElement(dom, B), DomainElement(dom, C)
+        )
+
+    def _line_raw(self, yv, vv):
+        """expand_along_line on raw vectors: the raws (A, B, C), with the
+        same F(-1) check."""
+        dom = self.domain
         A = self._f2_raw(vv)
         C = self._eval_raw(yv)
         plus = [dom._add(a, b) for a, b in zip(yv, vv)]
@@ -165,9 +173,7 @@ class QuadraticPolynomial:
             raise InternalInvariantError(
                 "line expansion failed the t = -1 identity check"
             )
-        return LineExpansion(
-            DomainElement(dom, A), DomainElement(dom, B), DomainElement(dom, C)
-        )
+        return A, B, C
 
     # -- structure ----------------------------------------------------------
 

@@ -33,10 +33,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional, Tuple
 
-from .domains import Domain, DomainElement, FractionPoint, RationalIntegers
+from .domains import Domain, DomainElement, FractionPoint, RationalIntegers, _Record
 from .errors import (
     IsotropicDirectionError,
     NotAFormError,
@@ -49,23 +47,23 @@ from .enumeration import CanonicalPoints, first_zero
 from .quadratic import QuadraticPolynomial
 
 
-@dataclass(frozen=True)
-class SearchBox:
+class SearchBox(_Record):
     """Enumeration bounds: num_bound caps coordinates (magnitude for Z, both
     components for Z[i], degree for F_p[t]); height caps denominator norms
     (degree for F_p[t]).  height is ignored by integral-point searches."""
 
     num_bound: int
-    height: int = 1
+    height: int
 
-    def __post_init__(self):
-        if self.num_bound < 0 or self.height < 0:
+    def __init__(self, num_bound: int, height: int = 1):
+        if num_bound < 0 or height < 0:
             raise ValueError("search bounds must be nonnegative")
+        super().__init__(num_bound, height)
 
 
 def brute_integral_zero(
     f: QuadraticPolynomial, box: SearchBox
-) -> Optional[Tuple[DomainElement, ...]]:
+) -> tuple[DomainElement, ...] | None:
     """First integral zero of f in graded-lex enumeration order, or None."""
     return first_zero(f, [box.num_bound] * f.d)
 
@@ -83,14 +81,13 @@ def chord_zero(f: QuadraticPolynomial, y0, w) -> FractionPoint:
     wv = f._coerce_vector(w)
     if not dom._is_zero(f._eval_raw(y0v)):
         raise NotAZeroError("chord base point is not a zero of f")
-    exp = f.expand_along_line(y0v, wv)
-    if exp.A.is_zero():
+    a_raw, b_raw, _ = f._line_raw(y0v, wv)
+    if dom._is_zero(a_raw):
         raise IsotropicDirectionError(
             "f2 vanishes on the chord direction; no second intersection"
         )
-    if exp.B.is_zero():
+    if dom._is_zero(b_raw):
         return FractionPoint(dom, y0v, 1)
-    a_raw, b_raw = exp.A.raw, exp.B.raw
     nums = [
         dom._add(dom._mul(a_raw, yc), dom._neg(dom._mul(b_raw, wc)))
         for yc, wc in zip(y0v, wv)
@@ -145,18 +142,16 @@ def random_quadratic(
     return QuadraticPolynomial(domain, d, quad, lin, const)
 
 
-@dataclass(frozen=True)
-class AdcFinding:
+class AdcFinding(_Record):
     x: FractionPoint
     value: DomainElement
     detail: str
 
 
-@dataclass(frozen=True)
-class AdcReport:
+class AdcReport(_Record):
     checked: int
-    failures: Tuple[AdcFinding, ...]
-    inapplicable: Tuple[AdcFinding, ...]
+    failures: tuple[AdcFinding, ...]
+    inapplicable: tuple[AdcFinding, ...]
 
     @property
     def ok(self) -> bool:

@@ -3,8 +3,21 @@ import time
 
 import pytest
 
+import qdescent.cli as cli_module
+import qdescent.descent as descent_module
 from qdescent.cli import main, parse_point
-from qdescent import FractionPoint, GFpT, ZI, ZZ
+from qdescent import (
+    ExactDivisionError,
+    FractionPoint,
+    GFpT,
+    SearchBox,
+    ZI,
+    ZZ,
+    brute_integral_zero,
+    descend,
+    parse_form,
+    random_rational_zero,
+)
 
 
 def run(capsys, *argv):
@@ -114,6 +127,57 @@ def test_descend_oracle_failure_exit_2(capsys):
     )
     assert code == 2
     assert "no" in err.lower() or "window" in err
+
+
+def test_internal_fault_exits_4(capsys, monkeypatch):
+    search = descent_module._search
+
+    def misreported_norm(f, a, b, window):
+        y, v, n, b2, nb2 = search(f, a, b, window)
+        return y, v, n + 1, b2, nb2
+
+    monkeypatch.setattr(descent_module, "_search", misreported_norm)
+    code, out, err = run(
+        capsys, "descend", "--domain", "Z", "--form", "x^2+y^2-5", "--point", "-11,2/5"
+    )
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal invariant violated: norm(b') != norm(f2(x - y)) * norm(b)\n"
+
+
+def test_escaped_inexact_division_is_an_internal_fault(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ExactDivisionError("inexact division")
+
+    monkeypatch.setattr(cli_module, "descend", broken)
+    code, out, err = run(
+        capsys, "descend", "--domain", "Z", "--form", "x^2+y^2-5", "--point", "-11,2/5"
+    )
+    assert (code, out) == (4, "")
+    assert err == "error: internal invariant violated: inexact division\n"
+
+
+def test_printed_fpt_point_with_high_powers_of_t_descends(capsys):
+    F2 = GFpT(2)
+    f = parse_form("x1*x2+x3^2+t", F2)
+    x = random_rational_zero(f, brute_integral_zero(f, SearchBox(1)), seed=0, direction_bound=40)
+    assert "t^68" in str(x)
+    code, out, err = run(
+        capsys, "descend", "--domain", "Fpt:2", "--form", "x1*x2+x3^2+t",
+        "--point", str(x), "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["start"] == str(x)
+    assert doc["result"] == [str(c) for c in descend(f, x).result]
+
+
+def test_power_of_t_over_the_monomial_budget_is_positioned(capsys):
+    code, out, err = run(
+        capsys, "descend", "--domain", "Fpt:2", "--form", "x1^2", "--point", "t^20001"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: exponent 20001 is too large (at offset 2)\n"
 
 
 def test_descend_form_error_positioned(capsys):

@@ -189,6 +189,32 @@ def test_parse_element():
         parse_element("x+1", ZZ)
 
 
+def test_powers_of_t_read_back():
+    assert parse_element("t^68+t", F2).raw == (0, 1) + (0,) * 66 + (1,)
+    assert parse_element("t^0", F3).raw == (1,)
+    assert parse_element("2*t^300+t^65", F3).raw == (0,) * 65 + (1,) + (0,) * 234 + (2,)
+    assert parse_element("t^20000", F2).raw == (0,) * 20000 + (1,)
+    rng = random.Random(3)
+    for dom in (F2, F3):
+        for _ in range(20):
+            raw = dom._random_raw(rng, 400)
+            assert parse_element(dom._format(raw), dom).raw == raw
+    f = parse_form("t^100*x1^2+x2^2", F2)
+    assert f.quad[(0, 0)] == (0,) * 100 + (1,)
+    assert parse_form(format_form(f), F2, 2) == f
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [("t^20001", 2), ("t+t^99999", 4), ("(t)^65", 4), ("(t+1)^65", 6), ("x^65", 2)],
+)
+def test_power_caps_are_positioned(text, offset):
+    with pytest.raises(FormDegreeError) as err:
+        parse_form(text, F2)
+    assert err.value.offset == offset
+    assert "too large" in str(err.value)
+
+
 def test_format_form_frozen():
     f = QuadraticPolynomial(ZZ, 2, {(0, 0): 1, (1, 1): 1}, const=-5)
     assert format_form(f) == "x1^2+x2^2-5"

@@ -1,4 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import qdescent
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # names removed from the public surface; each had no caller outside the tests
 REMOVED = (
@@ -29,3 +35,15 @@ def test_removed_names_are_not_exported():
     ):
         for name in names:
             assert not hasattr(owner, name), f"{owner!r}.{name}"
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # -S keeps site (which may import typing itself) out of the picture
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import qdescent.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
