@@ -15,7 +15,6 @@ fails loudly instead of coercing silently.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from collections.abc import Iterable
@@ -473,14 +472,31 @@ class GaussianIntegers(Domain):
         )
 
     def _gcd(self, a, b):
-        # Euclidean algorithm with nearest-rounding division; the remainder
-        # norm drops to at most half, so this terminates.
-        while not self._is_zero(b):
-            q = self._round_quotient(a, b)
-            a, b = b, self._add(a, self._neg(self._mul(b, q)))
-        if not self._is_zero(a):
-            a = self._mul(a, self._normalizing_unit(a))
-        return a
+        # Euclidean algorithm with nearest-rounding division (the rounding
+        # of _round_quotient, ties toward zero), inline on ints; the
+        # remainder norm drops to at most half, so this terminates.
+        ar, ai = a
+        br, bi = b
+        while br or bi:
+            n = br * br + bi * bi
+            qr, rr = divmod(ar * br + ai * bi, n)
+            qi, ri = divmod(ai * br - ar * bi, n)
+            if 2 * rr > n or (2 * rr == n and qr < 0):
+                qr += 1
+            if 2 * ri > n or (2 * ri == n and qi < 0):
+                qi += 1
+            ar, ai, br, bi = br, bi, ar - (br * qr - bi * qi), ai - (br * qi + bi * qr)
+        # times the unit of _normalizing_unit: the associate with re > 0,
+        # im >= 0, picked by the signs
+        if ar > 0 and ai >= 0:
+            return (ar, ai)
+        if ai < 0 and ar >= 0:
+            return (-ai, ar)
+        if ar < 0 and ai <= 0:
+            return (-ar, -ai)
+        if ai > 0:
+            return (ai, -ar)
+        return (0, 0)
 
     def _normalizing_unit(self, a):
         for u in self._UNITS:
@@ -520,15 +536,8 @@ class GaussianIntegers(Domain):
         return max(0, 2 * bound + 1) ** 2
 
     def _graded_raws(self, bound):
-        # one column per real part, each already in (norm, im) order; the
-        # merge interleaves the columns by (norm, re, im)
-        ims = list(ZZ._graded_raws(bound))
-
-        def column(re):
-            return ((re * re + im * im, (re, im)) for im in ims)
-
-        for _, a in heapq.merge(*map(column, range(-bound, bound + 1))):
-            yield a
+        # by (norm, re, im)
+        return sorted(self._box_raws(bound), key=lambda a: (a[0] * a[0] + a[1] * a[1], a))
 
     def _denominator_count(self, height):
         # (re, im) with re >= 1, im >= 0 and 2 <= re^2 + im^2 <= height
@@ -665,9 +674,11 @@ class PrimeFieldPolynomials(Domain):
     def _add(self, a, b):
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
+        p = self.p
+        out = [(x + y) % p for x, y in zip(a, b)]
+        if len(a) > len(b):
+            # a's leading coefficient survives, so nothing to strip
+            return tuple(out) + a[len(b):]
         return self._strip(out)
 
     def _neg(self, a):
@@ -705,18 +716,24 @@ class PrimeFieldPolynomials(Domain):
     def _divmod(self, a, b):
         if not b:
             raise ExactDivisionError("division by zero")
-        r = list(a)
         db = len(b) - 1
-        inv = pow(b[-1], -1, self.p)
-        q = [0] * max(0, len(a) - db)
+        if len(a) <= db:
+            return (), a
+        p = self.p
+        inv = pow(b[-1], -1, p)
+        # the leading term cancels by construction, so only the divisor's
+        # nonzero lower coefficients update the remainder
+        lower = [(j, cb) for j, cb in enumerate(b[:db]) if cb]
+        r = list(a)
+        q = [0] * (len(a) - db)
         for i in range(len(r) - 1, db - 1, -1):
             c = r[i]
             if c:
-                factor = (c * inv) % self.p
-                q[i - db] = factor
-                for j, cb in enumerate(b):
-                    r[i - db + j] = (r[i - db + j] - factor * cb) % self.p
-        return self._strip(q), self._strip(r)
+                base = i - db
+                factor = q[base] = (c * inv) % p
+                for j, cb in lower:
+                    r[base + j] = (r[base + j] - factor * cb) % p
+        return self._strip(q), self._strip(r[:db])
 
     def _divexact(self, a, b):
         q, r = self._divmod(a, b)

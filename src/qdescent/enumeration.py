@@ -13,8 +13,9 @@ SearchBudgetError before anything is generated:
   first, as raw (nums, den) pairs; callers build a FractionPoint (through
   FractionPoint._trusted) only for the points they keep;
 - first_zero: the first integral zero of a polynomial in graded order.
-  Over Z it solves each fiber exactly (see _first_zero_z) and never scans
-  the solved coordinate; elsewhere it scans a GradedBox.
+  Over Z and Z[i] it solves each fiber exactly (see _first_zero_z and
+  _first_zero_zi) and never scans the solved coordinate; over F_p[t] it
+  scans a GradedBox.
 
 The oracle's window scan is sized the same way, by Domain._offset_count.
 """
@@ -26,8 +27,8 @@ import math
 from collections.abc import Sequence
 from itertools import chain, groupby, product
 
-from .domains import Domain, DomainElement, RationalIntegers
-from .errors import SearchBudgetError
+from .domains import ZI, Domain, DomainElement, GaussianIntegers, RationalIntegers
+from .errors import ExactDivisionError, SearchBudgetError
 
 # Largest count() an enumeration may start with.  A Z zero search of this
 # many fibers takes seconds; three-squares up to n ~ 2.5e6 stays inside.
@@ -178,8 +179,10 @@ def _fiber_axis(bounds: Sequence[int]) -> int:
 
 
 def first_zero_count(domain: Domain, bounds: Sequence[int]) -> int:
-    """Candidates first_zero examines at most: fibers over Z (the box
-    without its solved coordinate), box points elsewhere."""
+    """Candidates first_zero is sized by: fibers over Z (the box without
+    its solved coordinate), box points elsewhere (over Z[i] an upper bound
+    on the fibers it solves, kept so that its refusals stay those of the
+    box scan)."""
     if isinstance(domain, RationalIntegers):
         k = _fiber_axis(bounds)
         return math.prod(domain._box_count(b) for i, b in enumerate(bounds) if i != k)
@@ -192,6 +195,8 @@ def first_zero(f, bounds: Sequence[int]) -> tuple[DomainElement, ...] | None:
     dom = f.domain
     if isinstance(dom, RationalIntegers):
         return _first_zero_z(f, list(bounds))
+    if isinstance(dom, GaussianIntegers):
+        return _first_zero_zi(f, list(bounds))
     for pt in GradedBox(dom, bounds):
         if dom._is_zero(f._eval_raw(pt)):
             return tuple(DomainElement(dom, c) for c in pt)
@@ -284,3 +289,119 @@ def _first_zero_z(f, bounds):
     else:
         offer((), 0, lin[k], f.const)
     return None if best is None else tuple(DomainElement(f.domain, c) for c in best[1])
+
+
+def _zi_sqrt(x, y):
+    """A square root of x + y*i in Z[i], or None when there is none.
+
+    (u + v*i)^2 = x + y*i means u^2 - v^2 = x and 2*u*v = y, and then
+    u^2 + v^2 = m with m^2 = x^2 + y^2; so u^2 = (m + x)/2, v^2 = (m - x)/2
+    and v takes the sign of y."""
+    n = x * x + y * y
+    m = math.isqrt(n)
+    if m * m != n or (m + x) & 1:
+        return None
+    u = math.isqrt((m + x) >> 1)
+    v = math.isqrt((m - x) >> 1)
+    if 2 * u * u != m + x or 2 * v * v != m - x:
+        return None
+    return (u, -v if y < 0 else v)
+
+
+def _zi_roots(a, L, R):
+    """The roots in Z[i] of a*t^2 + L*t + R, with [(0, 0)] standing for
+    every t when all three vanish (t = 0 comes first in graded order)."""
+    (ar, ai), (lr, li), (rr, ri) = a, L, R
+    if ar or ai:
+        # t = (-L +- s) / 2a with s^2 = L^2 - 4aR
+        s = _zi_sqrt(lr * lr - li * li - 4 * (ar * rr - ai * ri),
+                     2 * lr * li - 4 * (ar * ri + ai * rr))
+        if s is None:
+            return []
+        nums, den = [(s[0] - lr, s[1] - li), (-s[0] - lr, -s[1] - li)], (2 * ar, 2 * ai)
+    elif lr or li:
+        nums, den = [(-rr, -ri)], L
+    else:
+        return [] if rr or ri else [(0, 0)]
+    roots = []
+    for n in nums:
+        try:
+            roots.append(ZI._divexact(n, den))
+        except ExactDivisionError:
+            pass
+    return roots
+
+
+def _first_zero_zi(f, bounds):
+    """Graded-first zero over Z[i] by exact fiber solving.
+
+    As in _first_zero_z: on the fiber of y_k, f is a*t^2 + L*t + R with a,
+    L, R in Z[i], solved by _zi_roots, and the answer is the least (sum of
+    coordinate norms, coordinatewise (re, im)) over all roots inside the
+    box.  Each other coordinate runs over its axis in graded order, the
+    axis materialized once per distinct bound, and a level stops once its
+    norm sum exceeds the best sum found; equal sums go on, since the key
+    decides a tie.  Sized as the whole box, like the scan it replaces.
+    """
+    dom = f.domain
+    _within_budget(first_zero_count(dom, bounds), "a graded box search")
+    if min(bounds) < 0:
+        return None
+    quad, lin = f.quad, f.lin
+    zero = dom._ZERO
+    k = _fiber_axis(bounds)
+    bk = bounds[k]
+    a = quad.get((k, k), zero)
+    others = [i for i in range(f.d) if i != k]
+    axes = {
+        b: [(dom._norm(u), u) for u in dom._graded_raws(b)]
+        for b in {bounds[i] for i in others}
+    }
+    # level p fixes u = y_{others[p]}: as in _first_zero_z, but with the
+    # axis in graded order in place of the bound
+    levels = [
+        (
+            axes[bounds[i]],
+            quad.get((i, i), zero),
+            quad.get((min(i, k), max(i, k)), zero),
+            lin[i],
+            [quad.get((j, i), zero) for j in others[:p]],
+        )
+        for p, i in enumerate(others)
+    ]
+    best = None  # (sum of norms, y)
+
+    def offer(prefix, s, L, R):
+        nonlocal best
+        for t in _zi_roots(a, L, R):
+            if dom._box_radius(t) <= bk:
+                cand = (s + dom._norm(t), prefix[:k] + (t,) + prefix[k:])
+                if best is None or cand < best:
+                    best = cand
+
+    def level(p, R, L, s, prefix):
+        axis, (cr, ci), (kr, ki), (br, bi), cross = levels[p]
+        for (cjr, cji), (yr, yi) in zip(cross, prefix):
+            br += cjr * yr - cji * yi
+            bi += cjr * yi + cji * yr
+        rr, ri = R
+        lr, li = L
+        last = p + 1 == len(levels)
+        for n, u in axis:
+            if best is not None and s + n > best[0]:
+                break
+            ur, ui = u
+            # R + u*(beta + c*u) and L + kappa*u
+            er, ei = br + cr * ur - ci * ui, bi + cr * ui + ci * ur
+            Ru = (rr + ur * er - ui * ei, ri + ur * ei + ui * er)
+            Lu = (lr + kr * ur - ki * ui, li + kr * ui + ki * ur)
+            if last:
+                offer(prefix + (u,), s + n, Lu, Ru)
+            else:
+                level(p + 1, Ru, Lu, s + n, prefix + (u,))
+
+    if levels:
+        level(0, f.const, lin[k], 0, ())
+    else:
+        offer((), 0, lin[k], f.const)
+    return None if best is None else tuple(DomainElement(dom, c) for c in best[1])

@@ -33,6 +33,8 @@ bounds the dimension before any coefficient vector is built.
 
 from __future__ import annotations
 
+import sys
+
 from .domains import (
     Domain,
     DomainElement,
@@ -56,6 +58,19 @@ _MAX_DEPTH = 100
 _MAX_VARIABLES = 1000
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
+
+
+def _int_literal(text: str, pos: int) -> int:
+    """int(text) for a decimal literal, refused with an offset when it is
+    longer than Python's integer-string limit (which int() would raise
+    with no position)."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit is not None else 4300
+    if limit and len(text) > limit:
+        raise FormError(
+            f"literal of {len(text)} digits exceeds the limit of {limit} digits", pos
+        )
+    return int(text)
 
 
 # -- lexer ------------------------------------------------------------------
@@ -219,7 +234,7 @@ class _Parser:
         if not self.take("^"):
             return base, baseo, start
         num = self.eat("NUM")
-        exp = int(num.text)
+        exp = _int_literal(num.text, num.pos)
         if tok.kind == "NAME" and tok.text == "t":
             # a power of the bare t literal (base() accepted it, so the
             # domain is F_p[t]) is the monomial t^exp itself, built in
@@ -239,7 +254,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NUM":
             self.eat("NUM")
-            return self.constant(self.domain.coerce_raw(int(tok.text)), tok)
+            return self.constant(self.domain.coerce_raw(_int_literal(tok.text, tok.pos)), tok)
         if tok.kind == "IMAG":
             self.eat("IMAG")
             if not isinstance(self.domain, GaussianIntegers):
@@ -247,7 +262,7 @@ class _Parser:
                     f"imaginary literal {tok.text!r} is not an element of {self.domain.name}",
                     tok.pos,
                 )
-            return self.constant((0, int(tok.text[:-1])), tok)
+            return self.constant((0, _int_literal(tok.text[:-1], tok.pos)), tok)
         if tok.kind == "NAME":
             self.eat("NAME")
             return self.resolve_name(tok)
@@ -293,7 +308,7 @@ class _Parser:
                 raise FormVariableError(
                     f"variable {name!r} is beyond x{_MAX_VARIABLES}", tok.pos
                 )
-            index = int(name[1:])
+            index = int(digits or 0)
             if index < 1:
                 raise FormVariableError(f"variable indices start at 1: {name!r}", tok.pos)
         if index is None:

@@ -215,6 +215,23 @@ def test_non_ascii_digit_is_positioned_form_error(capsys, form, message):
     assert err == f"error: {message} (at offset 0)\n"
 
 
+@pytest.mark.parametrize(
+    "argv, offset",
+    [
+        (["--form", "x^2-1", "--point", "1" + "0" * 5000 + "/1" + "0" * 5000], 0),
+        (["--form", "x^2-1" + "0" * 5000, "--point", "1"], 4),
+    ],
+    ids=["point", "form"],
+)
+def test_literal_over_the_int_string_limit_is_positioned_form_error(capsys, argv, offset):
+    code, out, err = run(capsys, "descend", "--domain", "Z", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: literal of 5001 digits exceeds the limit of 4300 digits (at offset {offset})\n"
+    )
+
+
 def test_descend_json_document(capsys):
     code, out, _ = run(
         capsys,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qdescent import (
     DomainMismatchError,
+    ExactDivisionError,
     FractionElement,
     FractionPoint,
     GFpT,
@@ -359,3 +360,83 @@ def test_divexact_and_gcd_random():
             for c in (a, b):
                 q = dom._divexact(c, g)
                 assert dom._add(dom._mul(q, g), dom._neg(c)) == dom.coerce_raw(0)
+
+
+# -- ring kernels against their straightforward versions -------------------------
+
+
+def _reference_zi_gcd(a, b):
+    # Euclid through the public-protocol operations, then the normalizing unit
+    while not ZI._is_zero(b):
+        q = ZI._round_quotient(a, b)
+        a, b = b, ZI._add(a, ZI._neg(ZI._mul(b, q)))
+    if not ZI._is_zero(a):
+        a = ZI._mul(a, ZI._normalizing_unit(a))
+    return a
+
+
+def _reference_add(dom, a, b):
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return dom._strip([c % dom.p for c in out])
+
+
+def _reference_divmod(dom, a, b):
+    # schoolbook long division over every coefficient of the divisor
+    p = dom.p
+    r = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(a) - db)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i]
+        if c:
+            factor = (c * inv) % p
+            q[i - db] = factor
+            for j, cb in enumerate(b):
+                r[i - db + j] = (r[i - db + j] - factor * cb) % p
+    return dom._strip(q), dom._strip(r)
+
+
+def test_gaussian_gcd_matches_reference():
+    rng = random.Random(61)
+    special = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (3, 4), (-4, 3), (2, 2), (5, 0)]
+    operands = special + [
+        (rng.randint(-10**k, 10**k), rng.randint(-10**k, 10**k))
+        for k in (1, 3, 9, 40) for _ in range(60)
+    ]
+    for a in operands:
+        for b in rng.sample(operands, 12) + special:
+            g = ZI._gcd(a, b)
+            assert g == _reference_zi_gcd(a, b), (a, b)
+            assert g == ZI._gcd(b, a)
+    # a common factor times a unit comes back as the first-quadrant associate
+    for u in ZI._UNITS:
+        assert ZI._gcd(ZI._mul((6, 8), u), (0, 0)) == (6, 8)
+        assert ZI._gcd((0, 0), ZI._mul((0, 7), u)) == (7, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 1000003], ids=lambda p: f"Fpt:{p}")
+def test_polynomial_divmod_and_add_match_reference(p):
+    dom = GFpT(p)
+    rng = random.Random(p + 1)
+    operands = [()]
+    for length in (1, 1, 2, 3, 5, 8, 13, 21, 40):
+        operands += _kernel_operands(p, length, rng)
+    operands += [(0,) * k + (1,) for k in (0, 1, 4, 9)]  # units and monomials
+    for a in operands:
+        for b in operands:
+            assert dom._add(a, b) == _reference_add(dom, a, b), (a, b)
+            assert dom._add(a, dom._neg(a)) == ()
+            if not b:
+                with pytest.raises(ExactDivisionError):
+                    dom._divmod(a, b)
+                continue
+            q, r = dom._divmod(a, b)
+            assert (q, r) == _reference_divmod(dom, a, b), (a, b)
+            assert len(r) < len(b)
+            assert dom._add(dom._mul(q, b), r) == a
+            assert dom._gcd(a, b) == dom._gcd(b, a)

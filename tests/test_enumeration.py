@@ -130,6 +130,64 @@ def test_first_zero_three_squares_below_400():
         assert raws(got) == first.get(n), n
 
 
+def test_first_zero_zi_matches_reference_on_random_forms():
+    rng = random.Random(20261018)
+    found = 0
+    for trial in range(1200):
+        d = 1 + trial % 4
+        while True:  # bounds 0-2, with the reference's sorted box kept small
+            bounds = [rng.randint(0, 2) for _ in range(d)]
+            if math.prod((2 * b + 1) ** 2 for b in bounds) <= 3000:
+                break
+        f = random_quadratic(ZI, d, rng, coeff_bound=3)
+        if trial % 4:
+            f = plant_zero(f, rng, bounds)
+        if trial % 40 == 0:
+            bounds[rng.randrange(d)] = -1
+        expected = reference_first_zero(f, bounds)
+        assert raws(first_zero(f, bounds)) == expected, (f, bounds)
+        found += expected is not None
+    assert found > 800
+
+
+@pytest.mark.parametrize(
+    "text, bounds, expected",
+    [
+        # a = 0, L != 0: one exact division, t = 2i/(1+i) = 1+i
+        ("(1+i)*x-2*i", [1], ((1, 1),)),
+        ("(1+i)*x-1", [2], None),
+        # the fiber x1 = 1 vanishes for every x2, so t = 0 is its zero
+        ("x1*x2+(2+2*i)*x1-x2-(2+2*i)", [1, 2], ((1, 0), (0, 0))),
+        # L^2 - 4aR = 20: its norm 400 is a square, but 20 is not one in Z[i]
+        ("x^2-5", [3], None),
+        # L^2 - 4aR = 16-4i: its norm 272 is not a square, though isqrt(272)
+        # = 16 would pass the half-sum tests with u = 4, v = 0
+        ("x^2-4*x+i", [3], None),
+        # roots 1/2 and -1: only -1 is divisible by 2a = 4
+        ("2*x^2+x-1", [2], ((-1, 0),)),
+        # the fiber x2 = 1 has the best norm sum already; its zero wins the tie
+        ("x1+x2-1", [2, 1], ((0, 0), (1, 0))),
+    ],
+    ids=[
+        "linear", "linear-inexact", "vanishing-fiber", "non-square", "non-square-norm",
+        "not-divisible", "tie",
+    ],
+)
+def test_first_zero_zi_degenerate_fibers(text, bounds, expected):
+    f = parse_form(text, ZI)
+    assert reference_first_zero(f, bounds) == expected
+    assert raws(first_zero(f, bounds)) == expected
+
+
+def test_first_zero_zi_refusal_is_the_box_scan_refusal(monkeypatch):
+    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", 100)
+    f = parse_form("x^2+i*y^2-2", ZI)
+    assert first_zero_count(ZI, [1, 1]) == 81
+    assert raws(first_zero(f, [1, 1])) == reference_first_zero(f, [1, 1])
+    with pytest.raises(SearchBudgetError, match="^a graded box search would enumerate 625 "):
+        first_zero(f, [2, 2])
+
+
 @pytest.mark.parametrize(
     "dom,bounds",
     [

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -171,6 +172,42 @@ def test_non_ascii_digits_are_form_errors(text, error):
     with pytest.raises(error) as err:
         parse_form(text, ZZ)
     assert err.value.offset == 0
+
+
+@pytest.mark.parametrize(
+    "text, domain, offset",
+    [
+        ("x^2-" + "7" * 5001, ZZ, 4),
+        ("x^2+" + "1" * 4301 + "i", ZI, 4),
+        ("x^" + "0" * 5000 + "2", ZZ, 2),
+        ("(t+1)*x^2+" + "2" * 4400, F3, 10),
+    ],
+    ids=["integer", "imaginary", "exponent", "fpt"],
+)
+def test_literal_over_the_int_string_limit_is_positioned(text, domain, offset):
+    with pytest.raises(FormError) as err:
+        parse_form(text, domain)
+    assert err.value.offset == offset
+    assert "exceeds the limit of 4300 digits" in str(err.value)
+    with pytest.raises(FormError) as err:
+        parse_element("1" + "0" * 5000, ZZ)
+    assert err.value.offset == 0
+    # at the limit a literal still reads, and leading zeros of an index are free
+    assert parse_element("9" * 4300, ZZ).raw == 10**4300 - 1
+    assert parse_form("x" + "0" * 5000 + "1^2", ZZ).quad == {(0, 0): 1}
+
+
+def test_int_string_limit_is_read_when_parsing(monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 10, raising=False)
+    assert parse_element("1" * 10, ZZ).raw == int("1" * 10)
+    with pytest.raises(FormError, match="literal of 11 digits exceeds the limit of 10 digits"):
+        parse_element("1" * 11, ZZ)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit
+    assert parse_element("1" * 11, ZZ).raw == int("1" * 11)
+    # without the function (Python before 3.10.7/3.11) the limit is taken as 4300
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    with pytest.raises(FormError, match="limit of 4300 digits"):
+        parse_element("1" * 4301, ZZ)
 
 
 def test_error_message_carries_offset():
