@@ -6,7 +6,8 @@
     qdescent check euclidean|adc|norm-axioms|n2 ...
 
 Exit codes: 0 success (and clean check reports), 1 input error (bad flags,
-unparseable form or point, precondition violations), 2 oracle failure, a
+unparseable form or point, precondition violations, a result with an
+integer too long for Python's int-to-str limit), 2 oracle failure, a
 search refused over the enumeration budget, or a check report with
 failures, 3 value not representable (three-squares only), 4 internal fault (a
 violated invariant the algorithm guarantees, never bad input).
@@ -74,17 +75,17 @@ def _step_rows(steps):
     return rows
 
 
-def _print_trace_text(steps):
-    for row in _step_rows(steps):
-        print(
-            "step {step}: b={b} |b|={norm_b} y=({y}) v=({v}) A={A} B={B} C={C} "
-            "b'={b_next} |b'|={norm_b_next} x'={x_next}".format(
-                **{**row, "y": ",".join(row["y"]), "v": ",".join(row["v"])}
-            )
+def _trace_lines(steps):
+    return [
+        "step {step}: b={b} |b|={norm_b} y=({y}) v=({v}) A={A} B={B} C={C} "
+        "b'={b_next} |b'|={norm_b_next} x'={x_next}".format(
+            **{**row, "y": ",".join(row["y"]), "v": ",".join(row["v"])}
         )
+        for row in _step_rows(steps)
+    ]
 
 
-def _emit_trace(args, domain, f, x, trace, extra=None):
+def _trace_text(args, domain, f, x, trace, extra):
     if args.format == "json":
         doc = {
             "domain": domain.name,
@@ -93,15 +94,27 @@ def _emit_trace(args, domain, f, x, trace, extra=None):
             "steps": _step_rows(trace.steps),
             "result": [str(c) for c in trace.result],
         }
-        if extra:
-            doc.update(extra)
-        print(json.dumps(doc, indent=2))
-    else:
-        if args.trace:
-            _print_trace_text(trace.steps)
-        print(_result_text(trace.result))
-        for key, val in (extra or {}).items():
-            print(f"{key}={val}")
+        doc.update((key, str(val)) for key, val in (extra or {}).items())
+        return json.dumps(doc, indent=2)
+    lines = _trace_lines(trace.steps) if args.trace else []
+    lines.append(_result_text(trace.result))
+    lines.extend(f"{key}={val}" for key, val in (extra or {}).items())
+    return "\n".join(lines)
+
+
+def _emit_trace(args, domain, f, x, trace, extra=None):
+    # the whole text is made before anything is printed: str() of an int
+    # over the interpreter's digit limit raises ValueError, and that ends
+    # the command with one error line, not a bare message or half a document
+    try:
+        text = _trace_text(args, domain, f, x, trace, extra)
+    except ValueError as err:
+        raise ValueError(
+            f"the output would hold an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, Python's limit for integer-to-text conversion "
+            "(sys.get_int_max_str_digits(); PYTHONINTMAXSTRDIGITS raises it)"
+        ) from err
+    print(text)
 
 
 def cmd_descend(args) -> int:
@@ -118,7 +131,7 @@ def cmd_represent(args) -> int:
     q = parse_form(args.form, domain)
     x = parse_point(args.point, domain)
     trace, r = adc_trace(q, x, window=args.window)
-    _emit_trace(args, domain, q, x, trace, extra={"value": str(r)})
+    _emit_trace(args, domain, q, x, trace, extra={"value": r})
     return 0
 
 
@@ -156,7 +169,8 @@ def cmd_three_squares(args) -> int:
     else:
         print(f"start={x}")
         if args.trace:
-            _print_trace_text(trace.steps)
+            for line in _trace_lines(trace.steps):
+                print(line)
         print(_result_text(trace.result))
     return 0
 

@@ -142,6 +142,14 @@ class Domain:
         """a / b when the quotient lies in the ring; ExactDivisionError otherwise."""
         raise NotImplementedError
 
+    def _quotient_or_none(self, a, b):
+        """a / b when the quotient lies in the ring, else None; b nonzero.
+        For divisibility tests that fail more often than not."""
+        try:
+            return self._divexact(a, b)
+        except ExactDivisionError:
+            return None
+
     def _gcd(self, a, b):
         """The canonical-associate gcd of a and b (nonzero if either is)."""
         raise NotImplementedError
@@ -358,6 +366,10 @@ class RationalIntegers(Domain):
         if r:
             raise ExactDivisionError("inexact division")
         return q
+
+    def _quotient_or_none(self, a, b):
+        q, r = divmod(a, b)
+        return None if r else q
 
     def _gcd(self, a, b):
         return math.gcd(a, b)
@@ -740,6 +752,10 @@ class PrimeFieldPolynomials(Domain):
         if r:
             raise ExactDivisionError("inexact division")
         return q
+
+    def _quotient_or_none(self, a, b):
+        q, r = self._divmod(a, b)
+        return None if r else q
 
     def _round_quotient(self, a, b):
         # polynomial part: the remainder has degree < deg b, hence norm < 1

@@ -11,7 +11,10 @@ SearchBudgetError before anything is generated:
 - CanonicalPoints: the canonical fraction points a/b with numerators a in
   a box and b a normalized denominator, gcd(a, b) a unit, denominators
   first, as raw (nums, den) pairs; callers build a FractionPoint (through
-  FractionPoint._trusted) only for the points they keep;
+  FractionPoint._trusted) only for the points they keep.  Its
+  integral_values(q) walks the same points, in the same order, keeping
+  only those where a form q is integral, with q2 evaluated incrementally
+  one coordinate at a time and den^2 | q2(a) tested before the gcd filter;
 - first_zero: the first integral zero of a polynomial in graded order.
   Over Z and Z[i] it solves each fiber exactly (see _first_zero_z and
   _first_zero_zi) and never scans the solved coordinate; over F_p[t] it
@@ -148,11 +151,12 @@ class CanonicalPoints:
         _within_budget(self.count(), "a canonical point sweep")
         return self._points()
 
+    def _denominators(self):
+        dens = self.domain._denominator_raws(self.height)
+        return chain([self.domain._ONE], dens) if self.integral else dens
+
     def _points(self):
         dom = self.domain
-        dens = dom._denominator_raws(self.height)
-        if self.integral:
-            dens = chain([dom._ONE], dens)
         if self.d == 1:
             def numerators():
                 return ((a,) for a in dom._box_raws(self.box))
@@ -162,15 +166,83 @@ class CanonicalPoints:
             def numerators():
                 return product(raws, repeat=self.d)
 
-        gcd, is_unit = dom._gcd, dom._is_unit
-        for den in dens:
+        for den in self._denominators():
             for nums in numerators():
-                g = den
-                for r in nums:
-                    g = gcd(g, r)
-                    if is_unit(g):
-                        yield nums, den
-                        break
+                if _coprime(dom, nums, den):
+                    yield nums, den
+
+    def integral_values(self, q):
+        """The points of this sweep at which the form q takes a ring value,
+        as raw (nums, den, r) with r = q2(nums)/den^2, in iteration order.
+
+        Sized and refused like iteration, before anything is evaluated.
+        q2 does not depend on den, but the sweep keeps the denominators
+        first, so q2 is evaluated incrementally for each one: coordinate i
+        runs over the box axis with the table c_ii*u^2 built once, and
+        fixing it adds c_ij*u to the linear coefficient of each later
+        coordinate j.  Then a point of a diagonal form costs one ring add,
+        plus one multiply for a coordinate that cross terms reach.  Only
+        the points where den^2 divides q2 go through the gcd filter.
+        Memory is O(d * box axis).
+        """
+        _within_budget(self.count(), "a canonical point sweep")
+        return self._integral_values(q)
+
+    def _integral_values(self, q):
+        dom = self.domain
+        d = self.d
+        add, mul, quotient = dom._add, dom._mul, dom._quotient_or_none
+        axis = list(dom._box_raws(self.box))
+        squares = [
+            None if (i, i) not in q.quad else [mul(q.quad[i, i], mul(u, u)) for u in axis]
+            for i in range(d)
+        ]
+        cross = [[(j, q.quad[i, j]) for j in range(i + 1, d) if (i, j) in q.quad] for i in range(d)]
+
+        def row(i, s, lin):
+            # q2 of the prefix extended by each axis element at coordinate
+            # i, given the prefix's value s and the linear coefficient lin
+            # (None for zero) its cross terms give coordinate i
+            vals = [s] * len(axis) if squares[i] is None else [add(s, t) for t in squares[i]]
+            if lin is not None:
+                vals = [add(v, mul(lin, u)) for v, u in zip(vals, axis)]
+            return vals
+
+        def rows(i, prefix, s, lins):
+            # (prefix of i coordinates, q2 of each extension at coordinate
+            # d - 1) in product order
+            if i == d - 1:
+                yield prefix, row(i, s, lins[i])
+                return
+            for u, v in zip(axis, row(i, s, lins[i])):
+                nxt = lins
+                if cross[i]:
+                    nxt = list(lins)
+                    for j, c in cross[i]:
+                        m = mul(c, u)
+                        nxt[j] = m if nxt[j] is None else add(nxt[j], m)
+                yield from rows(i + 1, prefix + (u,), v, nxt)
+
+        start = [None] * d
+        for den in self._denominators():
+            den2 = mul(den, den)
+            for prefix, vals in rows(0, (), dom._ZERO, start):
+                for u, v in zip(axis, vals):
+                    r = quotient(v, den2)
+                    if r is not None:
+                        nums = prefix + (u,)
+                        if _coprime(dom, nums, den):
+                            yield nums, den, r
+
+
+def _coprime(dom: Domain, nums, den) -> bool:
+    """Whether gcd(den, nums) is a unit, that is nums/den is in lowest terms."""
+    g = den
+    for r in nums:
+        g = dom._gcd(g, r)
+        if dom._is_unit(g):
+            return True
+    return False
 
 
 def _fiber_axis(bounds: Sequence[int]) -> int:

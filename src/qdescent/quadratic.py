@@ -19,7 +19,6 @@ from .domains import Domain, DomainElement, FractionElement, FractionPoint, _Rec
 from .errors import (
     DimensionMismatchError,
     DomainMismatchError,
-    ExactDivisionError,
     InternalInvariantError,
 )
 
@@ -131,10 +130,7 @@ class QuadraticPolynomial:
         r = self._f2_raw(a)
         if b == dom._ONE:
             return r
-        try:
-            return dom._divexact(r, dom._mul(b, b))
-        except ExactDivisionError:
-            return None
+        return dom._quotient_or_none(r, dom._mul(b, b))
 
     def eval(self, x: FractionPoint) -> FractionElement:
         """Exact value f(x) in the fraction field."""

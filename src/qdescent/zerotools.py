@@ -19,10 +19,12 @@ verify_adc is the referee: over the canonical fraction points of a box
 (enumeration.CanonicalPoints, integral ones included) it compares the
 descent route with an independent brute-force search for an integral
 point of equal value, and reports disagreements.  It works on the raw
-(nums, den) pairs: q(a/b) = q2(a)/b^2 is integral exactly when b^2
-divides q2(a), one exact division with no fraction built, and only the
-points that pass get a FractionPoint and a descent of q - r, the same
-descent adc_represent runs, with q - r built once per value r.  A descent
+(nums, den, r) triples of CanonicalPoints.integral_values: q(a/b) =
+q2(a)/b^2 is integral exactly when b^2 divides q2(a), and q2 is summed one
+coordinate at a time, one ring add per point for a diagonal form, with no
+fraction built.  Only the points that pass get a FractionPoint and a
+descent of q - r, the same descent adc_represent runs, with q - r built
+once per value r and shared with the witness search.  A descent
 that merely fails for want of an oracle witness is classified
 "inapplicable", not a failure: it does not refute value representability,
 it only means the quadratic part is not covered by the rounding oracle
@@ -180,6 +182,7 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
     d = q.d
     diagonal = _is_positive_diagonal_z(q)
     cache = {}
+    shifted = {}  # r -> q - r, built once per value
 
     def brute_witness(r_raw, fallback_bound):
         key = (r_raw, None) if diagonal else (r_raw, fallback_bound)
@@ -193,20 +196,17 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
                     math.isqrt(r_raw // q.quad[(i, i)]) if (i, i) in q.quad else 0
                     for i in range(d)
                 ]
-                result = (_first_value_witness(q, r_raw, bounds), True)
+                result = (_first_value_witness(shifted[r_raw], r_raw, bounds), True)
         else:
-            result = (_first_value_witness(q, r_raw, [fallback_bound] * d), False)
+            result = (_first_value_witness(shifted[r_raw], r_raw, [fallback_bound] * d), False)
         cache[key] = result
         return result
 
-    shifted = {}  # r -> q - r, built once per value
     checked = 0
     failures = []
     inapplicable = []
-    for nums, den in CanonicalPoints(dom, d, box.height, box.num_bound, integral=True):
-        r_raw = q._form_value_raw(nums, den)
-        if r_raw is None:
-            continue
+    sweep = CanonicalPoints(dom, d, box.height, box.num_bound, integral=True)
+    for nums, den, r_raw in sweep.integral_values(q):
         checked += 1
         r = DomainElement(dom, r_raw)
         x = FractionPoint._trusted(dom, nums, den)
@@ -247,7 +247,8 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
     return AdcReport(checked, tuple(failures), tuple(inapplicable))
 
 
-def _first_value_witness(q: QuadraticPolynomial, r_raw, bounds):
-    # kept as a named call: perfbench's tracer counts witness searches
-    # (and verify_adc's cache hits) by wrapping this name
-    return first_zero(q.sub_scalar(r_raw), bounds)
+def _first_value_witness(qr: QuadraticPolynomial, r_raw, bounds):
+    """The first integral zero of qr = q - r_raw in the box, or None.
+    Kept as a named call: perfbench's tracer counts witness searches (and
+    verify_adc's cache hits) by wrapping this name."""
+    return first_zero(qr, bounds)

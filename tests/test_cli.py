@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -117,6 +118,26 @@ def test_descend_not_a_zero(capsys):
     )
     assert code == 1
     assert "point is not a zero" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_output_over_the_int_digit_limit_is_one_error_line(capsys, fmt):
+    # the descent succeeds; q(x) has 4,401 digits, over Python's default
+    # limit of 4,300 for int-to-str, which the CLI leaves as it is
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(
+            capsys, "represent", "--domain", "Z", "--form", "x^2", "--point", "1" * 2201,
+            "--format", fmt,
+        )
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: the output would hold an integer of more than 4300 digits")
+    assert err.count("\n") == 1
 
 
 def test_descend_oracle_failure_exit_2(capsys):

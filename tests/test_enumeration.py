@@ -331,3 +331,50 @@ def test_box_sweep_refused_before_anything_is_built(monkeypatch):
         iter(BoxSweep(big, 1))
     with pytest.raises(SearchBudgetError):
         check_n2(big, parse_form("x^2+y^2", big), BoxSweep(big, 1))
+
+
+def random_form(dom, rng, d, cross):
+    """A form with random square terms and, when cross is set, at least one
+    cross term per coordinate pair (0, j); any coefficient may be zero."""
+    quad = {}
+    for i in range(d):
+        for j in range(i, d):
+            forced = cross and i == 0 and j > 0
+            if forced or (rng.random() < 0.6 and (i == j or cross)):
+                quad[(i, j)] = dom._random_raw(rng, 2)
+    return QuadraticPolynomial(dom, d, quad)
+
+
+@pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3], ids=lambda d: d.name)
+def test_integral_values_match_the_point_filter_and_form_value(dom):
+    """integral_values yields exactly the (nums, den, r) that CanonicalPoints
+    plus _form_value_raw keep, in the same order, for forms with and
+    without cross terms; height 0 leaves only the denominator 1."""
+    rng = random.Random(11)
+    cases = 0
+    for d in range(1, 5):
+        forms = [random_form(dom, rng, d, cross) for cross in (False, True, True)]
+        for height, box in product(range(4), range(3)):
+            pts = CanonicalPoints(dom, d, height, box, integral=True)
+            if pts.count() > 2000:
+                continue
+            for q in forms:
+                expected = [
+                    (nums, den, r)
+                    for nums, den in pts
+                    if (r := q._form_value_raw(nums, den)) is not None
+                ]
+                assert list(pts.integral_values(q)) == expected
+                cases += 1
+    assert cases >= 40
+
+
+def test_integral_values_is_sized_like_the_sweep(monkeypatch):
+    def boom(self, *args):
+        raise AssertionError("enumeration started before the budget check")
+
+    monkeypatch.setattr(PrimeFieldPolynomials, "_box_raws", boom)
+    monkeypatch.setattr(PrimeFieldPolynomials, "_denominator_raws", boom)
+    big = GFpT(1000003)
+    with pytest.raises(SearchBudgetError, match="canonical point sweep"):
+        CanonicalPoints(big, 2, 1, 1, integral=True).integral_values(parse_form("x^2+y^2", big))

@@ -246,3 +246,28 @@ def test_verify_adc_matches_public_reference(dom, text, height, box, n_fail, n_i
         str(f.x) for f in expected.failures + expected.inapplicable
     ]
     assert (len(report.failures), len(report.inapplicable)) == (n_fail, n_inapp)
+
+
+def test_verify_adc_mid_sweep_refusal_matches_reference():
+    # the sweep itself fits the budget; a witness search partway through it
+    # does not, and it is refused at the same point with the same text
+    q = parse_form("x*y+(1+i)*z^2", ZI)
+    with pytest.raises(SearchBudgetError) as expected:
+        reference_verify_adc(q, SearchBox(1, 2))
+    with pytest.raises(SearchBudgetError) as got:
+        verify_adc(q, SearchBox(1, 2))
+    assert str(got.value) == str(expected.value)
+    assert "graded box search" in str(got.value)
+
+
+def test_verify_adc_oversized_sweep_refused_before_any_descent(monkeypatch):
+    import qdescent.zerotools as zerotools
+
+    def no_descent(*args, **kwargs):
+        raise AssertionError("descent ran before the sweep was sized")
+
+    monkeypatch.setattr(zerotools, "descend", no_descent)
+    with pytest.raises(SearchBudgetError, match="canonical point sweep"):
+        verify_adc(parse_form("x^2+y^2+z^2", ZZ), SearchBox(300, 2))
+    with pytest.raises(SearchBudgetError, match="canonical point sweep"):
+        verify_adc(parse_form("x1^2+t*x2^2", GFpT(1000003)), SearchBox(1, 1))
