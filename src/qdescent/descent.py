@@ -30,6 +30,7 @@ witnesses forces non-units to have norm > 1.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -66,6 +67,16 @@ class DescentTrace(_Record):
     result: tuple[DomainElement, ...]
 
 
+def _shown(value) -> str:
+    """str(value) for an error message, or a stand-in when value holds an
+    integer past Python's int-to-text limit, where str() raises ValueError
+    and would replace the intended message."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<a value of more than {sys.get_int_max_str_digits()} digits>"
+
+
 def descent_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> DescentStep:
     """One descent step from a non-integral zero x of f.
 
@@ -75,7 +86,7 @@ def descent_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> D
     """
     f._check_point(x)
     if not f.domain._is_zero(f._cleared_raw(x)):
-        raise NotAZeroError(f"point is not a zero: f({x}) = {f.eval(x)}")
+        raise NotAZeroError(f"point is not a zero: f({x}) = {_shown(f.eval(x))}")
     if x.is_integral():
         raise IntegralPointError(f"{x} is already integral")
     return _step(f, x, window)
@@ -159,7 +170,7 @@ def descend(
     """
     f._check_point(x)
     if not f.domain._is_zero(f._cleared_raw(x)):
-        raise NotAZeroError(f"point is not a zero: f({x}) = {f.eval(x)}")
+        raise NotAZeroError(f"point is not a zero: f({x}) = {_shown(f.eval(x))}")
     cap = max_steps if max_steps is not None else x.den.norm()
     steps = []
     cur = x
@@ -190,7 +201,7 @@ def adc_trace(
     q._check_point(x)
     r_raw = q._form_value_raw([n.raw for n in x.nums], x.den.raw)
     if r_raw is None:
-        raise ValueNotIntegralError(f"q({x}) = {q.eval(x)} is not in the base ring")
+        raise ValueNotIntegralError(f"q({x}) = {_shown(q.eval(x))} is not in the base ring")
     r = DomainElement(q.domain, r_raw)
     trace = descend(q.sub_scalar(r), x, window)
     return trace, r

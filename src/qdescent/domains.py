@@ -176,7 +176,8 @@ class Domain:
     # _box_raws and _denominator_raws may be lazy iterables; _box_count,
     # _denominator_count and _offset_count give the lengths of the three
     # enumerations in closed form, so every search is sized before anything
-    # is generated.
+    # is generated.  A count too costly to take (past _COUNT_MAX_SIDE or
+    # _COUNT_MAX_BITS) is math.inf.
 
     def _box_raws(self, bound: int):
         """Point coordinates within the box: |a| <= bound for Z, |re|,|im| <=
@@ -397,13 +398,6 @@ class RationalIntegers(Domain):
     def _box_count(self, bound):
         return max(0, 2 * bound + 1)
 
-    def _graded_raws(self, bound):
-        if bound >= 0:
-            yield 0
-        for m in range(1, bound + 1):
-            yield -m
-            yield m
-
     def _denominator_raws(self, height):
         return range(2, height + 1)
 
@@ -418,6 +412,16 @@ class RationalIntegers(Domain):
 
     def _box_radius(self, a):
         return abs(a)
+
+
+# Counts are not taken past these: a Z[i] lattice count costs one isqrt per
+# column of the disk (about 0.1 s at this side on CPython 3.11), and an
+# F_p[t] count has about bound*log2(p) bits.  Past them, the count methods
+# return math.inf.  Both lie far above any search budget, and the bits one
+# above Python's default 4300-digit int-to-text limit, so every F_p[t]
+# count that can be printed is still taken exactly.
+_COUNT_MAX_SIDE = 1 << 18
+_COUNT_MAX_BITS = 1 << 16
 
 
 class GaussianIntegers(Domain):
@@ -553,9 +557,12 @@ class GaussianIntegers(Domain):
 
     def _denominator_count(self, height):
         # (re, im) with re >= 1, im >= 0 and 2 <= re^2 + im^2 <= height
+        side = math.isqrt(max(height, 0))
+        if side > _COUNT_MAX_SIDE:
+            return math.inf
         return sum(
             math.isqrt(height - re * re) + (0 if re == 1 else 1)
-            for re in range(1, math.isqrt(max(height, 0)) + 1)
+            for re in range(1, side + 1)
         )
 
     def _denominator_raws(self, height):
@@ -580,6 +587,8 @@ class GaussianIntegers(Domain):
     def _offset_count(self, window):
         # lattice points of the disk re^2 + im^2 <= window, column by column
         side = math.isqrt(window)
+        if side > _COUNT_MAX_SIDE:
+            return math.inf
         return sum(2 * math.isqrt(window - re * re) + 1 for re in range(-side, side + 1))
 
     def _box_radius(self, a):
@@ -803,8 +812,15 @@ class PrimeFieldPolynomials(Domain):
                 for rest in product(range(self.p), repeat=deg):
                     yield rest + (lead,)
 
+    def _power_count(self, k):
+        """p^k, or math.inf when its lower bound 2^(k*(bitlen(p)-1)) is past
+        2^_COUNT_MAX_BITS."""
+        if k * (self.p.bit_length() - 1) > _COUNT_MAX_BITS:
+            return math.inf
+        return self.p**k
+
     def _box_count(self, bound):
-        return self.p ** max(0, bound + 1)
+        return self._power_count(max(0, bound + 1))
 
     def _graded_raws(self, bound):
         # sort key (len, reversed coefficients): by degree, then leading
@@ -821,7 +837,9 @@ class PrimeFieldPolynomials(Domain):
                 yield rest + (1,)
 
     def _denominator_count(self, height):
-        return sum(self.p ** deg for deg in range(1, height + 1))
+        # p + p^2 + ... + p^height monic polynomials
+        total = self._power_count(max(0, height) + 1)
+        return total if total == math.inf else (total - self.p) // (self.p - 1)
 
     def _offset_raws(self, window):
         if window <= 0:
@@ -829,7 +847,7 @@ class PrimeFieldPolynomials(Domain):
         return list(self._box_raws(window - 1))
 
     def _offset_count(self, window):
-        return self.p ** max(0, window)
+        return self._power_count(max(0, window))
 
     def _box_radius(self, a):
         return max(len(a) - 1, 0)

@@ -5,9 +5,6 @@ SEARCH_BUDGET when iteration starts, so an oversized request raises
 SearchBudgetError before anything is generated:
 
 - BoxSweep: the elements of one coordinate box, in Domain._box_raws order;
-- GradedBox: the raw points of a box in graded order, that is by (sum of
-  coordinate norms, coordinatewise sort key), produced one shell of equal
-  norm sum at a time and merged by sort key within the shell;
 - CanonicalPoints: the canonical fraction points a/b with numerators a in
   a box and b a normalized denominator, gcd(a, b) a unit, denominators
   first, as raw (nums, den) pairs; callers build a FractionPoint (through
@@ -15,20 +12,23 @@ SearchBudgetError before anything is generated:
   integral_values(q) walks the same points, in the same order, keeping
   only those where a form q is integral, with q2 evaluated incrementally
   one coordinate at a time and den^2 | q2(a) tested before the gcd filter;
-- first_zero: the first integral zero of a polynomial in graded order.
-  Over Z and Z[i] it solves each fiber exactly (see _first_zero_z and
-  _first_zero_zi) and never scans the solved coordinate; over F_p[t] it
-  scans a GradedBox.
+- first_zero: the first integral zero of a polynomial in graded order,
+  that is by (sum of coordinate norms, coordinatewise sort key).  It fixes
+  every coordinate but the widest and solves that fiber for the last one:
+  over Z with inline integers (_first_zero_z), over Z[i] and F_p[t] by one
+  walk over the domain's raw ops (_first_zero_walk).
 
 The oracle's window scan is sized the same way, by Domain._offset_count.
+A count too costly to take is math.inf (see domains._COUNT_MAX_SIDE and
+_COUNT_MAX_BITS), and is refused like any count over the budget.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Sequence
-from itertools import chain, groupby, product
+from functools import partial
+from itertools import chain, product
 
 from .domains import ZI, Domain, DomainElement, GaussianIntegers, RationalIntegers
 from .errors import ExactDivisionError, SearchBudgetError
@@ -39,10 +39,17 @@ SEARCH_BUDGET = 10**7
 
 
 def _within_budget(count: int, what: str) -> None:
-    if count > SEARCH_BUDGET:
+    # "not <=" also refuses nan, the product of an uncounted (math.inf)
+    # factor and an empty one: the enumeration would still build the
+    # uncounted axis
+    if not count <= SEARCH_BUDGET:
+        try:
+            amount = f"{int(count)} candidates"
+        except (OverflowError, ValueError):
+            # math.inf or nan, or an int past Python's int-to-text limit
+            amount = "too many candidates to count"
         raise SearchBudgetError(
-            f"{what} would enumerate {count} candidates, "
-            f"over the search budget of {SEARCH_BUDGET}"
+            f"{what} would enumerate {amount}, over the search budget of {SEARCH_BUDGET}"
         )
 
 
@@ -60,66 +67,6 @@ class BoxSweep:
         _within_budget(self.count(), "an element sweep")
         dom = self.domain
         return (DomainElement(dom, r) for r in dom._box_raws(self.bound))
-
-
-class GradedBox:
-    """Raw points of the box prod_i box(bounds[i]), in graded order.
-
-    A box bound caps |a| for Z, both components for Z[i] and the degree
-    for F_p[t] (see Domain._box_raws).  Memory stays at one axis per
-    distinct bound plus the current shell's frontier; the d-fold box is
-    never built.
-    """
-
-    def __init__(self, domain: Domain, bounds: Sequence[int]):
-        self.domain = domain
-        self.bounds = tuple(bounds)
-
-    def count(self) -> int:
-        return math.prod(self.domain._box_count(b) for b in self.bounds)
-
-    def __iter__(self):
-        _within_budget(self.count(), "a graded box search")
-        dom = self.domain
-        if len(self.bounds) == 1:
-            return ((a,) for a in dom._graded_raws(self.bounds[0]))
-        classes = {
-            b: [(n, list(g)) for n, g in groupby(dom._graded_raws(b), key=dom._norm)]
-            for b in set(self.bounds)
-        }
-        return _graded_product([classes[b] for b in self.bounds], dom._sort_key)
-
-
-def _graded_product(axes, sort_key):
-    """Points of the product of the axes by (sum of norms, sort keys).
-
-    Each axis is a list of (norm, elements sorted by key) in ascending
-    norm.  A heap yields the tuples of class indices in order of their
-    norm sum; every index tuple is pushed once, by the parent that lacks
-    one step on its last nonzero index.  The products of one shell are
-    each in key order already, so merging them orders the shell.
-    """
-    if not all(axes):
-        return
-    d = len(axes)
-
-    def key(pt):
-        return tuple(map(sort_key, pt))
-
-    heap = [(sum(ax[0][0] for ax in axes), (0,) * d)]
-    while heap:
-        total = heap[0][0]
-        shell = []
-        while heap and heap[0][0] == total:
-            _, idx = heapq.heappop(heap)
-            shell.append(product(*(ax[i][1] for ax, i in zip(axes, idx))))
-            last = max((j for j in range(d) if idx[j]), default=0)
-            for j in range(last, d):
-                i = idx[j] + 1
-                if i < len(axes[j]):
-                    step = axes[j][i][0] - axes[j][i - 1][0]
-                    heapq.heappush(heap, (total + step, idx[:j] + (i,) + idx[j + 1:]))
-        yield from heapq.merge(*shell, key=key)
 
 
 class CanonicalPoints:
@@ -252,27 +199,19 @@ def _fiber_axis(bounds: Sequence[int]) -> int:
 
 def first_zero_count(domain: Domain, bounds: Sequence[int]) -> int:
     """Candidates first_zero is sized by: fibers over Z (the box without
-    its solved coordinate), box points elsewhere (over Z[i] an upper bound
-    on the fibers it solves, kept so that its refusals stay those of the
-    box scan)."""
-    if isinstance(domain, RationalIntegers):
-        k = _fiber_axis(bounds)
-        return math.prod(domain._box_count(b) for i, b in enumerate(bounds) if i != k)
-    return GradedBox(domain, bounds).count()
+    its solved coordinate), the whole box elsewhere.  Over Z[i] and F_p[t]
+    the box bounds what the walk tests and keeps the refusals of the box
+    scan it replaced."""
+    k = _fiber_axis(bounds) if isinstance(domain, RationalIntegers) else None
+    return math.prod(domain._box_count(b) for i, b in enumerate(bounds) if i != k)
 
 
 def first_zero(f, bounds: Sequence[int]) -> tuple[DomainElement, ...] | None:
     """The first integral zero of f in graded order over the box
     prod_i box(bounds[i]), or None; bounds has one entry per variable."""
-    dom = f.domain
-    if isinstance(dom, RationalIntegers):
+    if isinstance(f.domain, RationalIntegers):
         return _first_zero_z(f, list(bounds))
-    if isinstance(dom, GaussianIntegers):
-        return _first_zero_zi(f, list(bounds))
-    for pt in GradedBox(dom, bounds):
-        if dom._is_zero(f._eval_raw(pt)):
-            return tuple(DomainElement(dom, c) for c in pt)
-    return None
+    return _first_zero_walk(f, list(bounds))
 
 
 def _first_zero_z(f, bounds):
@@ -380,9 +319,10 @@ def _zi_sqrt(x, y):
     return (u, -v if y < 0 else v)
 
 
-def _zi_roots(a, L, R):
-    """The roots in Z[i] of a*t^2 + L*t + R, with [(0, 0)] standing for
-    every t when all three vanish (t = 0 comes first in graded order)."""
+def _zi_roots(a, bound, L, R, limit):
+    """The roots in Z[i] of a*t^2 + L*t + R with both components at most
+    bound and norm at most limit, with (0, 0) standing for every t when all
+    three vanish (t = 0 comes first in graded order)."""
     (ar, ai), (lr, li), (rr, ri) = a, L, R
     if ar or ai:
         # t = (-L +- s) / 2a with s^2 = L^2 - 4aR
@@ -394,79 +334,99 @@ def _zi_roots(a, L, R):
     elif lr or li:
         nums, den = [(-rr, -ri)], L
     else:
-        return [] if rr or ri else [(0, 0)]
+        return [] if rr or ri or bound < 0 else [(0, 0)]
     roots = []
     for n in nums:
         try:
-            roots.append(ZI._divexact(n, den))
+            tr, ti = ZI._divexact(n, den)
         except ExactDivisionError:
-            pass
+            continue
+        if abs(tr) <= bound and abs(ti) <= bound and tr * tr + ti * ti <= limit:
+            roots.append((tr, ti))
     return roots
 
 
-def _first_zero_zi(f, bounds):
-    """Graded-first zero over Z[i] by exact fiber solving.
+def _fiber_solver(dom: Domain, a, bound: int):
+    """roots(L, R, limit): roots t in box(bound) of a*t^2 + L*t + R, for the
+    fixed a; a root of norm over limit may be left out.
+
+    Over Z[i] the roots are exact (_zi_roots).  Elsewhere the solved axis
+    is materialized once, in graded order, with a*t^2 precomputed, and
+    tested one t at a time; its first root is the fiber's least in graded
+    order, so no other is returned.
+    """
+    if isinstance(dom, GaussianIntegers):
+        return partial(_zi_roots, a, bound)
+    add, mul, neg = dom._add, dom._mul, dom._neg
+    axis = [(dom._norm(t), t, mul(a, mul(t, t))) for t in dom._graded_raws(bound)]
+
+    def roots(L, R, limit):
+        target = neg(R)  # a*t^2 + L*t = -R, raws being canonical
+        for n, t, at2 in axis:
+            if n > limit:
+                break
+            if add(at2, mul(L, t)) == target:
+                return [t]
+        return []
+
+    return roots
+
+
+def _first_zero_walk(f, bounds):
+    """Graded-first zero over Z[i] and F_p[t] by fiber solving.
 
     As in _first_zero_z: on the fiber of y_k, f is a*t^2 + L*t + R with a,
-    L, R in Z[i], solved by _zi_roots, and the answer is the least (sum of
-    coordinate norms, coordinatewise (re, im)) over all roots inside the
-    box.  Each other coordinate runs over its axis in graded order, the
-    axis materialized once per distinct bound, and a level stops once its
-    norm sum exceeds the best sum found; equal sums go on, since the key
-    decides a tie.  Sized as the whole box, like the scan it replaces.
+    L, R in the ring, solved by _fiber_solver, and the answer is the least
+    (sum of coordinate norms, coordinatewise sort key) over all roots inside
+    the box.  Keys are compared, not raws: F_p[t] raws do not sort like
+    their keys.  Each other coordinate runs over its axis in graded order,
+    materialized once per distinct bound, and a level stops once its norm
+    sum exceeds the best sum found; equal sums go on, since the key decides
+    a tie.  Sized as the whole box.
     """
     dom = f.domain
     _within_budget(first_zero_count(dom, bounds), "a graded box search")
-    if min(bounds) < 0:
-        return None
-    quad, lin = f.quad, f.lin
-    zero = dom._ZERO
+    add, mul, norm, key = dom._add, dom._mul, dom._norm, dom._sort_key
+    quad, lin, zero = f.quad, f.lin, dom._ZERO
     k = _fiber_axis(bounds)
-    bk = bounds[k]
-    a = quad.get((k, k), zero)
+    roots = _fiber_solver(dom, quad.get((k, k), zero), bounds[k])
     others = [i for i in range(f.d) if i != k]
-    axes = {
-        b: [(dom._norm(u), u) for u in dom._graded_raws(b)]
-        for b in {bounds[i] for i in others}
-    }
-    # level p fixes u = y_{others[p]}: as in _first_zero_z, but with the
-    # axis in graded order in place of the bound
-    levels = [
-        (
+    axes = {b: [(norm(u), u) for u in dom._graded_raws(b)] for b in {bounds[i] for i in others}}
+    # level p fixes u = y_{others[p]}: its axis, its square coefficient, the
+    # coefficient of u*y_k (None for zero, as on every level of a diagonal
+    # form), its linear coefficient and the coefficients of its products
+    # with the coordinates fixed before it
+    levels = []
+    for p, i in enumerate(others):
+        kappa = quad.get((min(i, k), max(i, k)))
+        levels.append((
             axes[bounds[i]],
             quad.get((i, i), zero),
-            quad.get((min(i, k), max(i, k)), zero),
+            None if kappa is None or dom._is_zero(kappa) else kappa,
             lin[i],
             [quad.get((j, i), zero) for j in others[:p]],
-        )
-        for p, i in enumerate(others)
-    ]
-    best = None  # (sum of norms, y)
+        ))
+    best_sum, best_keys, best = math.inf, None, None
 
     def offer(prefix, s, L, R):
-        nonlocal best
-        for t in _zi_roots(a, L, R):
-            if dom._box_radius(t) <= bk:
-                cand = (s + dom._norm(t), prefix[:k] + (t,) + prefix[k:])
-                if best is None or cand < best:
-                    best = cand
+        nonlocal best_sum, best_keys, best
+        for t in roots(L, R, best_sum - s):
+            y = prefix[:k] + (t,) + prefix[k:]
+            cand = (s + norm(t), tuple(map(key, y)))
+            if cand < (best_sum, best_keys):
+                (best_sum, best_keys), best = cand, y
 
     def level(p, R, L, s, prefix):
-        axis, (cr, ci), (kr, ki), (br, bi), cross = levels[p]
-        for (cjr, cji), (yr, yi) in zip(cross, prefix):
-            br += cjr * yr - cji * yi
-            bi += cjr * yi + cji * yr
-        rr, ri = R
-        lr, li = L
+        axis, c, kappa, beta, cross = levels[p]
+        for cj, yj in zip(cross, prefix):
+            beta = add(beta, mul(cj, yj))
         last = p + 1 == len(levels)
         for n, u in axis:
-            if best is not None and s + n > best[0]:
+            if s + n > best_sum:
                 break
-            ur, ui = u
             # R + u*(beta + c*u) and L + kappa*u
-            er, ei = br + cr * ur - ci * ui, bi + cr * ui + ci * ur
-            Ru = (rr + ur * er - ui * ei, ri + ur * ei + ui * er)
-            Lu = (lr + kr * ur - ki * ui, li + kr * ui + ki * ur)
+            Ru = add(R, mul(u, add(beta, mul(c, u))))
+            Lu = L if kappa is None else add(L, mul(kappa, u))
             if last:
                 offer(prefix + (u,), s + n, Lu, Ru)
             else:
@@ -476,4 +436,4 @@ def _first_zero_zi(f, bounds):
         level(0, f.const, lin[k], 0, ())
     else:
         offer((), 0, lin[k], f.const)
-    return None if best is None else tuple(DomainElement(dom, c) for c in best[1])
+    return None if best is None else tuple(DomainElement(dom, c) for c in best)

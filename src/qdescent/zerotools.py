@@ -2,12 +2,13 @@
 
 brute_integral_zero returns the first integral zero of a box in graded
 order, by (sum of coordinate norms, coordinatewise sort key), through
-enumeration.first_zero: over Z and Z[i] it solves each fiber exactly in
-the widest coordinate (over Z in O(B^(d-1)) time and O(1) memory for a box
-of radius B, over Z[i] in at most (2B+1)^(2(d-1)) fibers); over F_p[t] it
-scans the box lazily, one shell of equal norm sum at a time.  Every search
-is sized before it starts and refused with SearchBudgetError over
-enumeration.SEARCH_BUDGET; a Z[i] search is sized as its whole box.
+enumeration.first_zero, which solves each fiber of the widest coordinate
+for it: over Z exactly, in O(B^(d-1)) time and O(1) memory for a box of
+radius B; over Z[i] exactly, in at most (2B+1)^(2(d-1)) fibers; over
+F_p[t] by testing the solved axis on each fiber.  Every search is sized
+before it starts and refused with SearchBudgetError over
+enumeration.SEARCH_BUDGET; Z[i] and F_p[t] searches are sized as their
+whole box.
 
 chord_zero turns one integral zero into further rational zeros: the line
 y0 + T*w meets the zero set in a second point at T = -B/A, read off from

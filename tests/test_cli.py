@@ -140,6 +140,30 @@ def test_output_over_the_int_digit_limit_is_one_error_line(capsys, fmt):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["represent", "--form", "x^2"], "is not in the base ring"),
+        (["descend", "--form", "x^2-5"], "point is not a zero"),
+    ],
+    ids=["represent", "descend"],
+)
+def test_rejected_value_over_the_int_digit_limit_keeps_its_message(capsys, argv, message):
+    # q(x) = (1...1/2)^2 has 4,401 digits in its numerator; the error
+    # message stands in for it rather than failing to print it
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, *argv, "--domain", "Z", "--point", "1" * 2201 + "/2")
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert " = <a value of more than 4300 digits>" in err
+
+
 def test_descend_oracle_failure_exit_2(capsys):
     code, _, err = run(
         capsys,
@@ -480,12 +504,31 @@ def test_negative_window_or_box_is_input_error(capsys, argv):
         ["descend", "--domain", "Z", "--form", "x1*x2", "--point", "1,0/2", "--window", "100000"],
         ["check", "n2", "--domain", "Fpt:1000003", "--form", "x^2+y^2", "--box", "1"],
         ["check", "norm-axioms", "--domain", "Z", "--samples", "1000000000"],
+        # counts that would take too long to take, or to print
+        ["check", "euclidean", "--domain", "Zi", "--form", "x^2+i*y^2", "--height", "1" + "0" * 18,
+         "--box", "1"],
+        ["check", "adc", "--domain", "Zi", "--form", "x^2+i*y^2", "--height", "1" + "0" * 18,
+         "--box", "1"],
+        ["check", "euclidean", "--domain", "Fpt:2", "--form", "x^2+t*y^2", "--height", "100000000",
+         "--box", "1"],
+        ["descend", "--domain", "Zi", "--form", "x1*x2", "--point", "1,0/2",
+         "--window", "1" + "0" * 18],
+        ["descend", "--domain", "Fpt:3", "--form", "x1*x2", "--point", "1,0/t",
+         "--window", "100000000"],
+        ["check", "euclidean", "--domain", "Fpt:3", "--form", "x^2+t*y^2", "--height", "1",
+         "--box", "10000"],
     ],
     ids=[
         "descend Fpt:1000003",
         "descend --window 100000",
         "check n2 Fpt:1000003",
         "check norm-axioms --samples 1000000000",
+        "check euclidean Zi --height 1e18",
+        "check adc Zi --height 1e18",
+        "check euclidean Fpt:2 --height 1e8",
+        "descend Zi --window 1e18",
+        "descend Fpt:3 --window 1e8",
+        "check euclidean Fpt:3 --box 10000",
     ],
 )
 def test_oversized_scan_or_sweep_exits_2(capsys, argv):

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -310,6 +311,25 @@ def test_offset_count_matches_enumeration(dom):
             assert all(len(o) <= w for o in offsets)
         else:
             assert all(dom._norm(o) <= w for o in offsets)
+
+
+def test_counts_past_the_ceiling_are_inf_and_quick():
+    start = time.perf_counter()
+    for count in (
+        ZI._denominator_count(10**18),
+        ZI._offset_count(10**18),
+        F3._box_count(10**8),
+        F2._denominator_count(10**8),
+        F3._offset_count(10**8),
+        GFpT(1000003)._box_count(10**4),
+    ):
+        assert count == math.inf
+    assert time.perf_counter() - start < 0.5
+    # below the ceilings the counts stay exact, past every search budget
+    assert ZI._denominator_count(2**36) == 53972150300
+    assert F3._box_count(10**4) == 3**10001
+    assert F3._denominator_count(10**4) == sum(3**k for k in range(1, 10**4 + 1))
+    assert F2._denominator_count(0) == F2._denominator_count(-1) == 0
 
 
 # -- norm axioms ----------------------------------------------------------------

@@ -31,7 +31,6 @@ from qdescent.domains import PrimeFieldPolynomials
 from qdescent.enumeration import (
     BoxSweep,
     CanonicalPoints,
-    GradedBox,
     first_zero,
     first_zero_count,
 )
@@ -186,6 +185,54 @@ def test_first_zero_zi_refusal_is_the_box_scan_refusal(monkeypatch):
     assert raws(first_zero(f, [1, 1])) == reference_first_zero(f, [1, 1])
     with pytest.raises(SearchBudgetError, match="^a graded box search would enumerate 625 "):
         first_zero(f, [2, 2])
+    g = parse_form("x^2+t*y^2-t", F3)
+    assert first_zero_count(F3, [0, 1]) == 27
+    assert raws(first_zero(g, [0, 1])) == reference_first_zero(g, [0, 1])
+    with pytest.raises(SearchBudgetError, match="^a graded box search would enumerate 243 "):
+        first_zero(g, [1, 2])
+
+
+def test_first_zero_fpt_matches_reference_on_random_forms():
+    rng = random.Random(20261019)
+    found = 0
+    for dom in (F2, F3, F5):
+        for trial in range(240):
+            d = 1 + trial % 4
+            while True:  # degrees 0-2, with the reference's sorted box kept small
+                bounds = [rng.randint(0, 2) for _ in range(d)]
+                if math.prod(dom._box_count(b) for b in bounds) <= 700:
+                    break
+            f = random_quadratic(dom, d, rng, coeff_bound=3)
+            if trial % 4:
+                f = plant_zero(f, rng, bounds)
+            if trial % 40 == 0:
+                bounds[rng.randrange(d)] = -1  # box(-1) of F_p[t] is {0}
+            expected = reference_first_zero(f, bounds)
+            assert raws(first_zero(f, bounds)) == expected, (f, bounds)
+            found += expected is not None
+    assert found > 480
+
+
+@pytest.mark.parametrize(
+    "text, bounds, expected",
+    [
+        # a = 0, L != 0: (t+1)*x = t^2+t at x = t
+        ("(t+1)*x-t^2-t", [1], ((0, 1),)),
+        ("(t+1)*x-1", [2], None),
+        # (x1-1)*(x2+t): the fiber x1 = 1 vanishes for every x2, so x2 = 0
+        ("x1*x2+t*x1-x2-t", [1, 2], ((1,), ())),
+        # the fiber x2 = 1 has the best norm sum already; its zero wins the tie
+        ("x1+x2-1", [2, 1], ((), (1,))),
+        # x1 = t+1 and x1 = 2t tie on the norm sum with x2 = 0; t+1 has the
+        # smaller key, though the raw (0, 2) of 2t sorts before (1, 1)
+        ("(x1-2*t)*(x1-t-1)+x2", [1, 2], ((1, 1), ())),
+    ],
+    ids=["linear", "linear-inexact", "vanishing-fiber", "tie", "keys-not-raws"],
+)
+def test_first_zero_fpt_degenerate_fibers(text, bounds, expected):
+    f = parse_form(text, F3)
+    assert reference_first_zero(f, bounds) == expected
+    assert raws(first_zero(f, bounds)) == expected
 
 
 @pytest.mark.parametrize(
@@ -204,10 +251,15 @@ def test_first_zero_zi_refusal_is_the_box_scan_refusal(monkeypatch):
     ids=str,
 )
 def test_graded_box_order_and_count(dom, bounds):
-    box = GradedBox(dom, bounds)
-    pts = list(box)
-    assert pts == reference_points(dom, bounds)
-    assert box.count() == len(pts)
+    """Each axis of the box comes in graded order, and the zero search is
+    sized as the whole box; over Z, as the box without its widest axis."""
+    pts = reference_points(dom, bounds)
+    if dom == ZZ:
+        assert first_zero_count(dom, bounds) == len(pts) // (2 * max(bounds) + 1)
+        return
+    for b in bounds:
+        assert list(dom._graded_raws(b)) == [pt[0] for pt in reference_points(dom, [b])]
+    assert first_zero_count(dom, bounds) == len(pts)
 
 
 @pytest.mark.parametrize("dom,bound", [(ZI, 2), (F2, 2), (F3, 1)], ids=str)
@@ -224,10 +276,9 @@ def test_first_zero_lazy_shells_match_reference(dom, bound):
 
 def test_counts_match_enumeration_lengths():
     for dom, bounds in (
-        (ZZ, [0]), (ZZ, [2, 3]), (ZZ, [-1, 2]),
-        (ZI, [0, 1]), (ZI, [-1]), (F2, [0, 2]), (F3, [1]), (F3, [-1, 0]),
+        (ZI, [0, 1]), (ZI, [-1]), (F2, [0, 2]), (F3, [1]), (F3, [-1, 0]), (F5, [1, -1]),
     ):
-        assert GradedBox(dom, bounds).count() == len(list(GradedBox(dom, bounds)))
+        assert first_zero_count(dom, bounds) == len(reference_points(dom, bounds))
     for dom, d, height, box in ((ZZ, 2, 5, 2), (ZI, 2, 5, 1), (F2, 2, 2, 1), (F3, 1, 2, 1)):
         for integral in (False, True):
             pts = CanonicalPoints(dom, d, height, box, integral)
