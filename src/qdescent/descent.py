@@ -152,26 +152,20 @@ def _step(f: QuadraticPolynomial, x: FractionPoint, window: int) -> DescentStep:
     )
 
 
-def descend(
-    f: QuadraticPolynomial,
-    x: FractionPoint,
-    window: int = 2,
-    max_steps: int | None = None,
-) -> DescentTrace:
+def descend(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> DescentTrace:
     """Iterate the descent step until the zero is integral.
 
     x is checked once on entry (NotAZeroError when f(x) != 0); every later
     point is a zero because the step that built it checked f(x') = 0, so
     a descent of k steps evaluates f at k + 1 points.  The denominator
     norms strictly decrease, so a successful run takes at most norm(b0)
-    steps; max_steps defaults to exactly that bound and crossing it is an
-    internal error, not an input error.  An oracle failure surfaces as
-    DescentAborted carrying the step index.
+    steps; crossing that cap is an internal error, not an input error.  An
+    oracle failure surfaces as DescentAborted carrying the step index.
     """
     f._check_point(x)
     if not f.domain._is_zero(f._cleared_raw(x)):
         raise NotAZeroError(f"point is not a zero: f({x}) = {_shown(f.eval(x))}")
-    cap = max_steps if max_steps is not None else x.den.norm()
+    cap = x.den.norm()
     steps = []
     cur = x
     while not cur.is_integral():

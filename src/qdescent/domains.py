@@ -105,10 +105,22 @@ def _round_half_toward_zero(n: int, d: int) -> int:
 class Domain:
     """A commutative integral domain with a discrete multiplicative norm.
 
-    Subclasses implement the raw-value protocol (methods taking and
-    returning carrier values) plus the bounded enumerations used by the
-    search routines.  Adding another normed domain means subclassing this
-    and nothing else; the rest of the package only talks to the protocol.
+    Adding another normed domain means subclassing this and nothing else;
+    the rest of the package only talks to the protocol below.
+
+    A ring sets name, _ZERO, _ONE and _GENERATOR (the name of the literal
+    for (0, 1), or None), and implements the raw-value protocol: _coerce,
+    _add, _neg, _mul, _norm, _is_unit, _quotient_or_none, _gcd,
+    _normalizing_unit, _round_quotient, _format and _random_raw; and the
+    bounded enumerations: _box_raws, _box_count, _graded_raws,
+    _denominator_raws, _denominator_count, _offset_raws, _offset_count and
+    _box_radius.
+
+    It inherits coerce_raw (the domain check of a DomainElement, then
+    _coerce), _is_zero (equality with _ZERO), _divexact (from
+    _quotient_or_none), _sort_key (the identity; override it when raws do
+    not compare in the ring's order), equality and hashing by (type, name),
+    and the element-level API.
     """
 
     name = "?"
@@ -116,8 +128,18 @@ class Domain:
     # -- raw-value protocol, implemented by subclasses -------------------
 
     _ZERO = _ONE = None  # the raw zero and one
+    _GENERATOR = None  # the literal that names the raw (0, 1), if any
 
     def coerce_raw(self, obj):
+        """The raw value of obj: a DomainElement of this domain, or an int
+        or tuple literal the ring accepts (TypeError otherwise)."""
+        if isinstance(obj, DomainElement):
+            if obj.domain != self:
+                raise DomainMismatchError(f"expected {self.name} element, got {obj.domain.name}")
+            return obj.raw
+        return self._coerce(obj)
+
+    def _coerce(self, obj):
         raise NotImplementedError
 
     def _add(self, a, b):
@@ -130,7 +152,7 @@ class Domain:
         raise NotImplementedError
 
     def _is_zero(self, a) -> bool:
-        raise NotImplementedError
+        return a == self._ZERO
 
     def _norm(self, a) -> int:
         raise NotImplementedError
@@ -138,17 +160,19 @@ class Domain:
     def _is_unit(self, a) -> bool:
         raise NotImplementedError
 
-    def _divexact(self, a, b):
-        """a / b when the quotient lies in the ring; ExactDivisionError otherwise."""
-        raise NotImplementedError
-
     def _quotient_or_none(self, a, b):
         """a / b when the quotient lies in the ring, else None; b nonzero.
         For divisibility tests that fail more often than not."""
-        try:
-            return self._divexact(a, b)
-        except ExactDivisionError:
-            return None
+        raise NotImplementedError
+
+    def _divexact(self, a, b):
+        """a / b when the quotient lies in the ring; ExactDivisionError otherwise."""
+        if b == self._ZERO:
+            raise ExactDivisionError("division by zero")
+        q = self._quotient_or_none(a, b)
+        if q is None:
+            raise ExactDivisionError("inexact division")
+        return q
 
     def _gcd(self, a, b):
         """The canonical-associate gcd of a and b (nonzero if either is)."""
@@ -163,7 +187,7 @@ class Domain:
         raise NotImplementedError
 
     def _sort_key(self, a):
-        raise NotImplementedError
+        return a
 
     def _format(self, a) -> str:
         raise NotImplementedError
@@ -230,10 +254,10 @@ class Domain:
         return DomainElement(self, self._random_raw(rng, bound))
 
     def __eq__(self, other):
-        return type(self) is type(other)
+        return type(self) is type(other) and self.name == other.name
 
     def __hash__(self):
-        return hash(type(self))
+        return hash((type(self), self.name))
 
     def __repr__(self):
         return f"<domain {self.name}>"
@@ -333,11 +357,7 @@ class RationalIntegers(Domain):
     name = "Z"
     _ZERO, _ONE = 0, 1
 
-    def coerce_raw(self, obj):
-        if isinstance(obj, DomainElement):
-            if obj.domain != self:
-                raise DomainMismatchError(f"expected Z element, got {obj.domain.name}")
-            return obj.raw
+    def _coerce(self, obj):
         if isinstance(obj, int):
             return int(obj)
         raise TypeError(f"cannot interpret {obj!r} as an integer")
@@ -351,22 +371,11 @@ class RationalIntegers(Domain):
     def _mul(self, a, b):
         return a * b
 
-    def _is_zero(self, a):
-        return a == 0
-
     def _norm(self, a):
         return abs(a)
 
     def _is_unit(self, a):
         return a == 1 or a == -1
-
-    def _divexact(self, a, b):
-        if b == 0:
-            raise ExactDivisionError("division by zero")
-        q, r = divmod(a, b)
-        if r:
-            raise ExactDivisionError("inexact division")
-        return q
 
     def _quotient_or_none(self, a, b):
         q, r = divmod(a, b)
@@ -382,9 +391,6 @@ class RationalIntegers(Domain):
         if b < 0:
             a, b = -a, -b
         return _round_half_toward_zero(a, b)
-
-    def _sort_key(self, a):
-        return a
 
     def _format(self, a):
         return str(a)
@@ -429,14 +435,11 @@ class GaussianIntegers(Domain):
 
     name = "Zi"
     _ZERO, _ONE = (0, 0), (1, 0)
+    _GENERATOR = "i"
 
     _UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
-    def coerce_raw(self, obj):
-        if isinstance(obj, DomainElement):
-            if obj.domain != self:
-                raise DomainMismatchError(f"expected Zi element, got {obj.domain.name}")
-            return obj.raw
+    def _coerce(self, obj):
         if isinstance(obj, int):
             return (int(obj), 0)
         if (
@@ -456,25 +459,20 @@ class GaussianIntegers(Domain):
     def _mul(self, a, b):
         return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
-    def _is_zero(self, a):
-        return a == (0, 0)
-
     def _norm(self, a):
         return a[0] * a[0] + a[1] * a[1]
 
     def _is_unit(self, a):
         return self._norm(a) == 1
 
-    def _divexact(self, a, b):
-        n = self._norm(b)
-        if n == 0:
-            raise ExactDivisionError("division by zero")
+    def _quotient_or_none(self, a, b):
         # a / b = a * conj(b) / norm(b)
-        nre = a[0] * b[0] + a[1] * b[1]
-        nim = a[1] * b[0] - a[0] * b[1]
-        if nre % n or nim % n:
-            raise ExactDivisionError("inexact division")
-        return (nre // n, nim // n)
+        n = b[0] * b[0] + b[1] * b[1]
+        qr, rr = divmod(a[0] * b[0] + a[1] * b[1], n)
+        if rr:
+            return None
+        qi, ri = divmod(a[1] * b[0] - a[0] * b[1], n)
+        return None if ri else (qr, qi)
 
     def _round_quotient(self, a, b):
         n = self._norm(b)
@@ -520,9 +518,6 @@ class GaussianIntegers(Domain):
             if c[0] > 0 and c[1] >= 0:
                 return u
         raise ZeroDenominatorError("zero has no normalizing unit")
-
-    def _sort_key(self, a):
-        return a
 
     def _format(self, a):
         re, im = a
@@ -659,17 +654,12 @@ class PrimeFieldPolynomials(Domain):
     """
 
     _ZERO, _ONE = (), (1,)
+    _GENERATOR = "t"
 
     def __init__(self, p: int):
         _check_prime(p)
         self.p = p
         self.name = f"Fpt:{p}"
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.p == other.p
-
-    def __hash__(self):
-        return hash((type(self), self.p))
 
     @staticmethod
     def _strip(coeffs):
@@ -678,13 +668,7 @@ class PrimeFieldPolynomials(Domain):
             i -= 1
         return tuple(coeffs[:i])
 
-    def coerce_raw(self, obj):
-        if isinstance(obj, DomainElement):
-            if obj.domain != self:
-                raise DomainMismatchError(
-                    f"expected {self.name} element, got {obj.domain.name}"
-                )
-            return obj.raw
+    def _coerce(self, obj):
         if isinstance(obj, int):
             c = obj % self.p
             return (c,) if c else ()
@@ -725,9 +709,6 @@ class PrimeFieldPolynomials(Domain):
                     out[i + j] = (out[i + j] + ca * cb) % p
         return self._strip(out)
 
-    def _is_zero(self, a):
-        return a == ()
-
     def _norm(self, a):
         return 0 if not a else self.p ** (len(a) - 1)
 
@@ -755,12 +736,6 @@ class PrimeFieldPolynomials(Domain):
                 for j, cb in lower:
                     r[base + j] = (r[base + j] - factor * cb) % p
         return self._strip(q), self._strip(r[:db])
-
-    def _divexact(self, a, b):
-        q, r = self._divmod(a, b)
-        if r:
-            raise ExactDivisionError("inexact division")
-        return q
 
     def _quotient_or_none(self, a, b):
         q, r = self._divmod(a, b)
@@ -842,8 +817,6 @@ class PrimeFieldPolynomials(Domain):
         return total if total == math.inf else (total - self.p) // (self.p - 1)
 
     def _offset_raws(self, window):
-        if window <= 0:
-            return [()]
         return list(self._box_raws(window - 1))
 
     def _offset_count(self, window):
@@ -1072,13 +1045,19 @@ def check_norm_axioms(
     multiplicative, nonzero elements have nonzero product, units have norm
     one, and the fraction-field extension norm(a)/norm(b) is multiplicative
     and agrees with the ring norm on denominators equal to 1.  More than
-    SEARCH_BUDGET samples raises SearchBudgetError before any is drawn.
+    SEARCH_BUDGET samples raises SearchBudgetError before any is drawn, and
+    so does a samples * s^2 over it, the cost of the products grown with
+    the element size s: bound + 1 coefficients over F_p[t], and
+    bound.bit_length() over Z and Z[i].
     """
     from .enumeration import _within_budget  # enumeration imports this module
 
     _within_budget(samples, "the norm-axiom check")
+    fpt = isinstance(domain, PrimeFieldPolynomials)
     if bound is None:
-        bound = 8 if isinstance(domain, PrimeFieldPolynomials) else 10**6
+        bound = 8 if fpt else 10**6
+    size = bound + 1 if fpt else bound.bit_length()
+    _within_budget(samples * size * size, "the norm-axiom check at this element size")
     rng = random.Random(seed)
     failures = []
 

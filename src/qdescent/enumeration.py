@@ -31,7 +31,7 @@ from functools import partial
 from itertools import chain, product
 
 from .domains import ZI, Domain, DomainElement, GaussianIntegers, RationalIntegers
-from .errors import ExactDivisionError, SearchBudgetError
+from .errors import SearchBudgetError
 
 # Largest count() an enumeration may start with.  A Z zero search of this
 # many fibers takes seconds; three-squares up to n ~ 2.5e6 stays inside.
@@ -337,10 +337,10 @@ def _zi_roots(a, bound, L, R, limit):
         return [] if rr or ri or bound < 0 else [(0, 0)]
     roots = []
     for n in nums:
-        try:
-            tr, ti = ZI._divexact(n, den)
-        except ExactDivisionError:
+        t = ZI._quotient_or_none(n, den)
+        if t is None:
             continue
+        tr, ti = t
         if abs(tr) <= bound and abs(ti) <= bound and tr * tr + ti * ti <= limit:
             roots.append((tr, ti))
     return roots

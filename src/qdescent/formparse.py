@@ -241,7 +241,7 @@ class _Parser:
             # O(exp) with no expansion
             if exp > _MAX_MONOMIALS:
                 raise FormDegreeError(f"exponent {exp} is too large", num.pos)
-            return self.constant((0,) * exp + (1,), tok)
+            return self.constant(self.domain.coerce_raw((0,) * exp + (1,)), tok)
         if exp > _MAX_EXPONENT:
             raise FormDegreeError(f"exponent {exp} is too large", num.pos)
         dom = self.domain
@@ -257,12 +257,13 @@ class _Parser:
             return self.constant(self.domain.coerce_raw(_int_literal(tok.text, tok.pos)), tok)
         if tok.kind == "IMAG":
             self.eat("IMAG")
-            if not isinstance(self.domain, GaussianIntegers):
+            if self.domain._GENERATOR != "i":
                 raise FormCoefficientError(
                     f"imaginary literal {tok.text!r} is not an element of {self.domain.name}",
                     tok.pos,
                 )
-            return self.constant((0, _int_literal(tok.text[:-1], tok.pos)), tok)
+            im = _int_literal(tok.text[:-1], tok.pos)
+            return self.constant(self.domain.coerce_raw((0, im)), tok)
         if tok.kind == "NAME":
             self.eat("NAME")
             return self.resolve_name(tok)
@@ -286,17 +287,11 @@ class _Parser:
 
     def resolve_name(self, tok: _Token):
         name = tok.text
-        if name == "i":
-            if isinstance(self.domain, GaussianIntegers):
-                return self.constant((0, 1), tok)
+        if name == self.domain._GENERATOR:
+            return self.constant(self.domain.coerce_raw((0, 1)), tok)
+        if name in ("i", "t"):
             raise FormCoefficientError(
-                f"'i' is not an element of {self.domain.name}", tok.pos
-            )
-        if name == "t":
-            if isinstance(self.domain, PrimeFieldPolynomials):
-                return self.constant((0, 1), tok)
-            raise FormCoefficientError(
-                f"'t' is not an element of {self.domain.name}", tok.pos
+                f"{name!r} is not an element of {self.domain.name}", tok.pos
             )
         index = None
         if name in _ALIASES:
@@ -371,10 +366,8 @@ def _coefficient_text(domain: Domain, raw) -> tuple[str, str]:
     """
     if isinstance(domain, GaussianIntegers):
         re, im = raw
-        if im == 0 and re < 0:
-            return "-", domain._format((-re, 0))
-        if re == 0 and im < 0:
-            return "-", domain._format((0, -im))
+        if (im == 0 and re < 0) or (re == 0 and im < 0):
+            return "-", domain._format(domain._neg(raw))
         return "+", domain._format(raw)
     if isinstance(domain, PrimeFieldPolynomials):
         return "+", domain._format(raw)

@@ -47,7 +47,8 @@ from .errors import (
     SearchBudgetError,
 )
 from .descent import descend
-from .enumeration import CanonicalPoints, first_zero
+from .enumeration import SEARCH_BUDGET, CanonicalPoints, _within_budget
+from .enumeration import first_zero, first_zero_count
 from .quadratic import QuadraticPolynomial
 
 
@@ -176,6 +177,10 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
     elsewhere a bounded heuristic box is used, enlarged to contain the
     descent witness whenever descent succeeded, so a successful descent can
     never be contradicted by a too-small search.
+
+    The sweep and each witness search are sized before they start, and the
+    witness searches of one call are also sized together: once their
+    first_zero counts add up past SEARCH_BUDGET, the next search is refused.
     """
     if not q.is_form():
         raise NotAFormError("the representation check needs a homogeneous form")
@@ -184,6 +189,16 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
     diagonal = _is_positive_diagonal_z(q)
     cache = {}
     shifted = {}  # r -> q - r, built once per value
+    searched = 0  # first_zero candidates of the searches run so far
+
+    def search(r_raw, bounds):
+        nonlocal searched
+        count = first_zero_count(dom, bounds)
+        # a search over the budget by itself is refused by first_zero
+        if count <= SEARCH_BUDGET:
+            searched += count
+            _within_budget(searched, "the witness searches of a representation check")
+        return _first_value_witness(shifted[r_raw], r_raw, bounds)
 
     def brute_witness(r_raw, fallback_bound):
         key = (r_raw, None) if diagonal else (r_raw, fallback_bound)
@@ -197,9 +212,9 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
                     math.isqrt(r_raw // q.quad[(i, i)]) if (i, i) in q.quad else 0
                     for i in range(d)
                 ]
-                result = (_first_value_witness(shifted[r_raw], r_raw, bounds), True)
+                result = (search(r_raw, bounds), True)
         else:
-            result = (_first_value_witness(shifted[r_raw], r_raw, [fallback_bound] * d), False)
+            result = (search(r_raw, [fallback_bound] * d), False)
         cache[key] = result
         return result
 

@@ -517,6 +517,10 @@ def test_negative_window_or_box_is_input_error(capsys, argv):
          "--window", "100000000"],
         ["check", "euclidean", "--domain", "Fpt:3", "--form", "x^2+t*y^2", "--height", "1",
          "--box", "10000"],
+        # sized by the product of the parts, not by each part alone
+        ["check", "adc", "--domain", "Fpt:5", "--form", "x^2+t*y^2", "--height", "1", "--box", "3"],
+        ["check", "norm-axioms", "--domain", "Fpt:3", "--box", "100000000", "--samples", "2"],
+        ["check", "norm-axioms", "--domain", "Zi", "--box", "1" + "0" * 4000, "--samples", "2"],
     ],
     ids=[
         "descend Fpt:1000003",
@@ -529,6 +533,9 @@ def test_negative_window_or_box_is_input_error(capsys, argv):
         "descend Zi --window 1e18",
         "descend Fpt:3 --window 1e8",
         "check euclidean Fpt:3 --box 10000",
+        "check adc Fpt:5 witness total",
+        "check norm-axioms Fpt:3 --box 1e8",
+        "check norm-axioms Zi --box 1e4000",
     ],
 )
 def test_oversized_scan_or_sweep_exits_2(capsys, argv):

@@ -336,11 +336,20 @@ def test_descent_odd_characteristic_large_denominators(p):
         assert value(tuple(e.raw for e in trace.result), c) == ()
 
 
-def test_descend_max_steps_cap():
+def test_descend_step_cap(monkeypatch):
+    # a step that never lowers the denominator runs into the cap norm(b0)
     f = parse_form("x^2+y^2-5", ZZ)
     x = FractionPoint(ZZ, [-11, 2], 5)
-    with pytest.raises(InternalInvariantError):
-        descend(f, x, max_steps=0)
+    calls = []
+
+    def stalled(f, cur, window):
+        calls.append(cur)
+        return descent_module.DescentStep(cur, (), (), None, None, None, cur.den, cur.den, cur)
+
+    monkeypatch.setattr(descent_module, "_step", stalled)
+    with pytest.raises(InternalInvariantError, match="step cap of 5"):
+        descend(f, x)
+    assert len(calls) == 5
 
 
 # -- adc wrapper ----------------------------------------------------------------

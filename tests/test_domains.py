@@ -74,6 +74,30 @@ def test_element_coercion():
         ZZ.element(ZI.element(1))
 
 
+@pytest.mark.parametrize(
+    "dom, other", [(ZZ, ZI), (ZI, F3), (F3, GFpT(5))], ids=["Z", "Zi", "Fpt:3"]
+)
+def test_coerce_raw_mismatch_message(dom, other):
+    with pytest.raises(DomainMismatchError) as err:
+        dom.coerce_raw(other.one)
+    assert str(err.value) == f"expected {dom.name} element, got {other.name}"
+    assert dom.coerce_raw(dom.one) == dom._ONE
+
+
+def test_domain_equality_and_hashing():
+    from qdescent.domains import PrimeFieldPolynomials
+
+    assert PrimeFieldPolynomials(3) == GFpT(3) and PrimeFieldPolynomials(3) is not GFpT(3)
+    assert hash(PrimeFieldPolynomials(3)) == hash(GFpT(3))
+    assert GFpT(3) != GFpT(5)
+    assert ZZ != ZI and ZI != GFpT(3) and ZZ != GFpT(2)
+    table = {ZZ: "Z", ZI: "Zi", GFpT(3): "Fpt:3", GFpT(5): "Fpt:5"}
+    assert table[PrimeFieldPolynomials(3)] == "Fpt:3"
+    assert table[PrimeFieldPolynomials(5)] == "Fpt:5"
+    assert table[type(ZZ)()] == "Z" and table[type(ZI)()] == "Zi"
+    assert len(table) == 4
+
+
 # -- arithmetic --------------------------------------------------------------
 
 
@@ -380,6 +404,34 @@ def test_divexact_and_gcd_random():
             for c in (a, b):
                 q = dom._divexact(c, g)
                 assert dom._add(dom._mul(q, g), dom._neg(c)) == dom.coerce_raw(0)
+
+
+@pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3], ids=lambda d: d.name)
+def test_quotient_or_none_agrees_with_divexact(dom):
+    rng = random.Random(13)
+    zero = dom._ZERO
+    for _ in range(300):
+        a = dom._random_raw(rng, 12)
+        b = dom._random_raw(rng, 6)
+        if dom._is_zero(b):
+            continue
+        prod = dom._mul(a, b)
+        # divisible: both give the cofactor
+        assert dom._quotient_or_none(prod, b) == dom._divexact(prod, b) == a
+        # a random dividend: None exactly when the division is inexact
+        c = dom._random_raw(rng, 12)
+        q = dom._quotient_or_none(c, b)
+        if q is None:
+            with pytest.raises(ExactDivisionError) as err:
+                dom._divexact(c, b)
+            assert str(err.value) == "inexact division"
+        else:
+            assert dom._mul(q, b) == c and dom._divexact(c, b) == q
+        # zero divisor, with a zero or nonzero dividend
+        for n in (zero, a, c):
+            with pytest.raises(ExactDivisionError) as err:
+                dom._divexact(n, zero)
+            assert str(err.value) == "division by zero"
 
 
 # -- ring kernels against their straightforward versions -------------------------

@@ -149,6 +149,20 @@ def test_variable_and_coefficient_errors():
         parse_form("t*x^2", ZZ)  # polynomial variable outside F_p[t]
     with pytest.raises(FormCoefficientError):
         parse_form("x^2+2i", F3)
+    # each ring accepts only its own generator literal
+    for literal, domain, text in [
+        ("i", ZZ, "'i' is not an element of Z"),
+        ("i", F3, "'i' is not an element of Fpt:3"),
+        ("t", ZZ, "'t' is not an element of Z"),
+        ("t", ZI, "'t' is not an element of Zi"),
+        ("3i", ZZ, "imaginary literal '3i' is not an element of Z"),
+        ("3i", F3, "imaginary literal '3i' is not an element of Fpt:3"),
+    ]:
+        with pytest.raises(FormCoefficientError) as err:
+            parse_form(f"x^2+{literal}*y^2", domain)
+        assert (str(err.value), err.value.offset) == (f"{text} (at offset 4)", 4), literal
+    assert parse_form("x^2+i*y^2+3i", ZI).const == (0, 3)
+    assert parse_form("x^2+t^3*y^2+t", F3).quad[1, 1] == (0, 0, 0, 1)
 
 
 @pytest.mark.parametrize("name", ["x99999999999999999999", "x30000000", "x1001", "x" + "9" * 5000])
