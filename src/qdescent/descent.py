@@ -11,21 +11,25 @@ norm:
 Every identity in that construction is re-checked at runtime on ring
 elements; a violation raises InternalInvariantError because it can only
 mean a bug, never bad input.  Iterating must therefore terminate within
-norm(b) steps, which descend enforces as a hard cap.
+norm(b) steps, which the descent enforces as a hard cap.
 
-Each point is certified a zero once.  descent_step checks its input x and
-then runs the step; descend checks the starting point and loops the step
-alone, because the step's own post-check f(x') = 0 certifies every later
-point, so a descent of k steps evaluates f at k + 1 points.  The step
-runs the raw oracle (oracle._search), checks its norm with integers,
-expands f along the line on raws (QuadraticPolynomial._line_raw) and
-wraps y, v, A, B and C once, for the DescentStep.
+There is one descent loop, _descend, on raw values: it checks that the
+start a/b is a zero, runs the raw step _step until the denominator is the
+ring's one, and returns the integral raws.  _step runs the raw oracle
+(oracle._search), checks its norm with integers, expands f along the line
+on raws (QuadraticPolynomial._line_raw), runs every check above and puts
+x' in canonical form with domains._canonical.  So each point is certified
+a zero once, the start by the loop and every later point by the step that
+built it, and a descent of k steps evaluates f at k + 1 points.  descend
+and descent_step wrap each step's raws into a DescentStep; adc_represent
+and zerotools.verify_adc wrap only the result.  A FractionPoint is built
+only for a point that fails, for the text and fields of the error.
 
-adc_represent wraps the iteration for value representation: for a
-homogeneous q and a point x with q(x) = r in the ring, descending q - r
-from x lands on an integral point with the same value.  check_n2 uses the
-oracle to confirm, element by element, that the existence of such
-witnesses forces non-units to have norm > 1.
+adc_represent solves value representation: for a homogeneous q and a
+point x with q(x) = r in the ring, descending q - r from x lands on an
+integral point with the same value; adc_trace returns the trace of that
+descent.  check_n2 uses the oracle to confirm, element by element, that
+the existence of such witnesses forces non-units to have norm > 1.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import sys
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .domains import Domain, DomainElement, FractionPoint, _Record
+from .domains import Domain, DomainElement, FractionPoint, _canonical, _Record
 from .errors import (
     DescentAborted,
     DomainMismatchError,
@@ -77,6 +81,29 @@ def _shown(value) -> str:
         return f"<a value of more than {sys.get_int_max_str_digits()} digits>"
 
 
+def _check_zero(f: QuadraticPolynomial, a, b) -> None:
+    """NotAZeroError unless the canonical raw point a/b is a zero of f."""
+    if not f.domain._is_zero(f._cleared_raw(a, b)):
+        x = FractionPoint._trusted(f.domain, a, b)
+        raise NotAZeroError(f"point is not a zero: f({x}) = {_shown(f.eval(x))}")
+
+
+def _wrap_step(dom: Domain, x: FractionPoint, step) -> DescentStep:
+    """The DescentStep of the raw step _step took from x."""
+    y, v, A, B, C, bn, a_next, b_next = step
+    return DescentStep(
+        x,
+        tuple(DomainElement(dom, r) for r in y),
+        tuple(DomainElement(dom, r) for r in v),
+        DomainElement(dom, A),
+        DomainElement(dom, B),
+        DomainElement(dom, C),
+        x.den,
+        DomainElement(dom, bn),
+        FractionPoint._trusted(dom, a_next, b_next),
+    )
+
+
 def descent_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> DescentStep:
     """One descent step from a non-integral zero x of f.
 
@@ -85,71 +112,90 @@ def descent_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> D
     window.  All postconditions are asserted exactly before returning.
     """
     f._check_point(x)
-    if not f.domain._is_zero(f._cleared_raw(x)):
-        raise NotAZeroError(f"point is not a zero: f({x}) = {_shown(f.eval(x))}")
+    a = [n.raw for n in x.nums]
+    _check_zero(f, a, x.den.raw)
     if x.is_integral():
         raise IntegralPointError(f"{x} is already integral")
-    return _step(f, x, window)
+    return _wrap_step(f.domain, x, _step(f, a, x.den.raw, window))
 
 
-def _step(f: QuadraticPolynomial, x: FractionPoint, window: int) -> DescentStep:
-    """descent_step for a point x already known to be a non-integral zero
-    of f in f's domain and dimension; every postcondition is still checked,
-    the zero check on x_next included."""
+def _step(f: QuadraticPolynomial, a, b, window: int):
+    """One descent step on raws from a/b, a canonical non-integral zero of
+    f in f's domain and dimension.  Every postcondition is checked, the
+    zero check on x' included.
+
+    Returns the raws (y, v, A, B, C, b', a_next, b_next), where b' = A/b
+    and a_next/b_next is x' in canonical form.  Raises OracleNotFound, with
+    the point a/b, when no witness exists in the window.
+    """
     dom = f.domain
-    a_raws = [n.raw for n in x.nums]
-    b_raw = x.den.raw
-    y_raws, _, n, _, nb2 = _search(f, a_raws, b_raw, window)
+    y_raws, _, n, _, nb2 = _search(f, a, b, window)
     if y_raws is None:
-        raise OracleNotFound(x, window, Fraction(n, nb2))
-    v_raws = _cleared_difference(dom, a_raws, b_raw, y_raws)
+        raise OracleNotFound(FractionPoint._trusted(dom, a, b), window, Fraction(n, nb2))
+    v_raws = _cleared_difference(dom, a, b, y_raws)
     A, B, C = f._line_raw(y_raws, v_raws)
 
     if dom._is_zero(A):
         raise InternalInvariantError("A = f2(v) vanished despite the oracle guarantee")
     # x is a root of F(T) = A T^2 + B T + C at T = 1/b; cleared form:
-    acc = dom._add(A, dom._mul(B, b_raw))
-    acc = dom._add(acc, dom._mul(C, dom._mul(b_raw, b_raw)))
+    acc = dom._add(A, dom._mul(B, b))
+    acc = dom._add(acc, dom._mul(C, dom._mul(b, b)))
     if not dom._is_zero(acc):
         raise InternalInvariantError("A + B*b + C*b^2 != 0")
     try:
-        bn_raw = dom._divexact(A, b_raw)
+        bn = dom._divexact(A, b)
     except ExactDivisionError as err:
         raise InternalInvariantError(
-            f"b = {dom._format(b_raw)} does not divide A = f2(v) = {dom._format(A)}"
+            f"b = {dom._format(b)} does not divide A = f2(v) = {dom._format(A)}"
         ) from err
-    cross = dom._add(dom._neg(B), dom._neg(dom._mul(C, b_raw)))
-    if bn_raw != cross:
+    cross = dom._add(dom._neg(B), dom._neg(dom._mul(C, b)))
+    if bn != cross:
         raise InternalInvariantError("A/b != -B - C*b")
-    if dom._is_zero(bn_raw):
+    if dom._is_zero(bn):
         raise InternalInvariantError("b' vanished")
-    nb = dom._norm(b_raw)
-    nbn = dom._norm(bn_raw)
+    nb = dom._norm(b)
+    nbn = dom._norm(bn)
     if not nbn < nb:
         raise InternalInvariantError(f"no descent: norm(b') = {nbn} >= norm(b) = {nb}")
     # norm(b') = norm(f2(x - y)) * norm(b) with norm(f2(x - y)) = n / N(b^2)
     if nbn * nb2 != n * nb:
         raise InternalInvariantError("norm(b') != norm(f2(x - y)) * norm(b)")
 
-    a_next = [
-        dom._add(dom._mul(bn_raw, yr), dom._mul(C, vr))
-        for yr, vr in zip(y_raws, v_raws)
-    ]
-    x_next = FractionPoint(dom, a_next, bn_raw)
-    if not dom._is_zero(f._cleared_raw(x_next)):
-        raise InternalInvariantError("f(x') != 0 after the step")
-
-    return DescentStep(
-        x,
-        tuple(DomainElement(dom, r) for r in y_raws),
-        tuple(DomainElement(dom, r) for r in v_raws),
-        DomainElement(dom, A),
-        DomainElement(dom, B),
-        DomainElement(dom, C),
-        x.den,
-        DomainElement(dom, bn_raw),
-        x_next,
+    a_next, b_next = _canonical(
+        dom,
+        [dom._add(dom._mul(bn, yr), dom._mul(C, vr)) for yr, vr in zip(y_raws, v_raws)],
+        bn,
+        "point",
     )
+    if not dom._is_zero(f._cleared_raw(a_next, b_next)):
+        raise InternalInvariantError("f(x') != 0 after the step")
+    return y_raws, v_raws, A, B, C, bn, a_next, b_next
+
+
+def _descend(f: QuadraticPolynomial, a, b, window: int, steps: list | None = None):
+    """descend on raws, with the same checks and errors: the integral raws
+    reached from a/b, a canonical point in f's domain and dimension.  When
+    steps is a list, each step's raws, as _step returns them, are appended
+    to it."""
+    _check_zero(f, a, b)
+    dom = f.domain
+    one, norm = dom._ONE, dom._norm
+    cap = norm(b)
+    k = 0
+    while b != one:
+        if k >= cap:
+            raise InternalInvariantError(f"descent exceeded its step cap of {cap}")
+        try:
+            step = _step(f, a, b, window)
+        except OracleNotFound as err:
+            raise DescentAborted(k, err.x, err.window, err.min_norm) from err
+        bn, a, b = step[5:]
+        if not norm(b) <= norm(bn):
+            raise InternalInvariantError("denominator grew across canonical reduction")
+        if steps is not None:
+            steps.append(step)
+        k += 1
+    return a
 
 
 def descend(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> DescentTrace:
@@ -163,23 +209,26 @@ def descend(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> Descen
     oracle failure surfaces as DescentAborted carrying the step index.
     """
     f._check_point(x)
-    if not f.domain._is_zero(f._cleared_raw(x)):
-        raise NotAZeroError(f"point is not a zero: f({x}) = {_shown(f.eval(x))}")
-    cap = x.den.norm()
+    dom = f.domain
+    raw_steps = []
+    result = _descend(f, [n.raw for n in x.nums], x.den.raw, window, raw_steps)
     steps = []
-    cur = x
-    while not cur.is_integral():
-        if len(steps) >= cap:
-            raise InternalInvariantError(f"descent exceeded its step cap of {cap}")
-        try:
-            step = _step(f, cur, window)
-        except OracleNotFound as err:
-            raise DescentAborted(len(steps), err.x, err.window, err.min_norm) from err
-        if steps and not step.b.norm() <= steps[-1].b_next.norm():
-            raise InternalInvariantError("denominator grew across canonical reduction")
-        steps.append(step)
-        cur = step.x_next
-    return DescentTrace(tuple(steps), cur.integral_point())
+    for step in raw_steps:
+        steps.append(_wrap_step(dom, x, step))
+        x = steps[-1].x_next
+    return DescentTrace(tuple(steps), tuple(DomainElement(dom, r) for r in result))
+
+
+def _value_shift(q: QuadraticPolynomial, x: FractionPoint):
+    """(q - r, r) for the value r = q(x) as a raw, after checking that q is
+    homogeneous and that r lies in the ring."""
+    if not q.is_form():
+        raise NotAFormError("value representation needs a homogeneous form")
+    q._check_point(x)
+    r_raw = q._form_value_raw([n.raw for n in x.nums], x.den.raw)
+    if r_raw is None:
+        raise ValueNotIntegralError(f"q({x}) = {_shown(q.eval(x))} is not in the base ring")
+    return q.sub_scalar(r_raw), r_raw
 
 
 def adc_trace(
@@ -190,22 +239,18 @@ def adc_trace(
     q must be homogeneous and q(x) must lie in the ring; the trace descends
     q - r starting from x, so its result y satisfies q(y) = r.
     """
-    if not q.is_form():
-        raise NotAFormError("value representation needs a homogeneous form")
-    q._check_point(x)
-    r_raw = q._form_value_raw([n.raw for n in x.nums], x.den.raw)
-    if r_raw is None:
-        raise ValueNotIntegralError(f"q({x}) = {_shown(q.eval(x))} is not in the base ring")
-    r = DomainElement(q.domain, r_raw)
-    trace = descend(q.sub_scalar(r), x, window)
-    return trace, r
+    qr, r_raw = _value_shift(q, x)
+    return descend(qr, x, window), DomainElement(q.domain, r_raw)
 
 
 def adc_represent(
     q: QuadraticPolynomial, x: FractionPoint, window: int = 2
 ) -> tuple[DomainElement, ...]:
-    """An integral point y with q(y) = q(x), found by descending q - q(x)."""
-    return adc_trace(q, x, window)[0].result
+    """An integral point y with q(y) = q(x), found by descending q - q(x):
+    the result of adc_trace, with the same checks, but no step wrapped."""
+    qr, _ = _value_shift(q, x)
+    y = _descend(qr, [n.raw for n in x.nums], x.den.raw, window)
+    return tuple(DomainElement(q.domain, r) for r in y)
 
 
 class N2Failure(_Record):

@@ -1046,9 +1046,13 @@ def check_norm_axioms(
     one, and the fraction-field extension norm(a)/norm(b) is multiplicative
     and agrees with the ring norm on denominators equal to 1.  More than
     SEARCH_BUDGET samples raises SearchBudgetError before any is drawn, and
-    so does a samples * s^2 over it, the cost of the products grown with
-    the element size s: bound + 1 coefficients over F_p[t], and
-    bound.bit_length() over Z and Z[i].
+    so does a samples * cost over it, where cost models the time of one
+    sample in units of about 1.4 us (SEARCH_BUDGET units take about 14 s):
+    (bound + 1)^2 over F_p[t], for the products of bound + 1 coefficients;
+    over Z and Z[i] a fixed 32, plus the growth of the bigint products and
+    gcds with the bit length s of bound, in w = s // 64 + 1 words: w^2 / 16
+    over Z, and s * (5 + w^2 / 50) / 2 over Z[i], whose gcd takes O(s)
+    Euclid steps of growing cost.
     """
     from .enumeration import _within_budget  # enumeration imports this module
 
@@ -1056,8 +1060,16 @@ def check_norm_axioms(
     fpt = isinstance(domain, PrimeFieldPolynomials)
     if bound is None:
         bound = 8 if fpt else 10**6
-    size = bound + 1 if fpt else bound.bit_length()
-    _within_budget(samples * size * size, "the norm-axiom check at this element size")
+    if fpt:
+        cost = (bound + 1) ** 2
+    else:
+        s = bound.bit_length()
+        w = s // 64 + 1
+        if isinstance(domain, GaussianIntegers):
+            cost = 32 + s * (5 + w * w // 50) // 2
+        else:
+            cost = 32 + w * w // 16
+    _within_budget(samples * cost, "the norm-axiom check at this element size")
     rng = random.Random(seed)
     failures = []
 

@@ -113,12 +113,10 @@ class QuadraticPolynomial:
 
     # -- public evaluation -------------------------------------------------
 
-    def _cleared_raw(self, x: FractionPoint):
+    def _cleared_raw(self, a, b):
         """The raw numerator b^2 f(x) = f2(a) + b*(f1(a) + b*f0) at x = a/b,
-        which vanishes exactly when x is a zero of f."""
+        for raws a and b, which vanishes exactly when x is a zero of f."""
         dom = self.domain
-        a = [n.raw for n in x.nums]
-        b = x.den.raw
         tail = dom._add(self._f1_raw(a), dom._mul(b, self.const))
         return dom._add(self._f2_raw(a), dom._mul(b, tail))
 
@@ -136,7 +134,8 @@ class QuadraticPolynomial:
         """Exact value f(x) in the fraction field."""
         self._check_point(x)
         b = x.den.raw
-        return FractionElement(self.domain, self._cleared_raw(x), self.domain._mul(b, b))
+        cleared = self._cleared_raw([n.raw for n in x.nums], b)
+        return FractionElement(self.domain, cleared, self.domain._mul(b, b))
 
     def eval_at_integral(self, pt) -> DomainElement:
         return DomainElement(self.domain, self._eval_raw(self._coerce_vector(pt)))

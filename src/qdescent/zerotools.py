@@ -23,9 +23,11 @@ point of equal value, and reports disagreements.  It works on the raw
 (nums, den, r) triples of CanonicalPoints.integral_values: q(a/b) =
 q2(a)/b^2 is integral exactly when b^2 divides q2(a), and q2 is summed one
 coordinate at a time, one ring add per point for a diagonal form, with no
-fraction built.  Only the points that pass get a FractionPoint and a
-descent of q - r, the same descent adc_represent runs, with q - r built
-once per value r and shared with the witness search.  A descent
+fraction built.  The points that pass are descended on raws by
+descent._descend, the loop adc_represent runs, with every certificate of
+every step, on q - r built once per value r and shared with the witness
+search; the result's value and box radius are read from raws as well.  A
+FractionPoint is built only for a point that is reported.  A descent
 that merely fails for want of an oracle witness is classified
 "inapplicable", not a failure: it does not refute value representability,
 it only means the quadratic part is not covered by the rounding oracle
@@ -46,7 +48,7 @@ from .errors import (
     OracleNotFound,
     SearchBudgetError,
 )
-from .descent import descend
+from .descent import _descend
 from .enumeration import SEARCH_BUDGET, CanonicalPoints, _within_budget
 from .enumeration import first_zero, first_zero_count
 from .quadratic import QuadraticPolynomial
@@ -224,42 +226,32 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
     sweep = CanonicalPoints(dom, d, box.height, box.num_bound, integral=True)
     for nums, den, r_raw in sweep.integral_values(q):
         checked += 1
-        r = DomainElement(dom, r_raw)
-        x = FractionPoint._trusted(dom, nums, den)
         qr = shifted.get(r_raw)
         if qr is None:
             qr = shifted[r_raw] = q.sub_scalar(r_raw)
         try:
-            y = descend(qr, x, window).result
+            y = _descend(qr, nums, den, window)
         except OracleNotFound as err:
             y = None
             note = f"no oracle witness in window {window} (best norm {err.min_norm})"
         if y is not None:
-            if q.eval_at_integral(y) != r:
-                failures.append(AdcFinding(x, r, "descent result has the wrong value"))
-                continue
-            radius = max(
-                [box.num_bound] + [dom._box_radius(c.raw) for c in y]
-            )
-            witness, _ = brute_witness(r_raw, radius)
-            if witness is None:
-                failures.append(
-                    AdcFinding(x, r, "brute search missed a value descent represents")
-                )
+            if q._f2_raw(y) != r_raw:
+                found, detail = failures, "descent result has the wrong value"
+            else:
+                radius = max([box.num_bound] + [dom._box_radius(c) for c in y])
+                if brute_witness(r_raw, radius)[0] is not None:
+                    continue
+                found, detail = failures, "brute search missed a value descent represents"
         else:
             witness, definitive = brute_witness(r_raw, box.num_bound)
             if witness is not None:
-                inapplicable.append(
-                    AdcFinding(x, r, note + "; brute search still represents the value")
-                )
+                found, detail = inapplicable, note + "; brute search still represents the value"
             elif definitive:
-                failures.append(
-                    AdcFinding(x, r, "value attained on K^d but on no integral point")
-                )
+                found, detail = failures, "value attained on K^d but on no integral point"
             else:
-                failures.append(
-                    AdcFinding(x, r, note + "; no witness in the heuristic box either")
-                )
+                found, detail = failures, note + "; no witness in the heuristic box either"
+        x = FractionPoint._trusted(dom, nums, den)
+        found.append(AdcFinding(x, DomainElement(dom, r_raw), detail))
     return AdcReport(checked, tuple(failures), tuple(inapplicable))
 
 

@@ -31,6 +31,7 @@ from qdescent import (
     parse_form,
     random_rational_zero,
     SearchBox,
+    verify_adc,
 )
 from qdescent.domains import _KRONECKER_MIN_TERMS
 
@@ -213,14 +214,25 @@ def _origin_witness(f, a, b, window):
     return [dom._ZERO] * f.d, v, dom._norm(v), b2, dom._norm(b2)
 
 
+# a verify_adc box per ADMISSIBLE_CASES domain in which some point of the
+# form's quadratic part descends at least one step
+_LYING_ADC_BOXES = {"Z": SearchBox(2, 3), "Zi": SearchBox(2, 2), "Fpt:2": SearchBox(1, 1)}
+
+
 @ADMISSIBLE_CASES
 @pytest.mark.parametrize("fake", [_misreported_norm, _origin_witness])
 def test_descent_rejects_a_lying_oracle(monkeypatch, dom, text, bound, fake):
     f = parse_form(text, dom)
     x = random_rational_zero(f, brute_integral_zero(f, SearchBox(bound)), seed=77, height_min=3)
+    # f = q - c for the form q = f2, so q(x) = c lies in the ring
+    q = QuadraticPolynomial(dom, f.d, f.quad)
     monkeypatch.setattr(descent_module, "_search", fake)
     with pytest.raises(InternalInvariantError):
         descend(f, x)
+    with pytest.raises(InternalInvariantError):
+        adc_represent(q, x)
+    with pytest.raises(InternalInvariantError):
+        verify_adc(q, _LYING_ADC_BOXES[dom.name])
 
 
 def _iterated_descent(f, x):
@@ -270,9 +282,12 @@ def test_descend_checks_each_point_once(monkeypatch, dom, text, bound):
     calls = []
     cleared = QuadraticPolynomial._cleared_raw
 
-    def counted(self, x):
-        calls.append(x)
-        return cleared(self, x)
+    def counted(self, a, b):
+        calls.append((tuple(a), b))
+        return cleared(self, a, b)
+
+    def raws(x):
+        return tuple(n.raw for n in x.nums), x.den.raw
 
     f = parse_form(text, dom)
     y0 = brute_integral_zero(f, SearchBox(bound))
@@ -280,7 +295,7 @@ def test_descend_checks_each_point_once(monkeypatch, dom, text, bound):
     monkeypatch.setattr(QuadraticPolynomial, "_cleared_raw", counted)
     trace = descend(f, x)
     assert len(trace.steps) >= 2
-    assert calls == [x] + [s.x_next for s in trace.steps]
+    assert calls == [raws(x)] + [raws(s.x_next) for s in trace.steps]
 
 
 def _fp_mul(a, b, p):
@@ -342,9 +357,9 @@ def test_descend_step_cap(monkeypatch):
     x = FractionPoint(ZZ, [-11, 2], 5)
     calls = []
 
-    def stalled(f, cur, window):
-        calls.append(cur)
-        return descent_module.DescentStep(cur, (), (), None, None, None, cur.den, cur.den, cur)
+    def stalled(f, a, b, window):
+        calls.append((a, b))
+        return (), (), None, None, None, b, a, b
 
     monkeypatch.setattr(descent_module, "_step", stalled)
     with pytest.raises(InternalInvariantError, match="step cap of 5"):
@@ -365,6 +380,30 @@ def test_adc_represent_frozen():
     assert q.eval_at_integral(trace.result) == 13
     y = adc_represent(q, x)
     assert [c.raw for c in y] == [3, -2, 0]
+
+
+@pytest.mark.parametrize(
+    "dom, text, bound",
+    [
+        (ZZ, "x^2+y^2+z^2-26", 6),
+        (ZI, "x1*x2-2*i", 2),
+        (F2, "x1*x2+x3^2+t", 1),
+        (F3, "x1^2+t*x2^2-t", 1),
+    ],
+    ids=["Z", "Zi", "Fpt:2", "Fpt:3"],
+)
+def test_adc_represent_equals_adc_trace_result(dom, text, bound):
+    # adc_represent runs the descent loop without wrapping any step; it must
+    # land where the traced descent of adc_trace does
+    f = parse_form(text, dom)
+    q = QuadraticPolynomial(dom, f.d, f.quad)  # f = q - c
+    y0 = brute_integral_zero(f, SearchBox(bound))
+    for seed in range(8):
+        x = random_rational_zero(f, y0, seed=seed, height_min=3, direction_bound=40)
+        trace, r = adc_trace(q, x)
+        assert trace.steps
+        assert adc_represent(q, x) == trace.result
+        assert q.eval_at_integral(trace.result) == r == -f.eval_at_integral([0] * f.d)
 
 
 def test_adc_represent_integral_echo():

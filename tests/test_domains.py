@@ -374,6 +374,23 @@ def test_norm_axioms_refused_over_budget():
     assert check_norm_axioms(ZZ, samples=1).checked == 1
 
 
+@pytest.mark.parametrize(
+    "dom, limit",
+    # the most samples each default check takes under a budget of 10^5; at
+    # the real budget of 10^7 they scale by 100 (Z takes 25,001 and more),
+    # and each limit runs for about the same time
+    [(ZZ, 3125), (ZI, 1219), (F2, 1234)],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_norm_axioms_sized_by_modelled_sample_cost(monkeypatch, dom, limit):
+    import qdescent.enumeration as enumeration
+
+    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", 10**5)
+    with pytest.raises(SearchBudgetError, match="at this element size"):
+        check_norm_axioms(dom, samples=limit + 1)
+    assert check_norm_axioms(dom, samples=limit).ok
+
+
 @given(a=st.integers(-50, 50), b=st.integers(-50, 50), c=st.integers(-7, 7), d=st.integers(-7, 7))
 @settings(max_examples=200, deadline=None)
 def test_gaussian_norm_multiplicative(a, b, c, d):

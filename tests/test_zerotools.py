@@ -266,8 +266,11 @@ def test_verify_adc_oversized_sweep_refused_before_any_descent(monkeypatch):
     def no_descent(*args, **kwargs):
         raise AssertionError("descent ran before the sweep was sized")
 
-    monkeypatch.setattr(zerotools, "descend", no_descent)
+    monkeypatch.setattr(zerotools, "_descend", no_descent)
     with pytest.raises(SearchBudgetError, match="canonical point sweep"):
         verify_adc(parse_form("x^2+y^2+z^2", ZZ), SearchBox(300, 2))
     with pytest.raises(SearchBudgetError, match="canonical point sweep"):
         verify_adc(parse_form("x1^2+t*x2^2", GFpT(1000003)), SearchBox(1, 1))
+    # the patched loop is the one verify_adc runs: a sweep in budget hits it
+    with pytest.raises(AssertionError, match="descent ran"):
+        verify_adc(parse_form("x^2+y^2+z^2", ZZ), SearchBox(1, 2))
