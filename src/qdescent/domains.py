@@ -1047,10 +1047,15 @@ def check_norm_axioms(
     and agrees with the ring norm on denominators equal to 1.  More than
     SEARCH_BUDGET samples raises SearchBudgetError before any is drawn, and
     so does a samples * cost over it, where cost models the time of one
-    sample in units of about 1.4 us (SEARCH_BUDGET units take about 14 s):
-    (bound + 1)^2 over F_p[t], for the products of bound + 1 coefficients;
-    over Z and Z[i] a fixed 32, plus the growth of the bigint products and
-    gcds with the bit length s of bound, in w = s // 64 + 1 words: w^2 / 16
+    sample in units of about 1.4 us (SEARCH_BUDGET units take about 14 s).
+    Everywhere a fixed 32 and then, over F_p[t] with n = bound + 1
+    coefficients and b = p.bit_length(): b + 3n, plus the products and gcds,
+    n^2 * (16 + b)/190 * (p - 1)/p * (1 + n/1024): coefficient pairs, their
+    cost growing with p's size, the share of nonzero coefficients, and
+    past n ~ 500 the bigint norms and packed products (fitted to per-sample
+    times for p from 2 to 82 bits and bound 0 to 2048, within a factor
+    0.4-2.2).  Over Z and Z[i] the growth of the bigint products and gcds
+    with the bit length s of bound, in w = s // 64 + 1 words: w^2 / 16
     over Z, and s * (5 + w^2 / 50) / 2 over Z[i], whose gcd takes O(s)
     Euclid steps of growing cost.
     """
@@ -1061,7 +1066,9 @@ def check_norm_axioms(
     if bound is None:
         bound = 8 if fpt else 10**6
     if fpt:
-        cost = (bound + 1) ** 2
+        n, b = bound + 1, domain.p.bit_length()
+        pairs = n * n * (16 + b) * (domain.p - 1) * (1024 + n)
+        cost = 32 + b + 3 * n + pairs // (190 * 1024 * domain.p)
     else:
         s = bound.bit_length()
         w = s // 64 + 1

@@ -7,11 +7,14 @@ SearchBudgetError before anything is generated:
 - BoxSweep: the elements of one coordinate box, in Domain._box_raws order;
 - CanonicalPoints: the canonical fraction points a/b with numerators a in
   a box and b a normalized denominator, gcd(a, b) a unit, denominators
-  first, as raw (nums, den) pairs; callers build a FractionPoint (through
-  FractionPoint._trusted) only for the points they keep.  Its
-  integral_values(q) walks the same points, in the same order, keeping
-  only those where a form q is integral, with q2 evaluated incrementally
-  one coordinate at a time and den^2 | q2(a) tested before the gcd filter;
+  first.  It is walked one denominator at a time, in rows of the last
+  coordinate, with a form's q2 summed one coordinate at a time
+  (_q2_rows), never a point at a time.  integral_values(q) yields the raw
+  (nums, den, r) where q is integral; residue_rows(q) gives the rows of q2
+  at the rounding residues a - b*round(a/b), with gcd(a, b) carried the
+  same way, which oracle.check_euclidean reads.  Callers build a
+  FractionPoint (through FractionPoint._trusted) only for the points they
+  report;
 - first_zero: the first integral zero of a polynomial in graded order,
   that is by (sum of coordinate norms, coordinatewise sort key).  It fixes
   every coordinate but the widest and solves that fiber for the last one:
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from functools import partial
-from itertools import chain, product
+from itertools import chain
 
 from .domains import ZI, Domain, DomainElement, GaussianIntegers, RationalIntegers
 from .errors import SearchBudgetError
@@ -70,8 +73,8 @@ class BoxSweep:
 
 
 class CanonicalPoints:
-    """Canonical fraction points in the box, denominators first, as raw
-    (nums, den) pairs with nums a tuple.
+    """Canonical fraction points in the box, denominators first, walked one
+    denominator at a time.
 
     Denominators come in Domain._denominator_raws order (non-units of norm,
     or degree for F_p[t], at most height), preceded by 1 when integral is
@@ -80,6 +83,10 @@ class CanonicalPoints:
     is drawn normalized, so a kept pair is exactly the canonical form
     FractionPoint(domain, nums, den) would compute.  count() is the number
     of (den, nums) candidates examined, kept or not.
+
+    Neither sweep yields a point at a time: both walk the numerators of one
+    denominator in rows of the last coordinate (_q2_rows), with q2 summed
+    one coordinate at a time.
     """
 
     def __init__(self, domain: Domain, d: int, height: int, box: int, integral: bool = False):
@@ -94,92 +101,161 @@ class CanonicalPoints:
         dens = dom._denominator_count(self.height) + (1 if self.integral else 0)
         return dens * dom._box_count(self.box) ** self.d
 
-    def __iter__(self):
-        _within_budget(self.count(), "a canonical point sweep")
-        return self._points()
-
     def _denominators(self):
         dens = self.domain._denominator_raws(self.height)
         return chain([self.domain._ONE], dens) if self.integral else dens
 
-    def _points(self):
-        dom = self.domain
-        if self.d == 1:
-            def numerators():
-                return ((a,) for a in dom._box_raws(self.box))
-        else:
-            raws = list(dom._box_raws(self.box))
-
-            def numerators():
-                return product(raws, repeat=self.d)
-
-        for den in self._denominators():
-            for nums in numerators():
-                if _coprime(dom, nums, den):
-                    yield nums, den
-
     def integral_values(self, q):
         """The points of this sweep at which the form q takes a ring value,
-        as raw (nums, den, r) with r = q2(nums)/den^2, in iteration order.
+        as raw (nums, den, r) with r = q2(nums)/den^2, in sweep order.
 
-        Sized and refused like iteration, before anything is evaluated.
-        q2 does not depend on den, but the sweep keeps the denominators
-        first, so q2 is evaluated incrementally for each one: coordinate i
-        runs over the box axis with the table c_ii*u^2 built once, and
-        fixing it adds c_ij*u to the linear coefficient of each later
-        coordinate j.  Then a point of a diagonal form costs one ring add,
-        plus one multiply for a coordinate that cross terms reach.  Only
-        the points where den^2 divides q2 go through the gcd filter.
-        Memory is O(d * box axis).
+        Sized and refused like residue_rows, before anything is evaluated.
+        q2 does not depend on den, so its tables are built once, but the
+        sweep keeps the denominators first, so its rows are summed again for
+        each one.  Only the points where den^2 divides q2 go through the
+        gcd filter.
         """
         _within_budget(self.count(), "a canonical point sweep")
         return self._integral_values(q)
 
     def _integral_values(self, q):
         dom = self.domain
-        d = self.d
-        add, mul, quotient = dom._add, dom._mul, dom._quotient_or_none
+        mul, quotient = dom._mul, dom._quotient_or_none
         axis = list(dom._box_raws(self.box))
-        squares = [
-            None if (i, i) not in q.quad else [mul(q.quad[i, i], mul(u, u)) for u in axis]
-            for i in range(d)
-        ]
-        cross = [[(j, q.quad[i, j]) for j in range(i + 1, d) if (i, j) in q.quad] for i in range(d)]
+        squares = _square_rows(dom, q, axis, {})
 
-        def row(i, s, lin):
-            # q2 of the prefix extended by each axis element at coordinate
-            # i, given the prefix's value s and the linear coefficient lin
-            # (None for zero) its cross terms give coordinate i
-            vals = [s] * len(axis) if squares[i] is None else [add(s, t) for t in squares[i]]
-            if lin is not None:
-                vals = [add(v, mul(lin, u)) for v, u in zip(vals, axis)]
-            return vals
+        def fix(nums, j):
+            return nums + (axis[j],)
 
-        def rows(i, prefix, s, lins):
-            # (prefix of i coordinates, q2 of each extension at coordinate
-            # d - 1) in product order
-            if i == d - 1:
-                yield prefix, row(i, s, lins[i])
-                return
-            for u, v in zip(axis, row(i, s, lins[i])):
-                nxt = lins
-                if cross[i]:
-                    nxt = list(lins)
-                    for j, c in cross[i]:
-                        m = mul(c, u)
-                        nxt[j] = m if nxt[j] is None else add(nxt[j], m)
-                yield from rows(i + 1, prefix + (u,), v, nxt)
-
-        start = [None] * d
         for den in self._denominators():
             den2 = mul(den, den)
-            for prefix, vals in rows(0, (), dom._ZERO, start):
+            for prefix, vals in _q2_rows(dom, q, axis, squares, (), fix):
                 for u, v in zip(axis, vals):
                     r = quotient(v, den2)
                     if r is not None:
                         nums = prefix + (u,)
                         if _coprime(dom, nums, den):
                             yield nums, den, r
+
+    def residue_rows(self, q):
+        """This sweep with q2 taken at the rounding residues, one
+        denominator b at a time: (b, axis, residues, rows), with axis the
+        box axis and residues[j] = axis[j] - b*round(axis[j]/b).  rows
+        yields (nums, ws, vals, coprime) per prefix of the first d - 1
+        coordinates: nums its axis elements, ws their residues, and for the
+        last coordinate at axis[j], vals[j] = q2(ws + (residues[j],)) and
+        coprime[j] whether gcd(b, nums + (axis[j],)) is a unit.  So vals
+        holds q2(w0) at the vector w0 = a - b*round(a/b) the oracle clears
+        a/b to.
+
+        The gcd is carried along the prefix like q2: g = gcd(b, nums)
+        divides b, so gcd(g, w) is gcd(g, u) up to a unit for the residue w
+        of u.  It is taken once per distinct (g, w) while g is not a unit,
+        and the last coordinate's flags once per distinct g; c_ii*w^2 once
+        per residue for the whole sweep.  Sized and refused like
+        integral_values, before anything is built.
+        """
+        _within_budget(self.count(), "a canonical point sweep")
+        return self._residue_rows(q)
+
+    def _residue_rows(self, q):
+        dom = self.domain
+        add, neg, mul, rq = dom._add, dom._neg, dom._mul, dom._round_quotient
+        axis = list(dom._box_raws(self.box))
+        square_memo = {}
+        for den in self._denominators():
+            residues = [add(u, neg(mul(den, rq(u, den)))) for u in axis]
+            squares = _square_rows(dom, q, residues, square_memo)
+            yield den, axis, residues, self._coprime_rows(q, den, axis, residues, squares)
+
+    def _coprime_rows(self, q, den, axis, residues, squares):
+        gcd, is_unit = self.domain._gcd, self.domain._is_unit
+        meets = {}
+        flag_rows = {}
+
+        def meet(g, w):
+            m = meets.get((g, w))
+            if m is None:
+                m = meets[g, w] = gcd(g, w)
+            return m
+
+        def fix(carry, j):
+            nums, ws, g = carry
+            w = residues[j]
+            return nums + (axis[j],), ws + (w,), g if is_unit(g) else meet(g, w)
+
+        for (nums, ws, g), vals in _q2_rows(self.domain, q, residues, squares, ((), (), den), fix):
+            flags = flag_rows.get(g)
+            if flags is None:
+                if is_unit(g):
+                    flags = [True] * len(axis)
+                else:
+                    flags = [is_unit(meet(g, w)) for w in residues]
+                flag_rows[g] = flags
+            yield nums, ws, vals, flags
+
+
+def _square_rows(dom: Domain, q, values, memo: dict) -> list:
+    """Per coordinate i, None when q has no X_i^2 term, else the list of
+    c_ii*v^2 over values; memo maps (i, v) to the product across calls."""
+    mul = dom._mul
+    out = []
+    for i in range(q.d):
+        c = q.quad.get((i, i))
+        if c is None:
+            out.append(None)
+            continue
+        row = []
+        for v in values:
+            t = memo.get((i, v))
+            if t is None:
+                t = memo[i, v] = mul(c, mul(v, v))
+            row.append(t)
+        out.append(row)
+    return out
+
+
+def _q2_rows(dom: Domain, q, values, squares, start, fix):
+    """q2 over the product of values in q's d coordinates, in product
+    order, one row of the last coordinate at a time: (carry, vals) for each
+    prefix of the first d - 1 coordinates, with vals[j] = q2(prefix values
+    + (values[j],)) and carry = fix(...fix(start, j_0)..., j_{d-2}) over
+    the prefix's positions.  squares is _square_rows(dom, q, values, ...).
+
+    q2 is summed one coordinate at a time: coordinate i runs over values
+    with the tabulated c_ii*v^2, and fixing it adds c_ij*v to the linear
+    coefficient of each later coordinate j.  Then a point of a diagonal
+    form costs one ring add, plus one multiply for a coordinate that cross
+    terms reach.  Memory is O(d * len(values)).
+    """
+    d = q.d
+    add, mul = dom._add, dom._mul
+    cross = [[(j, q.quad[i, j]) for j in range(i + 1, d) if (i, j) in q.quad] for i in range(d)]
+    n = len(values)
+
+    def row(i, s, lin):
+        # q2 of the prefix extended by each value at coordinate i, given the
+        # prefix's value s and the linear coefficient lin (None for zero)
+        # its cross terms give coordinate i
+        vals = [s] * n if squares[i] is None else [add(s, t) for t in squares[i]]
+        if lin is not None:
+            vals = [add(v, mul(lin, w)) for v, w in zip(vals, values)]
+        return vals
+
+    def rows(i, carry, s, lins):
+        if i == d - 1:
+            yield carry, row(i, s, lins[i])
+            return
+        for j, (w, v) in enumerate(zip(values, row(i, s, lins[i]))):
+            nxt = lins
+            if cross[i]:
+                nxt = list(lins)
+                for k, c in cross[i]:
+                    m = mul(c, w)
+                    nxt[k] = m if nxt[k] is None else add(nxt[k], m)
+            yield from rows(i + 1, fix(carry, j), v, nxt)
+
+    return rows(0, start, dom._ZERO, [None] * d)
 
 
 def _coprime(dom: Domain, nums, den) -> bool:

@@ -31,11 +31,18 @@ any offset is built.
 _search runs all of the above on raw values and returns either the
 winning raws or the least norm seen, wrapping nothing.  euclidean_step,
 the public oracle, checks its point and returns an OracleResult holding
-the canonical value f2(x - y) (one ring gcd).  The descent step and
-check_euclidean call _search directly: the step wraps y once, for its
-DescentStep, and check_euclidean sweeps the raw pairs of CanonicalPoints
-and builds a FractionPoint only for the points where no witness exists
-in the window.
+the canonical value f2(x - y) (one ring gcd).  The descent step calls
+_search directly and wraps y once, for its DescentStep.
+
+check_euclidean never runs the oracle point by point.  The verdict at
+x = a/b, and the least norm of a failing scan, depend only on b and on
+w0 = a - b*round(a/b): rounding works coordinate by coordinate, and the
+scan's values f2(w0 - b*o) above do not depend on round(a/b).  So it walks
+the residue rows of CanonicalPoints, one denominator at a time, where
+f2(w0) is summed one coordinate at a time from per-denominator tables;
+a point with 0 < N(f2(w0)) < N(b^2) costs one integer comparison, and
+only the others reach a window scan, one per residue class, memoized per
+denominator (at most one entry per class that fails the fast path).
 """
 
 from __future__ import annotations
@@ -208,18 +215,37 @@ def check_euclidean(
     denominator norm (degree, for F_p[t]) at most height and numerator
     coordinates in the box; failures are collected in enumeration order.
 
-    The sweep decides each point as euclidean_step would, on the raw
-    (nums, den) pairs of CanonicalPoints, whose denominators are non-units,
-    so no point is integral: a FractionPoint and a min_norm Fraction are
-    built only for the points that fail.
+    Each point is decided as euclidean_step would decide it, by the
+    residue-class argument of the module docstring: f2(w0) comes from
+    CanonicalPoints.residue_rows, whose denominators are non-units, so no
+    point is integral, and only a point outside 0 < N(f2(w0)) < N(b^2)
+    reaches _search, once per residue class and denominator.  The memo
+    holds at most one entry per class that fails the fast path and is
+    dropped with its denominator.  A scan is sized before it runs, so an
+    over-budget window is refused at the first point that would scan, as
+    in a point-by-point sweep.  A FractionPoint and a min_norm Fraction
+    are built only for the points that fail.
     """
     dom = f.domain
+    norm = dom._norm
     checked = 0
     failures = []
-    for nums, den in CanonicalPoints(dom, f.d, height, box):
-        checked += 1
-        y, _, n, _, nb2 = _search(f, nums, den, window)
-        if y is None:
-            x = FractionPoint._trusted(dom, nums, den)
-            failures.append(EuclideanFailure(x, window, Fraction(n, nb2)))
+    for den, axis, residues, rows in CanonicalPoints(dom, f.d, height, box).residue_rows(f):
+        nb2 = norm(dom._mul(den, den))
+        scanned = {}  # residue vector -> least norm of a failing scan, None when found
+        for nums, ws, vals, coprime in rows:
+            for j, v in enumerate(vals):
+                if not coprime[j]:
+                    continue
+                checked += 1
+                if 0 < norm(v) < nb2:
+                    continue
+                key = ws + (residues[j],)
+                if key not in scanned:
+                    y, _, n, _, _ = _search(f, nums + (axis[j],), den, window)
+                    scanned[key] = None if y is not None else n
+                n = scanned[key]
+                if n is not None:
+                    x = FractionPoint._trusted(dom, nums + (axis[j],), den)
+                    failures.append(EuclideanFailure(x, window, Fraction(n, nb2)))
     return EuclideanReport(checked, tuple(failures))

@@ -220,6 +220,7 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
         cache[key] = result
         return result
 
+    one = dom._ONE
     checked = 0
     failures = []
     inapplicable = []
@@ -235,7 +236,10 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
             y = None
             note = f"no oracle witness in window {window} (best norm {err.min_norm})"
         if y is not None:
-            if q._f2_raw(y) != r_raw:
+            # at den == 1 the loop returns nums unchanged, and its start
+            # check has already proved q2(nums) - r = 0; a point that took a
+            # step has its value checked here
+            if den != one and q._f2_raw(y) != r_raw:
                 found, detail = failures, "descent result has the wrong value"
             else:
                 radius = max([box.num_bound] + [dom._box_radius(c) for c in y])

@@ -425,6 +425,101 @@ def test_check_euclidean_char2(capsys):
     assert out.strip() == "checked=288 failures=0"
 
 
+# The full --format json stdout of three failing sweeps, as the
+# point-by-point sweep printed it: points in sweep order, each min_norm.
+EUCLID_GOLDEN = [
+    (
+        ["Z", "w^2+x^2+y^2+z^2", "2", "2"],
+        """\
+{
+  "checked": 544,
+  "failures": [
+    "x=-1,-1,-1,-1/2 window=2 min_norm=1",
+    "x=-1,-1,-1,1/2 window=2 min_norm=1",
+    "x=-1,-1,1,-1/2 window=2 min_norm=1",
+    "x=-1,-1,1,1/2 window=2 min_norm=1",
+    "x=-1,1,-1,-1/2 window=2 min_norm=1",
+    "x=-1,1,-1,1/2 window=2 min_norm=1",
+    "x=-1,1,1,-1/2 window=2 min_norm=1",
+    "x=-1,1,1,1/2 window=2 min_norm=1",
+    "x=1,-1,-1,-1/2 window=2 min_norm=1",
+    "x=1,-1,-1,1/2 window=2 min_norm=1",
+    "x=1,-1,1,-1/2 window=2 min_norm=1",
+    "x=1,-1,1,1/2 window=2 min_norm=1",
+    "x=1,1,-1,-1/2 window=2 min_norm=1",
+    "x=1,1,-1,1/2 window=2 min_norm=1",
+    "x=1,1,1,-1/2 window=2 min_norm=1",
+    "x=1,1,1,1/2 window=2 min_norm=1"
+  ]
+}
+""",
+    ),
+    (
+        ["Zi", "x^2+3*y^2", "2", "1"],
+        """\
+{
+  "checked": 56,
+  "failures": [
+    "x=-1,-1/1+i window=2 min_norm=1",
+    "x=-1,-i/1+i window=2 min_norm=1",
+    "x=-1,i/1+i window=2 min_norm=1",
+    "x=-1,1/1+i window=2 min_norm=1",
+    "x=-i,-1/1+i window=2 min_norm=1",
+    "x=-i,-i/1+i window=2 min_norm=1",
+    "x=-i,i/1+i window=2 min_norm=1",
+    "x=-i,1/1+i window=2 min_norm=1",
+    "x=i,-1/1+i window=2 min_norm=1",
+    "x=i,-i/1+i window=2 min_norm=1",
+    "x=i,i/1+i window=2 min_norm=1",
+    "x=i,1/1+i window=2 min_norm=1",
+    "x=1,-1/1+i window=2 min_norm=1",
+    "x=1,-i/1+i window=2 min_norm=1",
+    "x=1,i/1+i window=2 min_norm=1",
+    "x=1,1/1+i window=2 min_norm=1"
+  ]
+}
+""",
+    ),
+    (
+        ["Fpt:2", "x1^2+t*x2*x3+x3^2", "2", "1"],
+        """\
+{
+  "checked": 336,
+  "failures": [
+    "x=0,1,0/t window=2 min_norm=1",
+    "x=0,1,t/t window=2 min_norm=1",
+    "x=0,t+1,0/t window=2 min_norm=1",
+    "x=0,t+1,t/t window=2 min_norm=1",
+    "x=1,0,1/t window=2 min_norm=1",
+    "x=1,0,t+1/t window=2 min_norm=1",
+    "x=1,t,1/t window=2 min_norm=1",
+    "x=1,t,t+1/t window=2 min_norm=1",
+    "x=t,1,0/t window=2 min_norm=1",
+    "x=t,1,t/t window=2 min_norm=1",
+    "x=t,t+1,0/t window=2 min_norm=1",
+    "x=t,t+1,t/t window=2 min_norm=1",
+    "x=t+1,0,1/t window=2 min_norm=1",
+    "x=t+1,0,t+1/t window=2 min_norm=1",
+    "x=t+1,t,1/t window=2 min_norm=1",
+    "x=t+1,t,t+1/t window=2 min_norm=1"
+  ]
+}
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, expected", EUCLID_GOLDEN, ids=[c[0][0] for c in EUCLID_GOLDEN])
+def test_check_euclidean_json_golden(capsys, args, expected):
+    dom, form, height, box = args
+    code, out, err = run(
+        capsys,
+        "check", "euclidean", "--domain", dom, "--form", form,
+        "--height", height, "--box", box, "--format", "json",
+    )
+    assert (code, out, err) == (2, expected, "")
+
+
 def test_check_adc_four_squares(capsys):
     code, out, _ = run(
         capsys,

@@ -378,8 +378,9 @@ def test_norm_axioms_refused_over_budget():
     "dom, limit",
     # the most samples each default check takes under a budget of 10^5; at
     # the real budget of 10^7 they scale by 100 (Z takes 25,001 and more),
-    # and each limit runs for about the same time
-    [(ZZ, 3125), (ZI, 1219), (F2, 1234)],
+    # and each limit runs for about the same time; over F_p[t] the limit
+    # falls as p grows
+    [(ZZ, 3125), (ZI, 1219), (F2, 1562), (F3, 1515), (GFpT(1000003), 1063)],
     ids=lambda v: getattr(v, "name", v),
 )
 def test_norm_axioms_sized_by_modelled_sample_cost(monkeypatch, dom, limit):

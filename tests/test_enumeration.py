@@ -51,6 +51,19 @@ def reference_points(dom, bounds):
     return pts
 
 
+def swept_pairs(pts):
+    """The (nums, den) pairs a canonical point sweep keeps, in sweep order,
+    read from the coprime flags of its residue rows."""
+    q = QuadraticPolynomial(pts.domain, pts.d, {})
+    return [
+        (nums + (u,), den)
+        for den, axis, _, rows in pts.residue_rows(q)
+        for nums, _, _, coprime in rows
+        for u, kept in zip(axis, coprime)
+        if kept
+    ]
+
+
 def reference_first_zero(f, bounds):
     for pt in reference_points(f.domain, bounds):
         if f.domain._is_zero(f._eval_raw(list(pt))):
@@ -293,7 +306,7 @@ def test_counts_match_enumeration_lengths():
                     g = dom._gcd(g, c)
                 if dom._is_unit(g):
                     kept.append((nums, den))
-            assert list(pts) == kept
+            assert swept_pairs(pts) == kept
     # over Z the zero search visits fibers: the box without its widest axis
     assert first_zero_count(ZZ, [3, 1, 2]) == 3 * 5
     assert first_zero_count(ZI, [1, 0]) == 9
@@ -315,7 +328,7 @@ def test_canonical_points_are_the_canonicalizing_filter(dom, d, height, box):
             for nums in product(list(dom._box_raws(box)), repeat=d)
             if FractionPoint(dom, nums, den).den.raw == den
         ]
-        pairs = list(CanonicalPoints(dom, d, height, box, integral))
+        pairs = swept_pairs(CanonicalPoints(dom, d, height, box, integral))
         assert pairs == kept
         assert any(not dom._is_unit(den) for _, den in pairs)
         for nums, den in pairs:
@@ -338,7 +351,7 @@ def test_budget_refusal_before_anything_is_built(monkeypatch):
     monkeypatch.setattr(PrimeFieldPolynomials, "_denominator_raws", boom)
     monkeypatch.setattr(PrimeFieldPolynomials, "_graded_raws", boom)
     with pytest.raises(SearchBudgetError):
-        iter(CanonicalPoints(big, 2, 1, 1))
+        CanonicalPoints(big, 2, 1, 1).residue_rows(parse_form("x^2+y^2", big))
     with pytest.raises(SearchBudgetError):
         check_euclidean(parse_form("x^2+y^2", big), 1, 1)
     with pytest.raises(SearchBudgetError):
@@ -398,9 +411,9 @@ def random_form(dom, rng, d, cross):
 
 @pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3], ids=lambda d: d.name)
 def test_integral_values_match_the_point_filter_and_form_value(dom):
-    """integral_values yields exactly the (nums, den, r) that CanonicalPoints
-    plus _form_value_raw keep, in the same order, for forms with and
-    without cross terms; height 0 leaves only the denominator 1."""
+    """integral_values yields exactly the (nums, den, r) of the kept points
+    where _form_value_raw is a ring value, in the same order, for forms with
+    and without cross terms; height 0 leaves only the denominator 1."""
     rng = random.Random(11)
     cases = 0
     for d in range(1, 5):
@@ -409,15 +422,36 @@ def test_integral_values_match_the_point_filter_and_form_value(dom):
             pts = CanonicalPoints(dom, d, height, box, integral=True)
             if pts.count() > 2000:
                 continue
+            kept = swept_pairs(pts)
             for q in forms:
                 expected = [
                     (nums, den, r)
-                    for nums, den in pts
+                    for nums, den in kept
                     if (r := q._form_value_raw(nums, den)) is not None
                 ]
                 assert list(pts.integral_values(q)) == expected
                 cases += 1
     assert cases >= 40
+
+
+@pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3], ids=lambda d: d.name)
+def test_residue_rows_hold_the_cleared_value_of_each_point(dom):
+    """For each kept point a/b of the residue sweep, the row value is
+    f2(a - b*round(a/b)), the cleared value the oracle's fast path tests,
+    and the residue is each coordinate's a - b*round(a/b)."""
+    rng = random.Random(5)
+    for d in range(1, 4):
+        for cross in (False, True):
+            q = random_form(dom, rng, d, cross)
+            pts = CanonicalPoints(dom, d, 2, 1)
+            for den, axis, residues, rows in pts.residue_rows(q):
+                for nums, ws, vals, _ in rows:
+                    for u, w, v in zip(axis, residues, vals):
+                        a = nums + (u,)
+                        w0 = [dom._add(c, dom._neg(dom._mul(den, dom._round_quotient(c, den))))
+                              for c in a]
+                        assert list(ws + (w,)) == w0
+                        assert v == q._f2_raw(w0)
 
 
 def test_integral_values_is_sized_like_the_sweep(monkeypatch):

@@ -26,6 +26,8 @@ from qdescent import (
     parse_form,
     round_point,
 )
+from qdescent import enumeration, oracle
+from qdescent.enumeration import CanonicalPoints
 
 F2 = GFpT(2)
 F3 = GFpT(3)
@@ -430,3 +432,89 @@ def test_check_euclidean_matches_public_reference(dom, text, height, box, window
         (str(e.x), str(e.min_norm)) for e in expected.failures
     ]
     assert len(report.failures) == n_fail
+
+
+def random_euclid_form(dom, rng, d):
+    """A random form with square and cross terms; over Z signs are mixed,
+    so many are indefinite, and one in three starts with the hyperbolic
+    plane x1*x2, so the form is isotropic and the fast path often fails."""
+    quad = {}
+    for i in range(d):
+        for j in range(i, d):
+            if rng.random() < (0.7 if i == j else 0.4):
+                quad[(i, j)] = dom._random_raw(rng, 1 if dom.name == "Zi" else 2)
+    if d >= 2 and rng.random() < 1 / 3:
+        quad.pop((0, 0), None)
+        quad.pop((1, 1), None)
+        quad[(0, 1)] = dom._ONE
+    return QuadraticPolynomial(dom, d, quad)
+
+
+@pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3], ids=lambda d: d.name)
+def test_check_euclidean_matches_reference_on_random_forms(dom):
+    """The denominator-at-a-time sweep against the point-by-point reference
+    on seeded random forms, d = 1-4, windows 0-2, small heights and boxes."""
+    rng = random.Random(1310)
+    sizes = {ZZ: [(2, 1), (3, 1), (2, 2), (4, 2)], ZI: [(2, 1), (5, 1), (2, 2), (4, 1)]}.get(
+        dom, [(1, 1), (2, 1), (2, 0)]
+    )
+    cases = scanned = 0
+    for d in range(1, 5):
+        for height, box in sizes:
+            count = CanonicalPoints(dom, d, height, box).count()
+            if count > 700:
+                continue
+            for window in range(3):
+                if dom._offset_count(window) ** d > 2000:
+                    continue
+                f = random_euclid_form(dom, rng, d)
+                expected = reference_check_euclidean(f, height, box, window)
+                assert check_euclidean(f, height, box, window) == expected
+                cases += 1
+                scanned += bool(expected.failures)
+    assert cases >= 15 and scanned >= 8
+
+
+def test_check_euclidean_shares_a_scan_across_bases():
+    """Over F_p[t] the points of one residue class differ in their
+    polynomial part; the class's scan decides all of them."""
+    f = parse_form("x1^2+t*x2*x3+x3^2", F2)
+    report = check_euclidean(f, 2, 1)
+    assert report == reference_check_euclidean(f, 2, 1)
+    classes = {}
+    for fail in report.failures:
+        x = fail.x
+        b = x.den.raw
+        residues = tuple(F2._divmod(n.raw, b)[1] for n in x.nums)
+        classes.setdefault((b, residues), set()).add(tuple(c.raw for c in round_point(x)))
+    assert any(len(bases) > 1 for bases in classes.values())
+
+
+@pytest.mark.parametrize(
+    "dom, text, height, box, window",
+    [(ZZ, "w^2+x^2+y^2+z^2", 2, 2, 3), (F2, "x1^2+t*x2*x3+x3^2", 2, 1, 3), (ZI, "x^2+3*y^2", 2, 1, 4)],
+    ids=["Z", "Fpt:2", "Zi"],
+)
+def test_scan_refusal_matches_the_point_by_point_sweep(monkeypatch, dom, text, height, box, window):
+    """Under a budget that admits the sweep but not one window scan, the
+    sweep is refused with the same text at the same point as the reference,
+    the first point whose rounding fails."""
+    f = parse_form(text, dom)
+    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", CanonicalPoints(dom, f.d, height, box).count())
+    assert dom._offset_count(window) ** f.d > enumeration.SEARCH_BUDGET
+    real = oracle._search
+    for run in (check_euclidean, reference_check_euclidean):
+        calls = []
+
+        def spy(f, a, b, window):
+            calls.append((tuple(a), b))
+            return real(f, a, b, window)
+
+        monkeypatch.setattr(oracle, "_search", spy)
+        with pytest.raises(SearchBudgetError) as err:
+            run(f, height, box, window)
+        if run is check_euclidean:
+            refused = (str(err.value), calls[-1])
+            assert len(calls) == 1
+        else:
+            assert (str(err.value), calls[-1]) == refused
