@@ -10,7 +10,8 @@ unparseable form or point, precondition violations, a result with an
 integer too long for Python's int-to-str limit), 2 oracle failure, a
 search refused over the enumeration budget, or a check report with
 failures, 3 value not representable (three-squares only), 4 internal fault (a
-violated invariant the algorithm guarantees, never bad input).
+violated invariant the algorithm guarantees, never bad input), 141 stdout
+closed by its reader before the output was written (say by `| head -1`).
 
 Output is text by default; --format json emits a single document with the
 full step trace, stable across runs for identical inputs.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .descent import adc_trace, check_n2, descend
@@ -335,7 +337,25 @@ def _merge_flag_values(argv):
     return out
 
 
+# 128 + SIGPIPE, the status a shell reports for a program that a closed
+# pipe ended
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        # a closed pipe shows here, not in the flush at interpreter exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the rest of the output has no reader: send it, and the flush at
+        # exit, to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _run(argv) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]

@@ -430,6 +430,23 @@ _COUNT_MAX_SIDE = 1 << 18
 _COUNT_MAX_BITS = 1 << 16
 
 
+def _zi_euclid(ar, ai, br, bi):
+    """A gcd of ar + ai*i and br + bi*i, up to a unit: Euclid with the
+    nearest-rounding division of GaussianIntegers._round_quotient (ties
+    toward zero), inline on ints.  The remainder norm drops to at most
+    half, so this terminates."""
+    while br or bi:
+        n = br * br + bi * bi
+        qr, rr = divmod(ar * br + ai * bi, n)
+        qi, ri = divmod(ai * br - ar * bi, n)
+        if 2 * rr > n or (2 * rr == n and qr < 0):
+            qr += 1
+        if 2 * ri > n or (2 * ri == n and qi < 0):
+            qi += 1
+        ar, ai, br, bi = br, bi, ar - (br * qr - bi * qi), ai - (br * qi + bi * qr)
+    return ar, ai
+
+
 class GaussianIntegers(Domain):
     """Z[i] as (re, im) pairs, norm re^2 + im^2."""
 
@@ -486,20 +503,16 @@ class GaussianIntegers(Domain):
         )
 
     def _gcd(self, a, b):
-        # Euclidean algorithm with nearest-rounding division (the rounding
-        # of _round_quotient, ties toward zero), inline on ints; the
-        # remainder norm drops to at most half, so this terminates.
-        ar, ai = a
-        br, bi = b
-        while br or bi:
-            n = br * br + bi * bi
-            qr, rr = divmod(ar * br + ai * bi, n)
-            qi, ri = divmod(ai * br - ar * bi, n)
-            if 2 * rr > n or (2 * rr == n and qr < 0):
-                qr += 1
-            if 2 * ri > n or (2 * ri == n and qi < 0):
-                qi += 1
-            ar, ai, br, bi = br, bi, ar - (br * qr - bi * qi), ai - (br * qi + bi * qr)
+        # A common divisor g of a and b divides N(g), which divides N(a) and
+        # N(b), so g divides m = gcd(N(a), N(b)) in Z.  So gcd(a, b) =
+        # gcd(a, gcd(b mod m, m)): Euclid runs on operands below m, after
+        # one step that reduces a by that small gcd.
+        m = math.gcd(a[0] * a[0] + a[1] * a[1], b[0] * b[0] + b[1] * b[1])
+        if m == 1:
+            return (1, 0)
+        if not m:
+            return (0, 0)
+        ar, ai = _zi_euclid(a[0], a[1], *_zi_euclid(m, 0, b[0] % m, b[1] % m))
         # times the unit of _normalizing_unit: the associate with re > 0,
         # im >= 0, picked by the signs
         if ar > 0 and ai >= 0:
@@ -508,9 +521,7 @@ class GaussianIntegers(Domain):
             return (-ai, ar)
         if ar < 0 and ai <= 0:
             return (-ar, -ai)
-        if ai > 0:
-            return (ai, -ar)
-        return (0, 0)
+        return (ai, -ar)
 
     def _normalizing_unit(self, a):
         for u in self._UNITS:
@@ -590,13 +601,6 @@ class GaussianIntegers(Domain):
         return max(abs(a[0]), abs(a[1]))
 
 
-# F_p[t] products of fewer than this many coefficient pairs use the
-# schoolbook loop, larger ones Kronecker substitution with one-byte slots.
-# Chosen from a per-call crossover table (CHANGES.md): below it both cost a
-# few microseconds; above it the bigint product wins by a growing factor.
-_KRONECKER_MIN_TERMS = 32
-
-
 _TRIAL_LIMIT = 1 << 20
 _SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Sorenson and Webster, "Strong pseudoprimes to twelve prime bases" (Math.
@@ -645,12 +649,18 @@ class PrimeFieldPolynomials(Domain):
 
     The norm of a nonzero polynomial is p^deg; constants are the units.
 
-    Multiplication costs O(len a * len b) coefficient operations in Python
-    below _KRONECKER_MIN_TERMS coefficient pairs, or when a product
-    coefficient could exceed one byte (min(len a, len b) * (p-1)^2 > 255).
-    Otherwise each factor is packed into one integer (Kronecker
-    substitution), so the work is one C-level bigint product plus
-    O(len a + len b) packing and reduction.
+    The kernels pack tuples into integers inside each call, one byte per
+    coefficient (int.from_bytes(bytes(a), "little")), and return tuples of
+    ints again.  Multiplication packs each factor whenever no product
+    coefficient can exceed one byte (min(len a, len b) * (p-1)^2 < 256: up
+    to 255 coefficients for p = 2, 63 for p = 3, 15 for p = 5, 7 for p = 7,
+    2 for p = 11, 1 for p = 13), so the work is one C-level bigint product
+    (Kronecker substitution) whose bytes are reduced mod p by one
+    bytes.translate through a 256-entry table; otherwise it costs O(len a *
+    len b) coefficient operations in Python.  For p = 2 addition is the
+    XOR of the packed operands, negation the identity, and long division
+    and gcd run on packed ints, one shift and one XOR per quotient term.
+    For odd p, addition and division loop over coefficients in Python.
     """
 
     _ZERO, _ONE = (), (1,)
@@ -660,6 +670,8 @@ class PrimeFieldPolynomials(Domain):
         _check_prime(p)
         self.p = p
         self.name = f"Fpt:{p}"
+        # c % p for every byte c, the reduction of a Kronecker product
+        self._byte_residues = bytes(c % p for c in range(256))
 
     @staticmethod
     def _strip(coeffs):
@@ -677,6 +689,10 @@ class PrimeFieldPolynomials(Domain):
         raise TypeError(f"cannot interpret {obj!r} as an element of {self.name}")
 
     def _add(self, a, b):
+        if self.p == 2:
+            # coefficients are bits: XOR the packed operands
+            s = int.from_bytes(bytes(a), "little") ^ int.from_bytes(bytes(b), "little")
+            return tuple(s.to_bytes((s.bit_length() + 7) >> 3, "little"))
         if len(a) < len(b):
             a, b = b, a
         p = self.p
@@ -687,6 +703,8 @@ class PrimeFieldPolynomials(Domain):
         return self._strip(out)
 
     def _neg(self, a):
+        if self.p == 2:
+            return a
         return tuple((-c) % self.p for c in a)
 
     def _mul(self, a, b):
@@ -695,19 +713,21 @@ class PrimeFieldPolynomials(Domain):
         p = self.p
         la, lb = len(a), len(b)
         n = la + lb - 1
-        if la * lb >= _KRONECKER_MIN_TERMS and min(la, lb) * (p - 1) ** 2 < 256:
+        # the top coefficient is lead(a) * lead(b), nonzero mod p, so neither
+        # path has a trailing zero to strip
+        if min(la, lb) * (p - 1) ** 2 < 256:
             # Kronecker substitution: read each factor as the base-256 digits
             # of one integer, multiply once, reduce each digit mod p.  A
             # product digit is a sum of at most min(la, lb) terms below p^2,
             # so under 256 it never carries.
             prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
-            return self._strip([c % p for c in prod.to_bytes(n, "little")])
+            return tuple(prod.to_bytes(n, "little").translate(self._byte_residues))
         out = [0] * n
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] = (out[i + j] + ca * cb) % p
-        return self._strip(out)
+        return tuple(out)
 
     def _norm(self, a):
         return 0 if not a else self.p ** (len(a) - 1)
@@ -722,6 +742,19 @@ class PrimeFieldPolynomials(Domain):
         if len(a) <= db:
             return (), a
         p = self.p
+        if p == 2:
+            # on the packed ints the degree of r is (bit_length - 1) / 8, and
+            # each quotient term t^k cancels r's leading term by one XOR with
+            # b shifted k bytes
+            r = int.from_bytes(bytes(a), "little")
+            bp = int.from_bytes(bytes(b), "little")
+            nb, n = bp.bit_length(), r.bit_length()
+            q = bytearray(len(a) - db)
+            while n >= nb:
+                r ^= bp << (n - nb)
+                q[(n - nb) >> 3] = 1
+                n = r.bit_length()
+            return tuple(q), tuple(r.to_bytes((n + 7) >> 3, "little"))
         inv = pow(b[-1], -1, p)
         # the leading term cancels by construction, so only the divisor's
         # nonzero lower coefficients update the remainder
@@ -747,6 +780,17 @@ class PrimeFieldPolynomials(Domain):
         return self._divmod(a, b)[0]
 
     def _gcd(self, a, b):
+        if self.p == 2:
+            # Euclid on the packed ints, each remainder as in _divmod; the
+            # gcd needs no normalizing, every nonzero F_2[t] raw being monic
+            x, y = int.from_bytes(bytes(a), "little"), int.from_bytes(bytes(b), "little")
+            while y:
+                ny, n = y.bit_length(), x.bit_length()
+                while n >= ny:
+                    x ^= y << (n - ny)
+                    n = x.bit_length()
+                x, y = y, x
+            return tuple(x.to_bytes((x.bit_length() + 7) >> 3, "little"))
         while b:
             a, b = b, self._divmod(a, b)[1]
         if a:

@@ -40,6 +40,11 @@ from .errors import SearchBudgetError
 # many fibers takes seconds; three-squares up to n ~ 2.5e6 stays inside.
 SEARCH_BUDGET = 10**7
 
+# CanonicalPoints.integral_values keeps the q2 values of the whole box, summed
+# once for every denominator, up to this many points (box_count^d); past it
+# it sums them again per denominator and keeps one row at a time.
+Q2_TABLE_MAX = 1 << 16
+
 
 def _within_budget(count: int, what: str) -> None:
     # "not <=" also refuses nan, the product of an uncounted (math.inf)
@@ -110,10 +115,10 @@ class CanonicalPoints:
         as raw (nums, den, r) with r = q2(nums)/den^2, in sweep order.
 
         Sized and refused like residue_rows, before anything is evaluated.
-        q2 does not depend on den, so its tables are built once, but the
-        sweep keeps the denominators first, so its rows are summed again for
-        each one.  Only the points where den^2 divides q2 go through the
-        gcd filter.
+        q2 does not depend on den, so its rows are summed once and kept for
+        every denominator while the box has at most Q2_TABLE_MAX points; a
+        larger box is summed again per denominator, in O(d * box) memory.
+        Only the points where den^2 divides q2 go through the gcd filter.
         """
         _within_budget(self.count(), "a canonical point sweep")
         return self._integral_values(q)
@@ -127,9 +132,12 @@ class CanonicalPoints:
         def fix(nums, j):
             return nums + (axis[j],)
 
+        rows = partial(_q2_rows, dom, q, axis, squares, (), fix)
+        if len(axis) ** q.d <= Q2_TABLE_MAX:
+            rows = list(rows()).__iter__
         for den in self._denominators():
             den2 = mul(den, den)
-            for prefix, vals in _q2_rows(dom, q, axis, squares, (), fix):
+            for prefix, vals in rows():
                 for u, v in zip(axis, vals):
                     r = quotient(v, den2)
                     if r is not None:

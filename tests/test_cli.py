@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 import time
 
@@ -308,6 +309,92 @@ def test_descend_gaussian_cli(capsys):
     assert out.strip() == "(1,2i)"
 
 
+# The full --format json stdout of descend over F_2[t] at two chord zeros
+# with denominators of degree 40 and 41, as the per-coefficient kernels
+# printed it: the packed ones must print every step the same.
+FPT2_DESCEND_GOLDEN = [
+    (
+        "t^41+t^40+t^39+t^36+t^35+t^32+t^30+t^29+t^26+t^23+t^21+t^20+t^19+t^18+t^17+t^16+t^14+t^12+t^11+t^8+t^7+t^5+t^4+t^3+t,t^40+t^37+t^30+t^29+t^25+t^24+t^20+t^19+t^18+t^16+t^13+t^12+t^9+t^8+t^6+t^4+t^3+t+1/t^40+t^39+t^35+t^31+t^30+t^29+t^25+t^24+t^22+t^20+t^19+t^17+t^15+t^14+t^13+t^12+t^11+t^7+t^4+t^3+1",
+        """\
+{
+  "domain": "Fpt:2",
+  "form": "x1^2+t*x2^2+x1+t^2",
+  "start": "t^41+t^40+t^39+t^36+t^35+t^32+t^30+t^29+t^26+t^23+t^21+t^20+t^19+t^18+t^17+t^16+t^14+t^12+t^11+t^8+t^7+t^5+t^4+t^3+t,t^40+t^37+t^30+t^29+t^25+t^24+t^20+t^19+t^18+t^16+t^13+t^12+t^9+t^8+t^6+t^4+t^3+t+1/t^40+t^39+t^35+t^31+t^30+t^29+t^25+t^24+t^22+t^20+t^19+t^17+t^15+t^14+t^13+t^12+t^11+t^7+t^4+t^3+1",
+  "steps": [
+    {
+      "step": 1,
+      "b": "t^40+t^39+t^35+t^31+t^30+t^29+t^25+t^24+t^22+t^20+t^19+t^17+t^15+t^14+t^13+t^12+t^11+t^7+t^4+t^3+1",
+      "norm_b": 1099511627776,
+      "y": [
+        "t",
+        "1"
+      ],
+      "v": [
+        "t^39+t^35+t^31+t^29+t^25+t^19+t^17+t^15+t^13+t^11+t^7+t^3",
+        "t^39+t^37+t^35+t^31+t^22+t^18+t^17+t^16+t^15+t^14+t^11+t^9+t^8+t^7+t^6+t"
+      ],
+      "A": "t^79+t^78+t^75+t^71+t^70+t^63+t^62+t^58+t^50+t^45+t^38+t^37+t^35+t^34+t^33+t^31+t^30+t^29+t^26+t^23+t^22+t^19+t^17+t^15+t^14+t^13+t^6+t^3",
+      "B": "t^39+t^35+t^31+t^29+t^25+t^19+t^17+t^15+t^13+t^11+t^7+t^3",
+      "C": "0",
+      "b_next": "t^39+t^35+t^31+t^29+t^25+t^19+t^17+t^15+t^13+t^11+t^7+t^3",
+      "norm_b_next": 549755813888,
+      "x_next": "t,1/1"
+    }
+  ],
+  "result": [
+    "t",
+    "1"
+  ]
+}
+""",
+    ),
+    (
+        "t^42+t^41+t^39+t^38+t^37+t^33+t^29+t^25+t^24+t^23+t^19+t^15+t^13+t^12+t^10+t^8+t^5+t^4+t^2+t+1,t^41+t^39+t^38+t^36+t^32+t^29+t^28+t^27+t^26+t^25+t^23+t^22+t^21+t^19+t^17+t^16+t^12+t^9+t^6+t^5+t^3+t^2+t/t^41+t^40+t^39+t^38+t^36+t^35+t^32+t^31+t^28+t^27+t^24+t^22+t^21+t^18+t^17+t^14+t^13+t^12+t^9+t^7+t^4+t+1",
+        """\
+{
+  "domain": "Fpt:2",
+  "form": "x1^2+t*x2^2+x1+t^2",
+  "start": "t^42+t^41+t^39+t^38+t^37+t^33+t^29+t^25+t^24+t^23+t^19+t^15+t^13+t^12+t^10+t^8+t^5+t^4+t^2+t+1,t^41+t^39+t^38+t^36+t^32+t^29+t^28+t^27+t^26+t^25+t^23+t^22+t^21+t^19+t^17+t^16+t^12+t^9+t^6+t^5+t^3+t^2+t/t^41+t^40+t^39+t^38+t^36+t^35+t^32+t^31+t^28+t^27+t^24+t^22+t^21+t^18+t^17+t^14+t^13+t^12+t^9+t^7+t^4+t+1",
+  "steps": [
+    {
+      "step": 1,
+      "b": "t^41+t^40+t^39+t^38+t^36+t^35+t^32+t^31+t^28+t^27+t^24+t^22+t^21+t^18+t^17+t^14+t^13+t^12+t^9+t^7+t^4+t+1",
+      "norm_b": 2199023255552,
+      "y": [
+        "t",
+        "1"
+      ],
+      "v": [
+        "t^40+t^38+t^36+t^32+t^28+t^24+t^22+t^18+t^14+t^12+t^4+1",
+        "t^40+t^35+t^31+t^29+t^26+t^25+t^24+t^23+t^19+t^18+t^16+t^14+t^13+t^7+t^6+t^5+t^4+t^3+t^2+1"
+      ],
+      "A": "t^81+t^80+t^76+t^72+t^71+t^64+t^63+t^59+t^56+t^53+t^51+t^49+t^48+t^47+t^44+t^39+t^37+t^36+t^33+t^29+t^28+t^27+t^24+t^15+t^13+t^11+t^9+t^8+t^7+t^5+t+1",
+      "B": "t^40+t^38+t^36+t^32+t^28+t^24+t^22+t^18+t^14+t^12+t^4+1",
+      "C": "0",
+      "b_next": "t^40+t^38+t^36+t^32+t^28+t^24+t^22+t^18+t^14+t^12+t^4+1",
+      "norm_b_next": 1099511627776,
+      "x_next": "t,1/1"
+    }
+  ],
+  "result": [
+    "t",
+    "1"
+  ]
+}
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("point, expected", FPT2_DESCEND_GOLDEN, ids=["den40", "den41"])
+def test_descend_fpt2_json_golden(capsys, point, expected):
+    code, out, err = run(
+        capsys,
+        "descend", "--domain", "Fpt:2", "--form", "x1^2+t*x2^2+x1+t^2",
+        "--point", point, "--format", "json",
+    )
+    assert (code, out, err) == (0, expected, "")
+
 # -- represent ------------------------------------------------------------------
 
 
@@ -567,6 +654,22 @@ def test_check_json_format(capsys):
     assert set(doc) == {"checked", "failures"}
     assert code == (0 if not doc["failures"] else 2)
 
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # 168 KB of JSON, past a pipe's 64 KB buffer, so the command is still
+    # writing when its reader closes the pipe after the first line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qdescent", "check", "euclidean", "--domain", "Z",
+         "--form", "w^2+x^2+y^2+z^2", "--height", "8", "--box", "8", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli_module.EXIT_BROKEN_PIPE == 141
+    assert err == b""
 
 # -- flag validation ---------------------------------------------------------------
 

@@ -33,7 +33,6 @@ from qdescent import (
     SearchBox,
     verify_adc,
 )
-from qdescent.domains import _KRONECKER_MIN_TERMS
 
 F2 = GFpT(2)
 F3 = GFpT(3)
@@ -343,7 +342,6 @@ def test_descent_odd_characteristic_large_denominators(p):
         if len(x.den.raw) - 1 < 40:
             continue
         zeros += 1
-        assert len(x.den.raw) ** 2 >= _KRONECKER_MIN_TERMS
         trace = descend(f, x)
         assert trace.steps
         for step in trace.steps:

@@ -166,12 +166,13 @@ def _kernel_operands(p, length, rng):
     return polys
 
 
-@pytest.mark.parametrize("p", [2, 3, 7, 1000003, 2**31 - 1])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 1000003, 2**31 - 1])
 def test_polynomial_mul_matches_schoolbook(p):
-    # lengths 0-40 cover both sides of the schoolbook/Kronecker cutoff,
-    # including products of exactly 31 and 32 coefficient pairs; p = 2 fits
-    # one-byte slots throughout, p = 3 and 7 only while the shorter factor is
-    # short, and 1000003 and 2**31-1 never, so they keep the schoolbook loop
+    # every p below 16 takes the Kronecker path while the shorter factor fits
+    # one-byte slots, and its bytes are reduced through that p's table: p = 2
+    # throughout lengths 0-40, p = 3 up to 63 coefficients, 5 up to 15, 7 up
+    # to 7 and 13 only for a constant factor; 1000003 and 2**31-1 never, so
+    # they keep the schoolbook loop
     dom = GFpT(p)
     rng = random.Random(p)
     for la in range(41):
@@ -491,6 +492,13 @@ def _reference_divmod(dom, a, b):
     return dom._strip(q), dom._strip(r)
 
 
+def _reference_gcd(dom, a, b):
+    while b:
+        a, b = b, _reference_divmod(dom, a, b)[1]
+    inv = pow(a[-1], -1, dom.p) if a else 1
+    return tuple(c * inv % dom.p for c in a)
+
+
 def test_gaussian_gcd_matches_reference():
     rng = random.Random(61)
     special = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (3, 4), (-4, 3), (2, 2), (5, 0)]
@@ -507,6 +515,25 @@ def test_gaussian_gcd_matches_reference():
     for u in ZI._UNITS:
         assert ZI._gcd(ZI._mul((6, 8), u), (0, 0)) == (6, 8)
         assert ZI._gcd((0, 0), ZI._mul((0, 7), u)) == (7, 0)
+    # the gcd runs through m = gcd(N(a), N(b)): operands sharing a large
+    # Gaussian factor (m large), operands with coprime norms (m = 1, gcd 1)
+    # and one zero operand (m the other's norm)
+    for k in (3, 20, 60):
+        for _ in range(20):
+            g, x, y = ((rng.randint(-10**k, 10**k), rng.randint(-10**k, 10**k)) for _ in range(3))
+            for a, b in ((ZI._mul(g, x), ZI._mul(g, y)), (ZI._mul(g, x), g)):
+                got = ZI._gcd(a, b)
+                assert got == _reference_zi_gcd(a, b) == ZI._gcd(b, a), (a, b)
+                assert g == (0, 0) or ZI._quotient_or_none(got, g) is not None
+    coprime = 0
+    while coprime < 100:
+        a, b = ((rng.randint(-10**9, 10**9), rng.randint(-10**9, 10**9)) for _ in range(2))
+        if math.gcd(ZI._norm(a), ZI._norm(b)) == 1:
+            coprime += 1
+            assert ZI._gcd(a, b) == _reference_zi_gcd(a, b) == (1, 0), (a, b)
+    for a in operands:
+        for u in ZI._UNITS:
+            assert ZI._gcd(ZI._mul(a, u), (0, 0)) == ZI._gcd((0, 0), a) == _reference_zi_gcd(a, (0, 0))
 
 
 @pytest.mark.parametrize("p", [2, 3, 1000003], ids=lambda p: f"Fpt:{p}")
@@ -530,3 +557,54 @@ def test_polynomial_divmod_and_add_match_reference(p):
             assert len(r) < len(b)
             assert dom._add(dom._mul(q, b), r) == a
             assert dom._gcd(a, b) == dom._gcd(b, a)
+    if p != 2:
+        return
+    # F_2[t] adds, divides and takes gcds on byte-packed ints; operands of
+    # 7-10, 31-33, 80-82, 160-162 and 255-258 coefficients, each against a
+    # sample of the others and against divisors and dividends of length 1
+    # and monomials, which make the dividend shorter than the divisor
+    operands = []
+    for length in (7, 8, 9, 10, 31, 32, 33, 80, 81, 82, 160, 161, 162, 255, 256, 257, 258):
+        operands += _kernel_operands(2, length, rng)
+    small = [(), (1,), (0, 1), (0,) * 8 + (1,), (0,) * 40 + (1,)]
+    pairs = [(a, b) for a in operands for b in rng.sample(operands, 4) + small]
+    pairs += [(b, a) for a in operands for b in small]
+    for a, b in pairs:
+        assert dom._add(a, b) == _reference_add(dom, a, b), (a, b)
+        assert dom._add(a, dom._neg(a)) == () and dom._neg(a) == a
+        assert dom._gcd(a, b) == _reference_gcd(dom, a, b), (a, b)
+        if not b:
+            continue
+        q, r = dom._divmod(a, b)
+        assert (q, r) == _reference_divmod(dom, a, b), (a, b)
+        assert dom._add(dom._mul(q, b), r) == a
+
+
+def _is_raw(x):
+    return type(x) is tuple and all(type(c) is int for c in x)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 1000003])
+def test_fpt_kernels_return_tuples_of_ints(p):
+    # a bytes result would compare unequal to the equal tuple (b"\x01" !=
+    # (1,)), so it would break canonical equality and memo keys silently
+    dom = GFpT(p)
+    rng = random.Random(p)
+    operands = [()]
+    for length in (1, 2, 3, 8, 16, 40, 81):
+        operands += _kernel_operands(p, length, rng)[:2]
+    for a in operands:
+        assert _is_raw(dom._neg(a)) and _is_raw(dom._coerce(a))
+        if a:
+            assert _is_raw(dom._normalizing_unit(a))
+        for b in operands:
+            assert _is_raw(dom._add(a, b)) and _is_raw(dom._mul(a, b))
+            assert _is_raw(dom._gcd(a, b))
+            if b:
+                q, r = dom._divmod(a, b)
+                assert _is_raw(q) and _is_raw(r)
+                assert _is_raw(dom._round_quotient(a, b))
+                assert _is_raw(dom._divexact(dom._mul(a, b), b))
+                assert _is_raw(dom._quotient_or_none(dom._mul(a, b), b))
+    x = dom.element((1, 1)) * dom.element((1, 0, 1)) + dom.element((0, 1))
+    assert _is_raw(x.raw) and _is_raw((-x).raw)

@@ -435,6 +435,21 @@ def test_integral_values_match_the_point_filter_and_form_value(dom):
 
 
 @pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3], ids=lambda d: d.name)
+def test_integral_values_same_past_the_q2_table_bound(dom, monkeypatch):
+    """A box over Q2_TABLE_MAX points sums q2 again per denominator instead
+    of keeping it; both give the same values in the same order."""
+    rng = random.Random(12)
+    for d in range(1, 4):
+        for cross in (False, True):
+            q = random_form(dom, rng, d, cross)
+            pts = CanonicalPoints(dom, d, 3, 1, integral=True)
+            kept = list(pts.integral_values(q))
+            monkeypatch.setattr(enumeration, "Q2_TABLE_MAX", 0)
+            assert list(pts.integral_values(q)) == kept
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3], ids=lambda d: d.name)
 def test_residue_rows_hold_the_cleared_value_of_each_point(dom):
     """For each kept point a/b of the residue sweep, the row value is
     f2(a - b*round(a/b)), the cleared value the oracle's fast path tests,
