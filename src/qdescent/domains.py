@@ -651,16 +651,17 @@ class PrimeFieldPolynomials(Domain):
 
     The kernels pack tuples into integers inside each call, one byte per
     coefficient (int.from_bytes(bytes(a), "little")), and return tuples of
-    ints again.  Multiplication packs each factor whenever no product
-    coefficient can exceed one byte (min(len a, len b) * (p-1)^2 < 256: up
-    to 255 coefficients for p = 2, 63 for p = 3, 15 for p = 5, 7 for p = 7,
-    2 for p = 11, 1 for p = 13), so the work is one C-level bigint product
-    (Kronecker substitution) whose bytes are reduced mod p by one
-    bytes.translate through a 256-entry table; otherwise it costs O(len a *
-    len b) coefficient operations in Python.  For p = 2 addition is the
-    XOR of the packed operands, negation the identity, and long division
-    and gcd run on packed ints, one shift and one XOR per quotient term.
-    For odd p, addition and division loop over coefficients in Python.
+    ints again.  Unless both factors are constants, multiplication packs
+    each factor whenever no product coefficient can exceed one byte
+    (min(len a, len b) * (p-1)^2 < 256: up to 255 coefficients for p = 2,
+    63 for p = 3, 15 for p = 5, 7 for p = 7, 2 for p = 11, 1 for p = 13),
+    so the work is one C-level bigint product (Kronecker substitution)
+    whose bytes are reduced mod p by one bytes.translate through a
+    256-entry table; otherwise it costs O(len a * len b) coefficient
+    operations in Python.  For p = 2 addition is the XOR of the packed
+    operands, negation the identity, and long division and gcd run on
+    packed ints, one shift and one XOR per quotient term.  For odd p,
+    addition and division loop over coefficients in Python.
     """
 
     _ZERO, _ONE = (), (1,)
@@ -712,6 +713,9 @@ class PrimeFieldPolynomials(Domain):
             return ()
         p = self.p
         la, lb = len(a), len(b)
+        if la == lb == 1:
+            # two constants: packing costs more than the one product
+            return ((a[0] * b[0]) % p,)
         n = la + lb - 1
         # the top coefficient is lead(a) * lead(b), nonzero mod p, so neither
         # path has a trailing zero to strip

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -657,12 +658,14 @@ def test_check_json_format(capsys):
 
 
 def test_closed_stdout_pipe_exits_quietly():
+    # stdout block-buffered, as it is on a pipe unless PYTHONUNBUFFERED is set
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     # 168 KB of JSON, past a pipe's 64 KB buffer, so the command is still
     # writing when its reader closes the pipe after the first line
     proc = subprocess.Popen(
         [sys.executable, "-m", "qdescent", "check", "euclidean", "--domain", "Z",
          "--form", "w^2+x^2+y^2+z^2", "--height", "8", "--box", "8", "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
@@ -670,6 +673,18 @@ def test_closed_stdout_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == cli_module.EXIT_BROKEN_PIPE == 141
     assert err == b""
+    # a short output sits in stdout's buffer until the command ends; with the
+    # pipe closed before anything is written, that last flush must fail
+    # inside main, not at interpreter exit (exit 120 and an ignored
+    # exception on stderr)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qdescent", "three-squares", "--n", "13"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 # -- flag validation ---------------------------------------------------------------
 
