@@ -17,7 +17,8 @@ There is one descent loop, _descend, on raw values: it checks that the
 start a/b is a zero, runs the raw step _step until the denominator is the
 ring's one, and returns the integral raws.  _step runs the raw oracle
 (oracle._search), checks its norm with integers, expands f along the line
-on raws (QuadraticPolynomial._line_raw), runs every check above and puts
+on raws (QuadraticPolynomial._line_raw, with A the oracle's cleared value
+b^2 f2(x - y) = f2(v)), runs every check above and puts
 x' in canonical form with domains._canonical.  So each point is certified
 a zero once, the start by the loop and every later point by the step that
 built it, and a descent of k steps evaluates f at k + 1 points.  descend
@@ -129,17 +130,18 @@ def _step(f: QuadraticPolynomial, a, b, window: int):
     the point a/b, when no witness exists in the window.
     """
     dom = f.domain
-    y_raws, _, n, _, nb2 = _search(f, a, b, window)
+    # the oracle's cleared value b^2 f2(x - y) = f2(a - b*y) is A = f2(v)
+    y_raws, A, n, b2, nb2 = _search(f, a, b, window)
     if y_raws is None:
         raise OracleNotFound(FractionPoint._trusted(dom, a, b), window, Fraction(n, nb2))
     v_raws = _cleared_difference(dom, a, b, y_raws)
-    A, B, C = f._line_raw(y_raws, v_raws)
+    A, B, C = f._line_raw(y_raws, v_raws, A)
 
     if dom._is_zero(A):
         raise InternalInvariantError("A = f2(v) vanished despite the oracle guarantee")
     # x is a root of F(T) = A T^2 + B T + C at T = 1/b; cleared form:
     acc = dom._add(A, dom._mul(B, b))
-    acc = dom._add(acc, dom._mul(C, dom._mul(b, b)))
+    acc = dom._add(acc, dom._mul(C, b2))
     if not dom._is_zero(acc):
         raise InternalInvariantError("A + B*b + C*b^2 != 0")
     try:

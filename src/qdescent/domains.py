@@ -644,6 +644,13 @@ def _check_prime(p) -> None:
             raise ValueError(f"{p} is not prime (fails a strong probable-prime test to base {a})")
 
 
+def _two_byte_slots(coeffs) -> int:
+    """The int whose base-2^16 digits are coeffs (each below 256), lowest first."""
+    packed = bytearray(2 * len(coeffs))
+    packed[::2] = bytes(coeffs)
+    return int.from_bytes(packed, "little")
+
+
 class PrimeFieldPolynomials(Domain):
     """F_p[t] as coefficient tuples in ascending degree, no trailing zero.
 
@@ -657,8 +664,10 @@ class PrimeFieldPolynomials(Domain):
     63 for p = 3, 15 for p = 5, 7 for p = 7, 2 for p = 11, 1 for p = 13),
     so the work is one C-level bigint product (Kronecker substitution)
     whose bytes are reduced mod p by one bytes.translate through a
-    256-entry table; otherwise it costs O(len a * len b) coefficient
-    operations in Python.  For p = 2 addition is the XOR of the packed
+    256-entry table.  Longer F_2[t] factors take two-byte slots, exact
+    while the shorter has fewer than 65,536 coefficients, and keep each
+    slot's low byte, which has the slot's parity.  Otherwise a product
+    costs O(len a * len b) coefficient operations in Python.  For p = 2 addition is the XOR of the packed
     operands, negation the identity, and long division and gcd run on
     packed ints, one shift and one XOR per quotient term.  For odd p,
     addition and division loop over coefficients in Python.
@@ -726,6 +735,11 @@ class PrimeFieldPolynomials(Domain):
             # so under 256 it never carries.
             prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
             return tuple(prod.to_bytes(n, "little").translate(self._byte_residues))
+        if p == 2 and min(la, lb) < 65536:
+            # two-byte slots: a digit is at most min(la, lb) < 2^16, and its
+            # parity, the coefficient, is the parity of its low byte
+            prod = _two_byte_slots(a) * _two_byte_slots(b)
+            return tuple(prod.to_bytes(2 * n, "little")[::2].translate(self._byte_residues))
         out = [0] * n
         for i, ca in enumerate(a):
             if ca:

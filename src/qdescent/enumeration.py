@@ -298,6 +298,17 @@ def first_zero(f, bounds: Sequence[int]) -> tuple[DomainElement, ...] | None:
     return _first_zero_walk(f, list(bounds))
 
 
+def _is_positive_diagonal_z(f) -> bool:
+    """Whether f is c_1*y_1^2 + ... + c_d*y_d^2 + const over Z with every
+    present c_i > 0: no cross term and no linear part.  A coordinate may
+    lack its square term."""
+    return (
+        isinstance(f.domain, RationalIntegers)
+        and not any(f.lin)
+        and all(i == j and c > 0 for (i, j), c in f.quad.items())
+    )
+
+
 def _first_zero_z(f, bounds):
     """Graded-first zero over Z by exact fiber solving.
 
@@ -308,6 +319,18 @@ def _first_zero_z(f, bounds):
     the answer is the least such key over all roots inside the box.  Fibers
     whose fixed coordinates alone already exceed the best sum found are
     skipped.  Cost: one pass over the fibers, O(1) memory.
+
+    When f is a positive diagonal form minus a constant with a square term
+    on every coordinate, the coordinates u_i left at a level must supply
+    sum c_i*u_i^2 = m = -R.  So a level returns when m < 0, caps |u| at
+    isqrt(m // c), and, once a zero is known, returns when the prefix sum
+    plus the least L with L^2 * c_max >= m (c_max over the coordinates
+    left, the solved one included) exceeds the best sum, as
+    (sum |u_i|)^2 >= m / c_max.  The innermost level scans only the |u|
+    where c*u^2 + a*t^2 = m allows |u| + |t| <= B = best sum - prefix sum,
+    that is (a+c)u^2 - 2aB|u| + aB^2 - m >= 0, with isqrt rounding both
+    roots outward.  Only a larger sum is pruned, so ties still go to
+    coordinate order, and the search is still sized as every fiber.
     """
     _within_budget(first_zero_count(f.domain, bounds), "a zero search")
     if min(bounds) < 0:
@@ -331,6 +354,11 @@ def _first_zero_z(f, bounds):
         )
         for p, i in enumerate(others)
     ]
+    # the largest square coefficient from level p on, the solved axis
+    # included, when the diagonal bounds apply (else None)
+    cmax = None
+    if _is_positive_diagonal_z(f) and len(quad) == f.d:
+        cmax = [max(quad[i, i] for i in others[p:] + [k]) for p in range(len(others))]
     best = None  # (sum of |y_i|, y)
 
     def offer(prefix, s, L, R):
@@ -357,12 +385,32 @@ def _first_zero_z(f, bounds):
         bound, c, kappa, l, cross = levels[p]
         beta = l + sum(cj * yj for cj, yj in zip(cross, prefix))
         lim = bound if best is None else min(bound, best[0] - s)
+        if cmax is not None:
+            m = -R
+            if m < 0:
+                return
+            lim = min(lim, math.isqrt(m // c))
+            if best is not None:
+                # the coordinates left have (sum |u_i|)^2 >= m / c_max
+                sq = -(-m // cmax[p])
+                if s + (math.isqrt(sq - 1) + 1 if sq else 0) > best[0]:
+                    return
         if p + 1 < len(levels):
             for u in range(-lim, lim + 1):
                 level(p + 1, R + u * (beta + c * u), L + kappa * u, s + abs(u), prefix + (u,))
             return
+        us = range(-lim, lim + 1)
+        if cmax is not None and best is not None:
+            B = best[0] - s
+            aB, ac = a * B, a + c
+            disc = aB * aB - ac * (aB * B - m)
+            if disc > 0:
+                r = math.isqrt(disc)
+                lo, hi = (aB - r) // ac, (aB + r) // ac
+                if lo < lim and hi > lo + 1:
+                    us = chain(range(-lim, -hi + 1), range(-lo, lo + 1), range(hi, lim + 1))
         # innermost fibers: a cheap root test first, offer() decides
-        for u in range(-lim, lim + 1):
+        for u in us:
             Ru = R + u * (beta + c * u)
             Lu = L + kappa * u
             if a:

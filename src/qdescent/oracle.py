@@ -42,7 +42,9 @@ the residue rows of CanonicalPoints, one denominator at a time, where
 f2(w0) is summed one coordinate at a time from per-denominator tables;
 a point with 0 < N(f2(w0)) < N(b^2) costs one integer comparison, and
 only the others reach a window scan, one per residue class, memoized per
-denominator (at most one entry per class that fails the fast path).
+denominator (at most one entry per class that fails the fast path).  The
+sweep needs only the verdict, so its scans stop at the first candidate
+with 0 < N < N(b^2); a failing scan runs in full for its least norm.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ def euclidean_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) ->
     return OracleResult(y, FractionElement(dom, v, b2), Fraction(n, nb2))
 
 
-def _search(f: QuadraticPolynomial, a, b, window: int):
+def _search(f: QuadraticPolynomial, a, b, window: int, first: bool = False):
     """The oracle on raws, for the non-integral point a/b.
 
     Returns (y, v, n, b^2, N(b^2)): on success the witness y, the cleared
@@ -130,6 +132,10 @@ def _search(f: QuadraticPolynomial, a, b, window: int):
     when every candidate lands on the null cone), so n / N(b^2) is
     OracleNotFound.min_norm.  Nothing is wrapped: no DomainElement,
     Fraction or OracleResult is built here.
+
+    With first set, the scan stops at the first candidate with
+    0 < n < N(b^2) in scan order, so a success returns a witness but not
+    necessarily the least one; a failing scan still runs in full.
     """
     dom = f.domain
     b2 = dom._mul(b, b)
@@ -185,8 +191,9 @@ def _search(f: QuadraticPolynomial, a, b, window: int):
         if k + 1 < d:
             for j, r in enumerate(row):
                 idx[k] = j
-                walk(k + 1, add(s, r))
-            return
+                if walk(k + 1, add(s, r)):
+                    return True
+            return False
         for j, r in enumerate(row):
             v = add(s, r)
             n = norm(v)
@@ -194,12 +201,15 @@ def _search(f: QuadraticPolynomial, a, b, window: int):
                 idx[k] = j
                 if n < least:
                     least, at, at_num, at_key = n, tuple(idx), v, None
+                    if first and n < nb2:
+                        return True
                 elif n < nb2:
                     key = key_of(idx)
                     if at_key is None:
                         at_key = key_of(at)
                     if key < at_key:
                         at, at_num, at_key = tuple(idx), v, key
+        return False
 
     walk(0, f2w0)
     if least >= nb2:
@@ -219,7 +229,8 @@ def check_euclidean(
     residue-class argument of the module docstring: f2(w0) comes from
     CanonicalPoints.residue_rows, whose denominators are non-units, so no
     point is integral, and only a point outside 0 < N(f2(w0)) < N(b^2)
-    reaches _search, once per residue class and denominator.  The memo
+    reaches _search, once per residue class and denominator, and that
+    scan stops at its first witness (a failing one runs in full).  The memo
     holds at most one entry per class that fails the fast path and is
     dropped with its denominator.  A scan is sized before it runs, so an
     over-budget window is refused at the first point that would scan, as
@@ -242,7 +253,7 @@ def check_euclidean(
                     continue
                 key = ws + (residues[j],)
                 if key not in scanned:
-                    y, _, n, _, _ = _search(f, nums + (axis[j],), den, window)
+                    y, _, n, _, _ = _search(f, nums + (axis[j],), den, window, True)
                     scanned[key] = None if y is not None else n
                 n = scanned[key]
                 if n is not None:

@@ -153,11 +153,15 @@ class QuadraticPolynomial:
             DomainElement(dom, A), DomainElement(dom, B), DomainElement(dom, C)
         )
 
-    def _line_raw(self, yv, vv):
+    def _line_raw(self, yv, vv, A=None):
         """expand_along_line on raw vectors: the raws (A, B, C), with the
-        same F(-1) check."""
+        same F(-1) check.  A caller that already holds A = f2(vv) passes
+        it.  B is derived as f(yv + vv) - A - C, so a wrong A fails this
+        check outside characteristic 2, and the descent step's
+        A + B*b + C*b^2 = 0 check in every characteristic."""
         dom = self.domain
-        A = self._f2_raw(vv)
+        if A is None:
+            A = self._f2_raw(vv)
         C = self._eval_raw(yv)
         plus = [dom._add(a, b) for a, b in zip(yv, vv)]
         B = dom._add(self._eval_raw(plus), dom._neg(dom._add(A, C)))

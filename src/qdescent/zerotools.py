@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import random
 
-from .domains import Domain, DomainElement, FractionPoint, RationalIntegers, _Record
+from .domains import Domain, DomainElement, FractionPoint, _Record
 from .errors import (
     IsotropicDirectionError,
     NotAFormError,
@@ -50,7 +50,7 @@ from .errors import (
 )
 from .descent import _descend
 from .enumeration import SEARCH_BUDGET, CanonicalPoints, _within_budget
-from .enumeration import first_zero, first_zero_count
+from .enumeration import _is_positive_diagonal_z, first_zero, first_zero_count
 from .quadratic import QuadraticPolynomial
 
 
@@ -163,12 +163,6 @@ class AdcReport(_Record):
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-def _is_positive_diagonal_z(q: QuadraticPolynomial) -> bool:
-    return isinstance(q.domain, RationalIntegers) and all(
-        i == j and c > 0 for (i, j), c in q.quad.items()
-    )
 
 
 def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcReport:

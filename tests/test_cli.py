@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -476,6 +477,29 @@ def test_three_squares_json(capsys):
     coords = [int(c) for c in doc["result"]]
     assert sum(c * c for c in coords) == 13
     assert doc["steps"]
+
+
+@pytest.mark.parametrize(
+    "n, start, result, digest",
+    [
+        (2000003, "-100251,29291,-70241/89", ["1279", "-321", "511"],
+         "dcfa053a02502c3af1ccd8d8bd890eab05170ef932874bf36ebd6c2e7bd5e8f5"),
+        (999998, "-71505,20182,-48997/89", ["-34", "29", "999"],
+         "d92311210851cba222a43f5c384bb18ca9fe649a22f51d650f976c27dc26f54f"),
+        (2011, "-3269,-57,-2289/89", ["-33", "29", "9"],
+         "9dff84252486582b609d4881d96494ac4e2f9e05d88e2ef99d8f6d337f83e539"),
+        (1000003, "-71435,17457,-50133/89", ["-63", "-997", "45"],
+         "6e0c3707764c6b5a70fb6d8b4c6109a3639519d69f52f40008a43237f5658166"),
+    ],
+)
+def test_three_squares_json_golden(capsys, n, start, result, digest):
+    # the brute witness sets the start point, so the whole document pins
+    # the zero search; digest is the sha256 of the complete stdout
+    code, out, err = run(capsys, "three-squares", "--n", str(n), "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["start"], doc["result"]) == (start, result)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- check ------------------------------------------------------------------

@@ -203,6 +203,14 @@ def _misreported_norm(f, a, b, window):
     return y, v, n + 1, b2, nb2
 
 
+def _misreported_value(f, a, b, window):
+    # the step takes A = f2(v) from the oracle's cleared value; an A off by
+    # 1 makes A + B*b + C*b^2 = 1 - b, nonzero for the non-unit b, in every
+    # characteristic
+    y, v, n, b2, nb2 = oracle_module._search(f, a, b, window)
+    return y, f.domain._add(v, f.domain._ONE), n, b2, nb2
+
+
 def _origin_witness(f, a, b, window):
     # f = f2 - c with N(c) >= 1 in every ADMISSIBLE_CASES form, so at a zero
     # x the origin has |f2(x - 0)| = |c| >= 1: reported honestly, but not
@@ -219,7 +227,7 @@ _LYING_ADC_BOXES = {"Z": SearchBox(2, 3), "Zi": SearchBox(2, 2), "Fpt:2": Search
 
 
 @ADMISSIBLE_CASES
-@pytest.mark.parametrize("fake", [_misreported_norm, _origin_witness])
+@pytest.mark.parametrize("fake", [_misreported_norm, _misreported_value, _origin_witness])
 def test_descent_rejects_a_lying_oracle(monkeypatch, dom, text, bound, fake):
     f = parse_form(text, dom)
     x = random_rational_zero(f, brute_integral_zero(f, SearchBox(bound)), seed=77, height_min=3)

@@ -172,7 +172,7 @@ def test_polynomial_mul_matches_schoolbook(p):
     # one-byte slots, and its bytes are reduced through that p's table: p = 2
     # throughout lengths 0-40, p = 3 up to 63 coefficients, 5 up to 15, 7 up
     # to 7 and 13 only for a constant factor; 1000003 and 2**31-1 never, so
-    # they keep the schoolbook loop
+    # they keep the schoolbook loop; p = 2 takes two-byte slots past 255
     dom = GFpT(p)
     rng = random.Random(p)
     for la in range(41):
@@ -184,6 +184,19 @@ def test_polynomial_mul_matches_schoolbook(p):
                     assert dom._mul(b, a) == prod
                     if b:
                         assert dom._divexact(prod, b) == a
+    if p == 2:
+        # past 255 coefficients F_2[t] products take two-byte slots; the
+        # all-ones factor fills each slot to min(la, lb), past one byte
+        lengths = (255, 256, 257, 258, 400, 1000)
+        for la in lengths:
+            for lb in lengths:
+                if la <= lb:
+                    a = _kernel_operands(p, la, rng)[2]
+                    b = _kernel_operands(p, lb, rng)[0]
+                    prod = dom._mul(a, b)
+                    assert prod == _schoolbook(a, b, p), (la, lb)
+                    assert dom._mul(b, a) == prod
+                    assert dom._divexact(prod, b) == a
 
 
 @pytest.mark.parametrize(
@@ -191,8 +204,8 @@ def test_polynomial_mul_matches_schoolbook(p):
 )
 def test_polynomial_mul_across_one_byte_slot_limit(p, lengths):
     # one-byte Kronecker slots hold min(len)*(p-1)^2 <= 255: up to 255
-    # coefficients for p = 2 and 63 for p = 3; past that the schoolbook loop
-    # takes over
+    # coefficients for p = 2 and 63 for p = 3; past that p = 2 takes
+    # two-byte slots and p = 3 the schoolbook loop
     dom = GFpT(p)
     rng = random.Random(p)
     for la in lengths:

@@ -142,6 +142,116 @@ def test_first_zero_three_squares_below_400():
         assert raws(got) == first.get(n), n
 
 
+def diagonal_form(cs, r):
+    return QuadraticPolynomial(ZZ, len(cs), {(i, i): c for i, c in enumerate(cs)}, const=-r)
+
+
+# largest value per dimension whose witness box (|y_i| <= isqrt(r // c_i))
+# the reference still sorts quickly
+DIAG_MAX_VALUE = {1: 400, 2: 200, 3: 48, 4: 15}
+
+
+def test_first_zero_z_positive_diagonal_matches_reference():
+    # the bounds of the pruned walk: values with and without a zero, uneven
+    # bounds, both random and as verify_adc derives them, a solved axis
+    # whose coefficient differs from the others', and several zeros of the
+    # least sum, which must still be ordered by their coordinates
+    rng = random.Random(20261019)
+    found = ties = uneven_axis = 0
+    for trial in range(800):
+        d = 1 + trial % 4
+        cs = [rng.randint(1, 6) for _ in range(d)]
+        r = rng.randint(0, DIAG_MAX_VALUE[d])
+        if trial % 2:
+            bounds = [math.isqrt(r // c) for c in cs]
+        else:
+            bounds = [rng.randint(0, Z_MAX_BOUND[d]) for _ in range(d)]
+            if rng.random() < 0.6:
+                y = [rng.randint(-b, b) for b in bounds]
+                r = sum(c * v * v for c, v in zip(cs, y))
+        f = diagonal_form(cs, r)
+        zeros = [pt for pt in reference_points(ZZ, bounds) if not f._eval_raw(list(pt))]
+        expected = zeros[0] if zeros else None
+        assert raws(first_zero(f, bounds)) == expected, (cs, r, bounds)
+        if zeros:
+            found += 1
+            least = sum(map(abs, expected))
+            ties += sum(map(abs, zeros[1])) == least if len(zeros) > 1 else 0
+            k = enumeration._fiber_axis(bounds)
+            uneven_axis += any(c != cs[k] for c in cs)
+    assert found > 400 and ties > 300 and uneven_axis > 250, (found, ties, uneven_axis)
+
+
+@pytest.mark.parametrize(
+    "cs, r, bounds, expected",
+    [([1, 1, 1], 1, [2, 1, 1], (-1, 0, 0)), ([2, 1, 1], 9, [4, 3, 3], (-2, -1, 0))],
+)
+def test_first_zero_z_diagonal_bound_met_with_equality(cs, r, bounds, expected):
+    # the solved axis is x; a zero of the least sum turns up first at an
+    # earlier prefix, (0,-1,0) and (0,-3,0), and the winner's prefix meets
+    # the L1 bound with equality, through the axis's own coefficient
+    f = diagonal_form(cs, r)
+    assert raws(first_zero(f, bounds)) == expected == reference_first_zero(f, bounds)
+
+
+def test_first_zero_z_diagonal_small_boxes_exhaustive():
+    # every value up to 20 of every diagonal form with coefficients 1-3 in
+    # every box of radii 0-3: the first zero per value is read off one
+    # sorted sweep of the box
+    for cs in product(range(1, 4), repeat=3):
+        for bounds in product(range(4), repeat=3):
+            first = {}
+            for pt in reference_points(ZZ, bounds):
+                first.setdefault(sum(c * v * v for c, v in zip(cs, pt)), pt)
+            for r in range(21):
+                assert raws(first_zero(diagonal_form(cs, r), bounds)) == first.get(r), (cs, bounds, r)
+
+
+def three_squares_reference(n):
+    """The least (|x| + |y| + |z|, (x, y, z)) over every representation of n
+    as x^2 + y^2 + z^2, listed with z = +-isqrt(n - x^2 - y^2)."""
+    b = math.isqrt(n)
+    best = None
+    for x in range(-b, b + 1):
+        for y in range(-b, b + 1):
+            m = n - x * x - y * y
+            z = math.isqrt(m) if m >= 0 else -1
+            if z * z == m:
+                for t in {-z, z}:
+                    cand = (abs(x) + abs(y) + z, (x, y, t))
+                    if best is None or cand < best:
+                        best = cand
+    return None if best is None else best[1]
+
+
+def test_first_zero_three_squares_400_to_2500():
+    rng = random.Random(2500)
+    ns = rng.sample(range(400, 2501), 30) + [400, 2500, 1000, 2000, 2011]
+    for n in ns:
+        got = first_zero(diagonal_form([1, 1, 1], n), [math.isqrt(n)] * 3)
+        assert raws(got) == three_squares_reference(n), n
+
+
+@pytest.mark.parametrize(
+    "quad, lin",
+    [
+        ({(0, 0): 1, (1, 1): 1, (2, 2): 1}, [1, 0, 0]),  # a linear term
+        ({(0, 0): 1, (0, 1): 1, (1, 1): 1, (2, 2): 1}, [0, 0, 0]),  # a cross term
+        ({(0, 0): 1, (1, 1): 2, (2, 2): 0}, [0, 0, 0]),  # a zero square coefficient
+        ({(0, 0): 1, (1, 1): 2}, [0, 0, 0]),  # no square term on one coordinate
+        ({(0, 0): 1, (1, 1): -2, (2, 2): 1}, [0, 0, 0]),  # a negative one
+        ({(0, 0): 1, (1, 1): 1, (2, 2): -1}, [0, 0, 0]),  # x^2 + y^2 - z^2
+    ],
+    ids=["linear", "cross", "zero-square", "missing-square", "negative-square", "isotropic"],
+)
+def test_first_zero_z_outside_the_diagonal_bounds(quad, lin):
+    # every one of these keeps the plain walk; the reference decides
+    for n in range(-6, 40):
+        f = QuadraticPolynomial(ZZ, 3, quad, lin, -n)
+        for bounds in ([4, 4, 4], [2, 5, 3], [5, 1, 2]):
+            assert raws(first_zero(f, bounds)) == reference_first_zero(f, bounds), (n, bounds)
+
+
 def test_first_zero_zi_matches_reference_on_random_forms():
     rng = random.Random(20261018)
     found = 0
