@@ -667,10 +667,11 @@ class PrimeFieldPolynomials(Domain):
     256-entry table.  Longer F_2[t] factors take two-byte slots, exact
     while the shorter has fewer than 65,536 coefficients, and keep each
     slot's low byte, which has the slot's parity.  Otherwise a product
-    costs O(len a * len b) coefficient operations in Python.  For p = 2 addition is the XOR of the packed
-    operands, negation the identity, and long division and gcd run on
-    packed ints, one shift and one XOR per quotient term.  For odd p,
-    addition and division loop over coefficients in Python.
+    costs O(len a * len b) coefficient operations in Python.  For p = 2
+    addition is the XOR of the packed operands, negation the identity, and
+    long division and gcd run on packed ints, one shift and one XOR per
+    quotient term.  For odd p, addition and division loop over
+    coefficients in Python.
     """
 
     _ZERO, _ONE = (), (1,)

@@ -253,7 +253,7 @@ def check_euclidean(
                     continue
                 key = ws + (residues[j],)
                 if key not in scanned:
-                    y, _, n, _, _ = _search(f, nums + (axis[j],), den, window, True)
+                    y, _, n, _, _ = _search(f, nums + (axis[j],), den, window, first=True)
                     scanned[key] = None if y is not None else n
                 n = scanned[key]
                 if n is not None:

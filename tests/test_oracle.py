@@ -506,9 +506,9 @@ def test_scan_refusal_matches_the_point_by_point_sweep(monkeypatch, dom, text, h
     for run in (check_euclidean, reference_check_euclidean):
         calls = []
 
-        def spy(f, a, b, window, *first):
+        def spy(f, a, b, window, **first):
             calls.append((tuple(a), b))
-            return real(f, a, b, window, *first)
+            return real(f, a, b, window, **first)
 
         monkeypatch.setattr(oracle, "_search", spy)
         with pytest.raises(SearchBudgetError) as err:
