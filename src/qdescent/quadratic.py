@@ -36,10 +36,11 @@ class QuadraticPolynomial:
 
     quad maps (i, j) with i <= j to the coefficient of X_i X_j; entries
     with zero coefficient are dropped.  lin is the length-d coefficient
-    vector of f1 and const is f0.
+    vector of f1 and const is f0.  _lin_terms keeps the (i, c) of lin with
+    c nonzero, for evaluation.
     """
 
-    __slots__ = ("domain", "d", "quad", "lin", "const")
+    __slots__ = ("domain", "d", "quad", "lin", "const", "_lin_terms")
 
     def __init__(self, domain: Domain, d: int, quad: dict[tuple[int, int], object],
                  lin: Iterable = (), const=0):
@@ -61,6 +62,9 @@ class QuadraticPolynomial:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "quad", {k: table[k] for k in sorted(table)})
         object.__setattr__(self, "lin", tuple(linv))
+        object.__setattr__(
+            self, "_lin_terms", tuple((i, c) for i, c in enumerate(linv) if not domain._is_zero(c))
+        )
         object.__setattr__(self, "const", domain.coerce_raw(const))
 
     def __setattr__(self, name, value):
@@ -82,9 +86,8 @@ class QuadraticPolynomial:
     def _f1_raw(self, vec):
         dom = self.domain
         acc = dom._ZERO
-        for i, c in enumerate(self.lin):
-            if not dom._is_zero(c):
-                acc = dom._add(acc, dom._mul(c, vec[i]))
+        for i, c in self._lin_terms:
+            acc = dom._add(acc, dom._mul(c, vec[i]))
         return acc
 
     def _eval_raw(self, vec):
@@ -178,8 +181,7 @@ class QuadraticPolynomial:
 
     def is_form(self) -> bool:
         """True when the linear part and constant vanish (f = f2)."""
-        dom = self.domain
-        return dom._is_zero(self.const) and all(dom._is_zero(c) for c in self.lin)
+        return self.domain._is_zero(self.const) and not self._lin_terms
 
     def sub_scalar(self, r) -> "QuadraticPolynomial":
         """The polynomial f - r for a ring scalar r."""

@@ -18,21 +18,22 @@ any other way is hard.
 
 verify_adc is the referee: over the canonical fraction points of a box
 (enumeration.CanonicalPoints, integral ones included) it compares the
-descent route with an independent brute-force search for an integral
-point of equal value, and reports disagreements.  It works on the raw
-(nums, den, r) triples of CanonicalPoints.integral_values: q(a/b) =
-q2(a)/b^2 is integral exactly when b^2 divides q2(a), and q2 is summed one
-coordinate at a time, one ring add per point for a diagonal form, with no
-fraction built.  The points that pass are descended on raws by
-descent._descend, the loop adc_represent runs, with every certificate of
-every step, on q - r built once per value r and shared with the witness
-search; the result's value and box radius are read from raws as well.  A
-FractionPoint is built only for a point that is reported.  A descent
-that merely fails for want of an oracle witness is classified
-"inapplicable", not a failure: it does not refute value representability,
-it only means the quadratic part is not covered by the rounding oracle
-there (the four-squares form at all-half-integer points is the canonical
-example).
+descent route with a brute-force search for an integral point of equal
+value, and reports disagreements.  The search is the sweep's own pass over
+the box at denominator 1 where that decides, and a graded zero search
+otherwise.  It works on the raw (nums, den, r) triples of
+CanonicalPoints.integral_values: q(a/b) = q2(a)/b^2 is integral exactly
+when b^2 divides q2(a), and q2 is summed one coordinate at a time, one
+ring add per point for a diagonal form, with no fraction built.  The
+points that pass are descended on raws by descent._descend, the loop
+adc_represent runs, with every certificate of every step, on q - r built
+once per value r and shared with the witness search; the result's value
+and box radius are read from raws as well.  A FractionPoint is built only
+for a point that is reported.  A descent that merely fails for want of an
+oracle witness is classified "inapplicable", not a failure: it does not
+refute value representability, it only means the quadratic part is not
+covered by the rounding oracle there (the four-squares form at
+all-half-integer points is the canonical example).
 """
 
 from __future__ import annotations
@@ -174,45 +175,64 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
     descent witness whenever descent succeeded, so a successful descent can
     never be contradicted by a too-small search.
 
+    A witness query (r, box) is answered once and cached, and the sweep
+    answers most of them itself.  It runs denominator 1 first, where every
+    point a of box(num_bound)^d passes with its value r = q2(a); the first
+    such point of each r is cached as r's witness, so once denominator 1 is
+    done the cache holds every value the box takes, one entry per value.
+    A later query for r is then decided by containment: a point of value r
+    lies in every heuristic box, whose radius is at least num_bound, and
+    for a positive diagonal form it proves r represented outright; a value
+    with no such point has no witness in a query box inside box(num_bound).
+    Only the other queries run the graded search, _first_value_witness.
+
     The sweep and each witness search are sized before they start, and the
-    witness searches of one call are also sized together: once their
-    first_zero counts add up past SEARCH_BUDGET, the next search is refused.
+    witness queries of one call are also sized together: each query adds
+    the first_zero count of its box, whether or not its search runs, and
+    the query that takes the total past SEARCH_BUDGET is refused.
     """
     if not q.is_form():
         raise NotAFormError("the representation check needs a homogeneous form")
     dom = q.domain
     d = q.d
     diagonal = _is_positive_diagonal_z(q)
+    # (r, None) for a diagonal form, else (r, box radius) -> (witness or
+    # None, whether the witness box is exhaustive)
     cache = {}
     shifted = {}  # r -> q - r, built once per value
-    searched = 0  # first_zero candidates of the searches run so far
+    searched = 0  # first_zero candidates of the queries answered so far
 
-    def search(r_raw, bounds):
+    def brute_witness(r_raw, fallback_bound, point=None):
+        # point: a point of box(num_bound)^d with value r_raw
         nonlocal searched
-        count = first_zero_count(dom, bounds)
-        # a search over the budget by itself is refused by first_zero
-        if count <= SEARCH_BUDGET:
-            searched += count
-            _within_budget(searched, "the witness searches of a representation check")
-        return _first_value_witness(shifted[r_raw], r_raw, bounds)
-
-    def brute_witness(r_raw, fallback_bound):
         key = (r_raw, None) if diagonal else (r_raw, fallback_bound)
         if key in cache:
             return cache[key]
         if diagonal:
             if r_raw < 0:
-                result = (None, True)
-            else:
-                bounds = [
-                    math.isqrt(r_raw // q.quad[(i, i)]) if (i, i) in q.quad else 0
-                    for i in range(d)
-                ]
-                result = (search(r_raw, bounds), True)
+                cache[key] = (None, True)
+                return cache[key]
+            bounds = [
+                math.isqrt(r_raw // q.quad[(i, i)]) if (i, i) in q.quad else 0
+                for i in range(d)
+            ]
         else:
-            result = (search(r_raw, [fallback_bound] * d), False)
-        cache[key] = result
-        return result
+            bounds = [fallback_bound] * d
+        count = first_zero_count(dom, bounds)
+        if not count <= SEARCH_BUDGET:
+            # a search over the budget by itself is refused by first_zero
+            return _first_value_witness(shifted[r_raw], r_raw, bounds)
+        searched += count
+        _within_budget(searched, "the witness searches of a representation check")
+        if point is None and not diagonal:
+            # r's point from denominator 1 lies in every heuristic box (a
+            # diagonal form keys on r alone, so it hit the cache above)
+            point = cache.get((r_raw, box.num_bound), (None,))[0]
+        if point is None and max(bounds) > box.num_bound:
+            # box(num_bound)^d does not take r: a witness lies past it or nowhere
+            point = _first_value_witness(shifted[r_raw], r_raw, bounds)
+        cache[key] = (point, diagonal)
+        return cache[key]
 
     one = dom._ONE
     checked = 0
@@ -230,13 +250,18 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
             y = None
             note = f"no oracle witness in window {window} (best norm {err.min_norm})"
         if y is not None:
-            # at den == 1 the loop returns nums unchanged, and its start
-            # check has already proved q2(nums) - r = 0; a point that took a
-            # step has its value checked here
-            if den != one and q._f2_raw(y) != r_raw:
+            if den == one:
+                # the loop returned nums unchanged, and its start check has
+                # already proved q2(nums) - r = 0: nums is r's witness
+                brute_witness(r_raw, box.num_bound, nums)
+                continue
+            # a point that took a step has its value checked here
+            if q._f2_raw(y) != r_raw:
                 found, detail = failures, "descent result has the wrong value"
             else:
-                radius = max([box.num_bound] + [dom._box_radius(c) for c in y])
+                radius = box.num_bound
+                if not diagonal:
+                    radius = max([radius] + [dom._box_radius(c) for c in y])
                 if brute_witness(r_raw, radius)[0] is not None:
                     continue
                 found, detail = failures, "brute search missed a value descent represents"
@@ -254,7 +279,9 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
 
 
 def _first_value_witness(qr: QuadraticPolynomial, r_raw, bounds):
-    """The first integral zero of qr = q - r_raw in the box, or None.
-    Kept as a named call: perfbench's tracer counts witness searches (and
-    verify_adc's cache hits) by wrapping this name."""
+    """The first integral zero of qr = q - r_raw in the box, or None: the
+    search behind the verify_adc witness queries that its sweep does not
+    decide, those for a value that box(num_bound)^d does not take over a
+    box reaching past it.  Kept as a named call: perfbench's tracer counts
+    witness searches (and verify_adc's cache hits) by wrapping this name."""
     return first_zero(qr, bounds)

@@ -274,3 +274,106 @@ def test_verify_adc_oversized_sweep_refused_before_any_descent(monkeypatch):
     # the patched loop is the one verify_adc runs: a sweep in budget hits it
     with pytest.raises(AssertionError, match="descent ran"):
         verify_adc(parse_form("x^2+y^2+z^2", ZZ), SearchBox(1, 2))
+
+
+def _assert_same_as_reference(q, box):
+    try:
+        expected = reference_verify_adc(q, box)
+    except SearchBudgetError as err:
+        with pytest.raises(SearchBudgetError) as got:
+            verify_adc(q, box)
+        assert str(got.value) == str(err)
+        return
+    report = verify_adc(q, box)
+    assert report == expected
+    assert [str(f.x) for f in report.failures + report.inapplicable] == [
+        str(f.x) for f in expected.failures + expected.inapplicable
+    ]
+
+
+def _witness_searches(monkeypatch):
+    import qdescent.zerotools as zerotools
+
+    calls = []
+    search = zerotools._first_value_witness
+
+    def spy(qr, r_raw, bounds):
+        calls.append((r_raw, list(bounds)))
+        return search(qr, r_raw, bounds)
+
+    monkeypatch.setattr(zerotools, "_first_value_witness", spy)
+    return calls
+
+
+# forms whose witness queries still reach the graded search: a value the
+# box does not take, queried over a box reaching past it
+ADC_SEARCH_CASES = [
+    # domain, form, height, box
+    (ZZ, "x^2+100*y^2", 3, 2),
+    (ZZ, "x^2+y^2+7*z^2", 2, 3),
+    # heuristic boxes past the sweep's
+    (ZZ, "-3*x^2+3*x*y+4*y^2", 2, 1),
+    (ZI, "(3-2*i)*x*y+(1+2*i)*y^2", 2, 1),
+]
+
+
+@pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3], ids=lambda dom: dom.name)
+def test_verify_adc_matches_reference_on_random_forms(monkeypatch, dom):
+    calls = _witness_searches(monkeypatch)
+    rng = random.Random(4)
+    boxes = {ZZ: [(1, 2), (2, 3)], ZI: [(1, 1), (1, 2)], F2: [(1, 1), (1, 2)], F3: [(0, 2), (1, 1)]}[dom]
+    cases = []
+    for _ in range(16):
+        d = rng.randint(1, 3)
+        # forms only: random_quadratic's linear part and constant dropped
+        q = QuadraticPolynomial(dom, d, random_quadratic(dom, d, rng, 4).quad)
+        cases += [(q, box) for box in boxes[: 1 if d == 3 else 2]]
+    if dom == ZZ:
+        # positive diagonal, some with a square term missing
+        for _ in range(8):
+            coeffs = [rng.choice([0, 1, 2, 3, 5, 7]) for _ in range(rng.randint(2, 3))]
+            coeffs[0] = coeffs[0] or 1
+            q = QuadraticPolynomial(ZZ, len(coeffs), {(i, i): c for i, c in enumerate(coeffs)})
+            cases += [(q, box) for box in boxes]
+    if dom == ZI:
+        # its first heuristic box past the sweep's is over the budget by
+        # itself, and refused with the search's own text
+        cases.append((parse_form("x*y+(1+i)*z^2", ZI), (1, 2)))
+    cases += [(parse_form(text, d), (box, height)) for d, text, height, box in ADC_SEARCH_CASES if d == dom]
+    for q, (box, height) in cases:
+        if q.quad:
+            _assert_same_as_reference(q, SearchBox(box, height))
+    # the cases reach the graded search, not only the sweep's answers
+    assert calls
+
+
+@pytest.mark.parametrize(
+    "dom, text, height, box, n_fail",
+    [
+        # the adc-referee requests: every value they check is taken on the box
+        (ZZ, "x^2+y^2+z^2", 4, 8, 0),
+        (ZI, "x^2+i*y^2", 2, 2, 0),
+        (F3, "x1^2+t*x2^2", 3, 1, 0),
+        # heuristic boxes past the sweep's, for values the box takes
+        (ZZ, "2*x^2+x*y-3*y^2", 3, 2, 0),
+        # values the box does not take, queried over the sweep's own box
+        (ZI, "x^2+3*y^2", 2, 1, 8),
+    ],
+    ids=["Z3", "Zi", "Fpt3", "Z-heuristic", "Zi-failures"],
+)
+def test_verify_adc_sweep_answers_every_witness_query(monkeypatch, dom, text, height, box, n_fail):
+    calls = _witness_searches(monkeypatch)
+    report = verify_adc(parse_form(text, dom), SearchBox(box, height))
+    assert report.checked > 0 and len(report.failures) == n_fail
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "dom, text, height, box", ADC_SEARCH_CASES, ids=[c[1] for c in ADC_SEARCH_CASES]
+)
+def test_verify_adc_searches_values_the_box_does_not_take(monkeypatch, dom, text, height, box):
+    calls = _witness_searches(monkeypatch)
+    verify_adc(parse_form(text, dom), SearchBox(box, height))
+    assert calls
+    for _, bounds in calls:
+        assert max(bounds) > box
