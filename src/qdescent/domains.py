@@ -118,9 +118,10 @@ class Domain:
 
     It inherits coerce_raw (the domain check of a DomainElement, then
     _coerce), _is_zero (equality with _ZERO), _divexact (from
-    _quotient_or_none), _sort_key (the identity; override it when raws do
-    not compare in the ring's order), equality and hashing by (type, name),
-    and the element-level API.
+    _quotient_or_none), _content (a fold of _gcd; override it when the
+    ring has a cheaper rule), _sort_key (the identity; override it when
+    raws do not compare in the ring's order), equality and hashing by
+    (type, name), and the element-level API.
     """
 
     name = "?"
@@ -177,6 +178,18 @@ class Domain:
     def _gcd(self, a, b):
         """The canonical-associate gcd of a and b (nonzero if either is)."""
         raise NotImplementedError
+
+    def _content(self, a, rest):
+        """The gcd of a and every raw of rest (rest nonempty): the
+        canonical associate, nonzero if any operand is.  This default folds
+        _gcd and stops at the first unit, since the gcd of the one with
+        anything is the one."""
+        g = a
+        for r in rest:
+            g = self._gcd(g, r)
+            if self._is_unit(g):
+                break
+        return g
 
     def _normalizing_unit(self, a):
         """Unit u such that a*u is the canonical associate of a (a nonzero)."""
@@ -269,8 +282,9 @@ class DomainElement:
     __slots__ = ("domain", "raw")
 
     def __init__(self, domain: Domain, raw):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "raw", raw)
+        # the slots' own setters, since __setattr__ refuses assignment
+        _set_element_domain(self, domain)
+        _set_element_raw(self, raw)
 
     def __setattr__(self, name, value):
         raise AttributeError("DomainElement is immutable")
@@ -351,6 +365,10 @@ class DomainElement:
     __repr__ = __str__
 
 
+_set_element_domain = DomainElement.domain.__set__
+_set_element_raw = DomainElement.raw.__set__
+
+
 class RationalIntegers(Domain):
     """Z with the absolute-value norm."""
 
@@ -383,6 +401,9 @@ class RationalIntegers(Domain):
 
     def _gcd(self, a, b):
         return math.gcd(a, b)
+
+    def _content(self, a, rest):
+        return math.gcd(a, *rest)
 
     def _normalizing_unit(self, a):
         return -1 if a < 0 else 1
@@ -454,8 +475,6 @@ class GaussianIntegers(Domain):
     _ZERO, _ONE = (0, 0), (1, 0)
     _GENERATOR = "i"
 
-    _UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
     def _coerce(self, obj):
         if isinstance(obj, int):
             return (int(obj), 0)
@@ -512,22 +531,31 @@ class GaussianIntegers(Domain):
             return (1, 0)
         if not m:
             return (0, 0)
-        ar, ai = _zi_euclid(a[0], a[1], *_zi_euclid(m, 0, b[0] % m, b[1] % m))
-        # times the unit of _normalizing_unit: the associate with re > 0,
-        # im >= 0, picked by the signs
-        if ar > 0 and ai >= 0:
-            return (ar, ai)
-        if ai < 0 and ar >= 0:
-            return (-ai, ar)
-        if ar < 0 and ai <= 0:
-            return (-ar, -ai)
-        return (ai, -ar)
+        g = _zi_euclid(a[0], a[1], *_zi_euclid(m, 0, b[0] % m, b[1] % m))
+        return self._mul(g, self._normalizing_unit(g))
+
+    def _content(self, a, rest):
+        # a common divisor's norm divides every norm, so coprime norms
+        # prove the content a unit without a Euclid step
+        m = a[0] * a[0] + a[1] * a[1]
+        for r in rest:
+            m = math.gcd(m, r[0] * r[0] + r[1] * r[1])
+            if m == 1:
+                return self._ONE
+        return super()._content(a, rest)
 
     def _normalizing_unit(self, a):
-        for u in self._UNITS:
-            c = self._mul(a, u)
-            if c[0] > 0 and c[1] >= 0:
-                return u
+        # the unit that turns a into its associate with re > 0, im >= 0:
+        # 1, i, -1 or -i by the quadrant a lies in
+        re, im = a
+        if re > 0 and im >= 0:
+            return (1, 0)
+        if im < 0 and re >= 0:
+            return (0, 1)
+        if re < 0 and im <= 0:
+            return (-1, 0)
+        if im > 0:
+            return (0, -1)
         raise ZeroDenominatorError("zero has no normalizing unit")
 
     def _format(self, a):
@@ -916,12 +944,12 @@ def domain_from_name(text: str) -> Domain:
 
 def _canonical(domain: Domain, nums: list, den, what: str):
     """nums/den with gcd(den, *nums) divided out and den replaced by its
-    normalized associate; ZeroDenominatorError when den is zero."""
+    normalized associate; ZeroDenominatorError when den is zero.  The gcd
+    is one Domain._content call, and the division runs only when it is not
+    a unit."""
     if domain._is_zero(den):
         raise ZeroDenominatorError(f"{what} with zero denominator")
-    g = den
-    for r in nums:
-        g = domain._gcd(g, r)
+    g = domain._content(den, nums)
     if not domain._is_unit(g):
         nums = [domain._divexact(r, g) for r in nums]
         den = domain._divexact(den, g)
@@ -1034,11 +1062,9 @@ class FractionPoint:
         if not raws:
             raise DimensionMismatchError("a point needs at least one coordinate")
         raws, d = _canonical(domain, raws, domain.coerce_raw(den), "point")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(
-            self, "nums", tuple(DomainElement(domain, r) for r in raws)
-        )
-        object.__setattr__(self, "den", DomainElement(domain, d))
+        _set_point_domain(self, domain)
+        _set_point_nums(self, tuple(DomainElement(domain, r) for r in raws))
+        _set_point_den(self, DomainElement(domain, d))
 
     @classmethod
     def _trusted(cls, domain: Domain, nums, den) -> "FractionPoint":
@@ -1046,9 +1072,9 @@ class FractionPoint:
         unit, den normalized), as enumeration.CanonicalPoints yields them;
         nothing is re-checked."""
         self = object.__new__(cls)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "nums", tuple(DomainElement(domain, r) for r in nums))
-        object.__setattr__(self, "den", DomainElement(domain, den))
+        _set_point_domain(self, domain)
+        _set_point_nums(self, tuple(DomainElement(domain, r) for r in nums))
+        _set_point_den(self, DomainElement(domain, den))
         return self
 
     def __setattr__(self, name, value):
@@ -1085,6 +1111,11 @@ class FractionPoint:
         return ",".join(str(n) for n in self.nums) + f"/{self.den}"
 
     __repr__ = __str__
+
+
+_set_point_domain = FractionPoint.domain.__set__
+_set_point_nums = FractionPoint.nums.__set__
+_set_point_den = FractionPoint.den.__set__
 
 
 # -- norm-axiom spot checks ------------------------------------------------

@@ -267,13 +267,9 @@ def _q2_rows(dom: Domain, q, values, squares, start, fix):
 
 
 def _coprime(dom: Domain, nums, den) -> bool:
-    """Whether gcd(den, nums) is a unit, that is nums/den is in lowest terms."""
-    g = den
-    for r in nums:
-        g = dom._gcd(g, r)
-        if dom._is_unit(g):
-            return True
-    return False
+    """Whether gcd(den, nums) is a unit, that is nums/den is in lowest
+    terms: the content rule of domains._canonical."""
+    return dom._is_unit(dom._content(den, nums))
 
 
 def _fiber_axis(bounds: Sequence[int]) -> int:

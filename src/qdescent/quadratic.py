@@ -36,11 +36,14 @@ class QuadraticPolynomial:
 
     quad maps (i, j) with i <= j to the coefficient of X_i X_j; entries
     with zero coefficient are dropped.  lin is the length-d coefficient
-    vector of f1 and const is f0.  _lin_terms keeps the (i, c) of lin with
-    c nonzero, for evaluation.
+    vector of f1 and const is f0.  For evaluation, construction also
+    builds two term tables: _quad_terms, the (i, j, c) of quad in order
+    with c = None where the coefficient is the ring's one, so that only
+    the other coefficients cost a multiply; and _lin_terms, the (i, c) of
+    lin with c nonzero.
     """
 
-    __slots__ = ("domain", "d", "quad", "lin", "const", "_lin_terms")
+    __slots__ = ("domain", "d", "quad", "lin", "const", "_quad_terms", "_lin_terms")
 
     def __init__(self, domain: Domain, d: int, quad: dict[tuple[int, int], object],
                  lin: Iterable = (), const=0):
@@ -60,7 +63,13 @@ class QuadraticPolynomial:
             linv[i] = domain.coerce_raw(c)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "quad", {k: table[k] for k in sorted(table)})
+        quad = {k: table[k] for k in sorted(table)}
+        object.__setattr__(self, "quad", quad)
+        object.__setattr__(
+            self,
+            "_quad_terms",
+            tuple((i, j, None if c == domain._ONE else c) for (i, j), c in quad.items()),
+        )
         object.__setattr__(self, "lin", tuple(linv))
         object.__setattr__(
             self, "_lin_terms", tuple((i, c) for i, c in enumerate(linv) if not domain._is_zero(c))
@@ -78,10 +87,13 @@ class QuadraticPolynomial:
     def _f2_raw(self, vec):
         dom = self.domain
         add, mul = dom._add, dom._mul
-        acc = dom._ZERO
-        for (i, j), c in self.quad.items():
-            acc = add(acc, mul(c, mul(vec[i], vec[j])))
-        return acc
+        acc = None
+        for i, j, c in self._quad_terms:
+            t = mul(vec[i], vec[j])
+            if c is not None:
+                t = mul(c, t)
+            acc = t if acc is None else add(acc, t)
+        return dom._ZERO if acc is None else acc
 
     def _f1_raw(self, vec):
         dom = self.domain
@@ -92,7 +104,10 @@ class QuadraticPolynomial:
 
     def _eval_raw(self, vec):
         dom = self.domain
-        return dom._add(self._f2_raw(vec), dom._add(self._f1_raw(vec), self.const))
+        acc = self._f2_raw(vec)
+        if self._lin_terms:
+            acc = dom._add(acc, self._f1_raw(vec))
+        return dom._add(acc, self.const)
 
     def _coerce_vector(self, pt):
         if isinstance(pt, FractionPoint):
@@ -120,7 +135,9 @@ class QuadraticPolynomial:
         """The raw numerator b^2 f(x) = f2(a) + b*(f1(a) + b*f0) at x = a/b,
         for raws a and b, which vanishes exactly when x is a zero of f."""
         dom = self.domain
-        tail = dom._add(self._f1_raw(a), dom._mul(b, self.const))
+        tail = dom._mul(b, self.const)
+        if self._lin_terms:
+            tail = dom._add(self._f1_raw(a), tail)
         return dom._add(self._f2_raw(a), dom._mul(b, tail))
 
     def _form_value_raw(self, a, b):

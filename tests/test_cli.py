@@ -9,6 +9,7 @@ import pytest
 
 import qdescent.cli as cli_module
 import qdescent.descent as descent_module
+import qdescent.oracle as oracle_module
 from qdescent.cli import main, parse_point
 from qdescent import (
     ExactDivisionError,
@@ -396,6 +397,101 @@ def test_descend_fpt2_json_golden(capsys, point, expected):
         "--point", point, "--format", "json",
     )
     assert (code, out, err) == (0, expected, "")
+
+
+# chord zeros whose denominator norms have 121 to 262 bits
+BIG_POINTS = {
+    "z3": (
+        "8456379370721598582929830501683749908171,"
+        "-13457250962952304181466286134472053327484,"
+        "3731584049996863318274963443999350558364/"
+        "443839888984401981591183172855533785609"
+    ),
+    "zi_prod": (
+        "-2099565283606462366612866668130276729968+576165882093604268073266362156211374384i,"
+        "-3074224321639436774172469247600020431315-1547269387206527032029670888317184111970i/"
+        "124613213411279715766366754383106530934+67385018530080898474981694826883099282i"
+    ),
+    "zi_diag": (
+        "22040928553471593797661320733930437211209-91170775459908029003535343935002963643469i,"
+        "-95592785599972344583465866596824950303377+35666305359807349277847693821380781570042i/"
+        "1936561033846857916583564208014333105364+1692040065778379191619640894308726033531i"
+    ),
+    "f2_c5": (
+        "t^122+t^121+t^116+t^115+t^114+t^111+t^109+t^107+t^100+t^98+t^96+t^94+t^90+"
+        "t^89+t^88+t^85+t^83+t^82+t^81+t^73+t^72+t^71+t^70+t^67+t^66+t^64+t^63+t^62+"
+        "t^59+t^58+t^56+t^55+t^50+t^49+t^48+t^47+t^46+t^41+t^40+t^38+t^36+t^34+t^29+"
+        "t^28+t^25+t^23+t^21+t^20+t^19+t^18+t^13+t^12+t^11+t^9+t^8+t^5+t^4+t^3+t^2+t+1,"
+        "t^121+t^116+t^114+t^113+t^112+t^110+t^107+t^106+t^105+t^96+t^93+t^92+t^89+"
+        "t^86+t^79+t^78+t^77+t^75+t^70+t^69+t^68+t^66+t^62+t^60+t^59+t^57+t^56+t^55+"
+        "t^54+t^52+t^49+t^48+t^46+t^43+t^41+t^39+t^38+t^37+t^36+t^34+t^30+t^25+t^24+"
+        "t^21+t^20+t^19+t^18+t^17+t^15+t^12+t^10+t^6+t^5+t^2+1/t^121+t^120+t^119+t^115+"
+        "t^114+t^110+t^109+t^108+t^107+t^106+t^105+t^99+t^97+t^95+t^93+t^89+t^88+t^84+"
+        "t^83+t^82+t^80+t^79+t^72+t^70+t^66+t^63+t^62+t^58+t^55+t^54+t^53+t^49+t^48+"
+        "t^46+t^40+t^37+t^35+t^33+t^28+t^24+t^23+t^22+t^21+t^20+t^18+t^12+t^10+t^9+t^8+"
+        "t^4+t^2+1"
+    ),
+    "f2_cross": (
+        "t^122+t^120+t^118+t^116+t^114+t^106+t^100+t^98+t^90+t^86+t^84+t^82+t^74+t^72+"
+        "t^70+t^68+t^66+t^64+t^50+t^48+t^46+t^40+t^38+t^32+t^28+t^24+t^22+t^18+t^16+"
+        "t^14+t^12+t^10+t^8+t^6+t^2,t^122+t^121+t^120+t^119+t^118+t^116+t^115+t^114+"
+        "t^111+t^107+t^106+t^105+t^103+t^101+t^100+t^98+t^97+t^95+t^91+t^90+t^89+t^87+"
+        "t^86+t^84+t^82+t^79+t^75+t^74+t^72+t^70+t^68+t^66+t^65+t^64+t^63+t^61+t^55+"
+        "t^53+t^50+t^49+t^48+t^46+t^43+t^41+t^40+t^39+t^38+t^33+t^32+t^31+t^29+t^28+"
+        "t^27+t^24+t^22+t^19+t^18+t^17+t^16+t^14+t^12+t^11+t^10+t^9+t^8+t^7+t^6+t^5+"
+        "t^2+t/t^120+t^118+t^117+t^115+t^113+t^110+t^109+t^105+t^102+t^101+t^98+t^97+"
+        "t^95+t^94+t^92+t^90+t^89+t^88+t^86+t^84+t^81+t^79+t^72+t^70+t^69+t^67+t^66+"
+        "t^65+t^64+t^63+t^62+t^61+t^59+t^58+t^56+t^53+t^50+t^49+t^46+t^42+t^41+t^38+"
+        "t^33+t^31+t^29+t^26+t^25+t^24+t^23+t^22+t^21+t^18+t^17+t^16+t^14+t^13+t^11+"
+        "t^10+t^9+t^7+t^5+t^4+1"
+    ),
+}
+
+BIG_POINT_GOLDEN = [
+    ("descend", "Z", "x^2+y^2+z^2-1353", "z3", 0,
+     "278aae441808082887a6ede6d1cf481b5f132a80b384543d8690db326f90e92f"),
+    ("represent", "Z", "x^2+y^2+z^2", "z3", 0,
+     "7ed16fac8de82dad641cdee81224605210d8cd9f985c9467140a3d252696366f"),
+    ("descend", "Zi", "x1*x2+(-262+266i)", "zi_prod", 1,
+     "9da0aad3ba0be21ea7614bdb9a77e49be1992013633b26deec812d04f691c973"),
+    ("represent", "Zi", "x1*x2", "zi_prod", 1,
+     "a834db4fb17a37f0115317e9f1b31caf91c19bc6ffc2938d48edadb1db116742"),
+    ("descend", "Zi", "x1^2+i*x2^2+(-556-229i)", "zi_diag", 0,
+     "73c56f3bfc5f3b67072da930989bb9debbd3c587055d918d121652fc1742434c"),
+    ("represent", "Zi", "x1^2+i*x2^2", "zi_diag", 0,
+     "c623982a2cc689b2b28856437527df10f324db8173821e78b287b2a8cf89ca5b"),
+    ("descend", "Fpt:2", "x1^2+t*x2^2+x1+t^2", "f2_c5", 0,
+     "190a4ba5802598505fbd44271d76f88663ddc5c6a01592bab0a3157c1db392b9"),
+    ("descend", "Fpt:2", "x1^2+x1*x2+t*x2^2+t^5", "f2_cross", 0,
+     "47a077133b2e26cf48a6d2d9e2b7f3cf0d28145adeb381d88a0e723db540f130"),
+    ("represent", "Fpt:2", "x1^2+x1*x2+t*x2^2", "f2_cross", 0,
+     "76c1617d4e471fdaadd33d504767a40ad3b3b28dddadb2b973cc6cd0ebfc45f9"),
+]
+
+@pytest.mark.parametrize("command, domain, form, point, scans, digest", BIG_POINT_GOLDEN,
+                         ids=[f"{c[0]}-{c[3]}" for c in BIG_POINT_GOLDEN])
+def test_big_denominator_json_golden(capsys, monkeypatch, command, domain, form, point, scans,
+                                     digest):
+    # descend and represent from 100+ bit denominators over Z, Zi and F_2[t];
+    # digest is the sha256 of the complete stdout, so every step's y, v, A,
+    # B, C, b' and x' is pinned; scans counts the steps whose oracle left
+    # the fast path for the window scan
+    calls = []
+    budget = oracle_module._within_budget
+
+    def spy(count, what):
+        calls.append(what)
+        return budget(count, what)
+
+    monkeypatch.setattr(oracle_module, "_within_budget", spy)
+    code, out, err = run(
+        capsys, command, "--domain", domain, "--form", form, "--point", BIG_POINTS[point],
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert calls == ["the oracle's window scan"] * scans
+
 
 # -- represent ------------------------------------------------------------------
 

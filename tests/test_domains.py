@@ -1,13 +1,17 @@
+import copy
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdescent import (
+    DomainElement,
     DomainMismatchError,
     ExactDivisionError,
     FractionElement,
@@ -469,13 +473,26 @@ def test_quotient_or_none_agrees_with_divexact(dom):
 # -- ring kernels against their straightforward versions -------------------------
 
 
+_ZI_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _reference_zi_unit(a):
+    # the unit whose product with a nonzero a lies in re > 0, im >= 0, by
+    # trial products
+    for u in _ZI_UNITS:
+        c = ZI._mul(a, u)
+        if c[0] > 0 and c[1] >= 0:
+            return u
+    raise AssertionError(f"no first-quadrant associate of {a}")
+
+
 def _reference_zi_gcd(a, b):
-    # Euclid through the public-protocol operations, then the normalizing unit
+    # Euclid through the public-protocol operations, then the trial-product unit
     while not ZI._is_zero(b):
         q = ZI._round_quotient(a, b)
         a, b = b, ZI._add(a, ZI._neg(ZI._mul(b, q)))
     if not ZI._is_zero(a):
-        a = ZI._mul(a, ZI._normalizing_unit(a))
+        a = ZI._mul(a, _reference_zi_unit(a))
     return a
 
 
@@ -525,7 +542,7 @@ def test_gaussian_gcd_matches_reference():
             assert g == _reference_zi_gcd(a, b), (a, b)
             assert g == ZI._gcd(b, a)
     # a common factor times a unit comes back as the first-quadrant associate
-    for u in ZI._UNITS:
+    for u in _ZI_UNITS:
         assert ZI._gcd(ZI._mul((6, 8), u), (0, 0)) == (6, 8)
         assert ZI._gcd((0, 0), ZI._mul((0, 7), u)) == (7, 0)
     # the gcd runs through m = gcd(N(a), N(b)): operands sharing a large
@@ -545,7 +562,7 @@ def test_gaussian_gcd_matches_reference():
             coprime += 1
             assert ZI._gcd(a, b) == _reference_zi_gcd(a, b) == (1, 0), (a, b)
     for a in operands:
-        for u in ZI._UNITS:
+        for u in _ZI_UNITS:
             assert ZI._gcd(ZI._mul(a, u), (0, 0)) == ZI._gcd((0, 0), a) == _reference_zi_gcd(a, (0, 0))
 
 
@@ -621,3 +638,90 @@ def test_fpt_kernels_return_tuples_of_ints(p):
                 assert _is_raw(dom._quotient_or_none(dom._mul(a, b), b))
     x = dom.element((1, 1)) * dom.element((1, 0, 1)) + dom.element((0, 1))
     assert _is_raw(x.raw) and _is_raw((-x).raw)
+
+
+
+# -- content, normalizing unit and element construction ---------------------------
+
+
+def _gcd_fold(dom, a, rest):
+    g = a
+    for r in rest:
+        g = dom._gcd(g, r)
+    return g
+
+
+@pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3, GFpT(1000003)], ids=lambda d: d.name)
+def test_content_matches_the_gcd_fold(dom):
+    # operands sharing a random factor (often a non-unit content), unrelated
+    # operands (mostly unit content) and zero numerators, 1 to 4 of them
+    rng = random.Random(f"content-{dom.name}")
+    fpt = dom not in (ZZ, ZI)
+    zero = dom._ZERO
+    for _ in range(400):
+        size = rng.choice([1, 3, 40])
+        bound = size if fpt else 10**size
+        g = dom._random_raw(rng, 2 if fpt else 6)
+        a = dom._mul(g, dom._random_raw(rng, bound))
+        if dom._is_zero(a):
+            a = dom._neg(dom._ONE)
+        rest = [
+            rng.choice([zero, dom._mul(g, dom._random_raw(rng, bound)), dom._random_raw(rng, bound)])
+            for _ in range(rng.randint(1, 4))
+        ]
+        got = dom._content(a, rest)
+        assert got == _gcd_fold(dom, a, rest), (a, rest)
+        # only zero numerators: the denominator's canonical associate
+        assert dom._content(a, [zero] * len(rest)) == _gcd_fold(dom, a, [zero] * len(rest))
+    assert dom._content(zero, [zero, zero]) == zero
+
+
+def test_gaussian_content_with_a_common_norm_factor_but_unit_content():
+    # N(1+2i) = N(1-2i) = 5, so the norm test cannot decide and the fold runs
+    assert math.gcd(ZI._norm((1, 2)), ZI._norm((1, -2))) == 5
+    assert ZI._content((1, 2), [(1, -2)]) == (1, 0) == _gcd_fold(ZI, (1, 2), [(1, -2)])
+    assert ZI._content((1, 2), [(0, 0), (1, -2), (0, 0)]) == (1, 0)
+    # coprime norms decide it without the fold
+    assert ZI._content((1, 2), [(1, 1)]) == (1, 0)
+    # a content that is no unit: 5 = (2+i)(2-i) and -1+2i = i(2+i)
+    assert ZI._content((5, 0), [(-1, 2), (0, 0)]) == _gcd_fold(ZI, (5, 0), [(-1, 2)]) == (2, 1)
+
+
+def test_gaussian_normalizing_unit_exhaustive():
+    # the sign-read unit against the trial products, on every |re|, |im| <= 6
+    for a in product(range(-6, 7), repeat=2):
+        if a == (0, 0):
+            with pytest.raises(ZeroDenominatorError):
+                ZI._normalizing_unit(a)
+            continue
+        u = ZI._normalizing_unit(a)
+        assert u == _reference_zi_unit(a), a
+        c = ZI._mul(a, u)
+        assert c[0] > 0 and c[1] >= 0
+        # every associate of a has the same canonical associate
+        for w in _ZI_UNITS:
+            aw = ZI._mul(a, w)
+            assert ZI._mul(aw, ZI._normalizing_unit(aw)) == c
+
+
+@pytest.mark.parametrize("dom, raw", [(ZZ, -7), (ZI, (3, -4)), (F3, (1, 0, 2))],
+                         ids=["Z", "Zi", "Fpt:3"])
+def test_domain_element_is_an_immutable_value(dom, raw):
+    e = DomainElement(dom, raw)
+    assert e.domain is dom and e.raw == raw
+    for name, value in (("raw", raw), ("domain", dom), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(e, name, value)
+    assert e.raw == raw
+    twin = DomainElement(dom, raw)
+    assert e == twin and hash(e) == hash(twin) == hash((dom, raw))
+    assert e != DomainElement(dom, dom._ONE)
+    for copier in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        again = copier(e)
+        assert type(again) is DomainElement and again == e and hash(again) == hash(e)
+        assert again.domain == dom and again.raw == raw and str(again) == str(e)
+    # a point built from trusted canonical raws equals the checked constructor's
+    x = FractionPoint._trusted(dom, [raw, dom._ONE], dom._ONE)
+    assert x == FractionPoint(dom, [raw, dom._ONE], dom._ONE) and hash(x) == hash(copy.deepcopy(x))
+    with pytest.raises(AttributeError):
+        x.den = e

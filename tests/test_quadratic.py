@@ -110,3 +110,110 @@ def test_is_form_and_sub_scalar():
 def test_equality():
     assert circle_minus_5() == circle_minus_5()
     assert circle_minus_5() != QuadraticPolynomial(ZZ, 2, {(0, 0): 1, (1, 1): 1})
+
+
+# -- raw evaluation against reference sums -------------------------------------
+
+
+def _reference_ring(dom):
+    """(add, mul) on raws by schoolbook arithmetic that shares nothing with
+    the domain's kernels."""
+    if dom is ZZ:
+        return (lambda a, b: a + b), (lambda a, b: a * b)
+    if dom is ZI:
+        return (
+            lambda a, b: (a[0] + b[0], a[1] + b[1]),
+            lambda a, b: (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]),
+        )
+    p = dom.p
+
+    def strip(c):
+        c = [x % p for x in c]
+        while c and not c[-1]:
+            c.pop()
+        return tuple(c)
+
+    def add(a, b):
+        n = max(len(a), len(b))
+        return strip([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)])
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return strip(out)
+
+    return add, mul
+
+
+def _reference_sums(dom, quad, lin, const):
+    """f2, f and the cleared numerator b^2 f(a/b) as the plain sums over
+    every monomial, every coefficient multiplied in."""
+    add, mul = _reference_ring(dom)
+
+    def f2(y):
+        acc = dom._ZERO
+        for (i, j), c in quad.items():
+            acc = add(acc, mul(c, mul(y[i], y[j])))
+        return acc
+
+    def f1(y):
+        acc = dom._ZERO
+        for i, c in enumerate(lin):
+            acc = add(acc, mul(c, y[i]))
+        return acc
+
+    def f(y):
+        return add(add(f2(y), f1(y)), const)
+
+    def cleared(a, b):
+        return add(add(f2(a), mul(b, f1(a))), mul(mul(b, b), const))
+
+    return f2, f, cleared
+
+
+EVAL_DOMAINS = [ZZ, ZI, F2, F3, GFpT(1000003)]
+
+
+@pytest.mark.parametrize("dom", EVAL_DOMAINS, ids=lambda d: d.name)
+def test_raw_evaluation_matches_reference_sums(dom):
+    # coefficients drawn from zero, one, minus one and random raws, so the
+    # term table holds unit entries (no multiply), -1 entries (a multiply)
+    # and dropped zeros; with and without a linear part and a constant
+    rng = random.Random(f"raw-eval-{dom.name}")
+    minus_one = dom._neg(dom._ONE)
+    small = [dom._ZERO, dom._ONE, minus_one]
+    saw_unit = saw_other = False
+    def coeff():
+        return rng.choice(small + [dom._random_raw(rng, 3)])
+
+    for trial in range(120):
+        d = rng.randint(1, 4)
+        quad = {(i, j): coeff() for i in range(d) for j in range(i, d) if rng.random() < 0.7}
+        lin = [coeff() for _ in range(d)] if trial % 3 else []
+        const = coeff() if trial % 2 else dom._ZERO
+        f = QuadraticPolynomial(dom, d, quad, lin, const)
+        kept = {k: c for k, c in quad.items() if not dom._is_zero(c)}
+        assert [(i, j) for i, j, _ in f._quad_terms] == sorted(kept)
+        for i, j, c in f._quad_terms:
+            assert (c is None) == (kept[i, j] == dom._ONE)
+            saw_unit |= c is None
+            saw_other |= c is not None
+        lin_full = list(lin) + [dom._ZERO] * (d - len(lin))
+        ref_f2, ref_f, ref_cleared = _reference_sums(dom, kept, lin_full, const)
+        for _ in range(6):
+            # magnitudes of about 2, 8 and 120 bits, or degrees 2, 8 and 120
+            size = rng.choice([2, 8, 120])
+            bound = size if dom not in (ZZ, ZI) else 1 << size
+            y = [rng.choice(small + [dom._random_raw(rng, bound)]) for _ in range(d)]
+            b = dom._random_raw(rng, bound)
+            assert f._f2_raw(y) == ref_f2(y), (quad, y)
+            assert f._eval_raw(y) == ref_f(y), (quad, lin, const, y)
+            assert f._cleared_raw(y, b) == ref_cleared(y, b), (quad, lin, const, y, b)
+    assert saw_unit and saw_other
+    # an empty quadratic part evaluates to zero, with or without the rest
+    f = QuadraticPolynomial(dom, 2, {}, [dom._ONE], minus_one)
+    assert f._f2_raw([dom._ONE, dom._ONE]) == dom._ZERO
+    assert f._eval_raw([dom._ONE, dom._ZERO]) == dom._ZERO
+    assert QuadraticPolynomial(dom, 1, {})._cleared_raw([dom._ONE], dom._ONE) == dom._ZERO
