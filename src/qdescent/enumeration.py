@@ -10,7 +10,8 @@ SearchBudgetError before anything is generated:
   first.  It is walked one denominator at a time, in rows of the last
   coordinate, with a form's q2 summed one coordinate at a time
   (_q2_rows), never a point at a time.  integral_values(q) yields the raw
-  (nums, den, r) where q is integral; residue_rows(q) gives the rows of q2
+  (nums, den, r) where q is integral, every box point at denominator 1
+  with no test; residue_rows(q) gives the rows of q2
   at the rounding residues a - b*round(a/b), with gcd(a, b) carried the
   same way, which oracle.check_euclidean reads.  Callers build a
   FractionPoint (through FractionPoint._trusted) only for the points they
@@ -118,7 +119,9 @@ class CanonicalPoints:
         q2 does not depend on den, so its rows are summed once and kept for
         every denominator while the box has at most Q2_TABLE_MAX points; a
         larger box is summed again per denominator, in O(d * box) memory.
-        Only the points where den^2 divides q2 go through the gcd filter.
+        At denominator 1 every box point is yielded with r = q2(nums), with
+        no division and no gcd test; past it only the points where den^2
+        divides q2 go through the gcd filter.
         """
         _within_budget(self.count(), "a canonical point sweep")
         return self._integral_values(q)
@@ -136,6 +139,13 @@ class CanonicalPoints:
         if len(axis) ** q.d <= Q2_TABLE_MAX:
             rows = list(rows()).__iter__
         for den in self._denominators():
+            if den == dom._ONE:
+                # every box point, with its own q2 as r: no division by 1
+                # and no gcd with 1, which is always a unit
+                for prefix, vals in rows():
+                    for u, v in zip(axis, vals):
+                        yield prefix + (u,), den, v
+                continue
             den2 = mul(den, den)
             for prefix, vals in rows():
                 for u, v in zip(axis, vals):

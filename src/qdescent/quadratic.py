@@ -201,10 +201,20 @@ class QuadraticPolynomial:
         return self.domain._is_zero(self.const) and not self._lin_terms
 
     def sub_scalar(self, r) -> "QuadraticPolynomial":
-        """The polynomial f - r for a ring scalar r."""
+        """The polynomial f - r for a ring scalar r.  Only the constant
+        changes, so the result shares this polynomial's checked tables
+        (quad copied) instead of rebuilding them in the constructor."""
         dom = self.domain
-        new_const = dom._add(self.const, dom._neg(dom.coerce_raw(r)))
-        return QuadraticPolynomial(dom, self.d, dict(self.quad), self.lin, new_const)
+        const = dom._add(self.const, dom._neg(dom.coerce_raw(r)))
+        out = object.__new__(QuadraticPolynomial)
+        object.__setattr__(out, "domain", dom)
+        object.__setattr__(out, "d", self.d)
+        object.__setattr__(out, "quad", dict(self.quad))
+        object.__setattr__(out, "_quad_terms", self._quad_terms)
+        object.__setattr__(out, "lin", self.lin)
+        object.__setattr__(out, "_lin_terms", self._lin_terms)
+        object.__setattr__(out, "const", const)
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, QuadraticPolynomial):

@@ -24,12 +24,14 @@ the box at denominator 1 where that decides, and a graded zero search
 otherwise.  It works on the raw (nums, den, r) triples of
 CanonicalPoints.integral_values: q(a/b) = q2(a)/b^2 is integral exactly
 when b^2 divides q2(a), and q2 is summed one coordinate at a time, one
-ring add per point for a diagonal form, with no fraction built.  The
-points that pass are descended on raws by descent._descend, the loop
-adc_represent runs, with every certificate of every step, on q - r built
-once per value r and shared with the witness search; the result's value
-and box radius are read from raws as well.  A FractionPoint is built only
-for a point that is reported.  A descent that merely fails for want of an
+ring add per point for a diagonal form, with no fraction built.  An
+integral point is checked in place, q2(a) = r, the check a descent of no
+step would make.  Every other point that passes is descended on raws by
+descent._descend, the loop adc_represent runs, with every certificate of
+every step, on q - r, which is built only for the values such a descent or
+a witness search needs, once per value; the result's value and box radius
+are read from raws as well.  A FractionPoint is built only for a point
+that is reported.  A descent that merely fails for want of an
 oracle witness is classified "inapplicable", not a failure: it does not
 refute value representability, it only means the quadratic part is not
 covered by the rounding oracle there (the four-squares form at
@@ -43,6 +45,7 @@ import random
 
 from .domains import Domain, DomainElement, FractionPoint, _Record
 from .errors import (
+    InternalInvariantError,
     IsotropicDirectionError,
     NotAFormError,
     NotAZeroError,
@@ -175,6 +178,10 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
     descent witness whenever descent succeeded, so a successful descent can
     never be contradicted by a too-small search.
 
+    An integral point a is checked in place: q2(a) must equal the sweep's
+    r (InternalInvariantError otherwise), and it takes no descent.  Only a
+    non-integral point is descended, on q - r built for its value r.
+
     A witness query (r, box) is answered once and cached, and the sweep
     answers most of them itself.  It runs denominator 1 first, where every
     point a of box(num_bound)^d passes with its value r = q2(a); the first
@@ -199,8 +206,14 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
     # (r, None) for a diagonal form, else (r, box radius) -> (witness or
     # None, whether the witness box is exhaustive)
     cache = {}
-    shifted = {}  # r -> q - r, built once per value
+    shifted = {}  # r -> q - r, built once per value that needs it
     searched = 0  # first_zero candidates of the queries answered so far
+
+    def shift(r_raw):
+        qr = shifted.get(r_raw)
+        if qr is None:
+            qr = shifted[r_raw] = q.sub_scalar(r_raw)
+        return qr
 
     def brute_witness(r_raw, fallback_bound, point=None):
         # point: a point of box(num_bound)^d with value r_raw
@@ -221,7 +234,7 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
         count = first_zero_count(dom, bounds)
         if not count <= SEARCH_BUDGET:
             # a search over the budget by itself is refused by first_zero
-            return _first_value_witness(shifted[r_raw], r_raw, bounds)
+            return _first_value_witness(shift(r_raw), r_raw, bounds)
         searched += count
         _within_budget(searched, "the witness searches of a representation check")
         if point is None and not diagonal:
@@ -230,33 +243,35 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
             point = cache.get((r_raw, box.num_bound), (None,))[0]
         if point is None and max(bounds) > box.num_bound:
             # box(num_bound)^d does not take r: a witness lies past it or nowhere
-            point = _first_value_witness(shifted[r_raw], r_raw, bounds)
+            point = _first_value_witness(shift(r_raw), r_raw, bounds)
         cache[key] = (point, diagonal)
         return cache[key]
 
     one = dom._ONE
+    f2 = q._f2_raw
+    own_key = None if diagonal else box.num_bound  # brute_witness's key at a box point
     checked = 0
     failures = []
     inapplicable = []
     sweep = CanonicalPoints(dom, d, box.height, box.num_bound, integral=True)
     for nums, den, r_raw in sweep.integral_values(q):
         checked += 1
-        qr = shifted.get(r_raw)
-        if qr is None:
-            qr = shifted[r_raw] = q.sub_scalar(r_raw)
+        if den == one:
+            # the start check of a zero-step descent, q2(nums) - r = 0, in
+            # place: nums is then r's witness
+            if f2(nums) != r_raw:
+                raise InternalInvariantError("the sweep gave an integral point a wrong value")
+            if (r_raw, own_key) not in cache:
+                brute_witness(r_raw, box.num_bound, nums)
+            continue
         try:
-            y = _descend(qr, nums, den, window)
+            y = _descend(shift(r_raw), nums, den, window)
         except OracleNotFound as err:
             y = None
             note = f"no oracle witness in window {window} (best norm {err.min_norm})"
         if y is not None:
-            if den == one:
-                # the loop returned nums unchanged, and its start check has
-                # already proved q2(nums) - r = 0: nums is r's witness
-                brute_witness(r_raw, box.num_bound, nums)
-                continue
-            # a point that took a step has its value checked here
-            if q._f2_raw(y) != r_raw:
+            # the descent's result has its value checked here
+            if f2(y) != r_raw:
                 found, detail = failures, "descent result has the wrong value"
             else:
                 radius = box.num_bound

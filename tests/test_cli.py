@@ -740,6 +740,40 @@ def test_check_adc_four_squares(capsys):
     assert any("1,1,1,1/2" in line for line in lines[1:])
 
 
+@pytest.mark.parametrize(
+    "domain, form, height, box, code, counts, digest",
+    [
+        # the adc-referee requests
+        ("Z", "x^2+y^2+z^2", "4", "8", 0, (5489, 0, 0),
+         "290c68e9e8b24a5ae6035d495bcd09c594abd6444cabd98620a17969fd830bf6"),
+        ("Zi", "x^2+i*y^2", "2", "2", 0, (625, 0, 0),
+         "ca51f1d92c71e32e6490674ba70fec36d8dd80f266458713f42df90fc2dc7940"),
+        ("Fpt:3", "x1^2+t*x2^2", "3", "1", 0, (93, 0, 0),
+         "40f0000ed80c380716bd4270e8f00d8b12cb451386579a5ba284c31f96e84f54"),
+        # heuristic failures, inapplicable points, a Zi form with both
+        ("Z", "x^2+y^2+z^2+x*y+5*z^2", "3", "2", 2, (157, 4, 28),
+         "92386fbbeee185ba66b7233cf62f7ac95ce74251cabb0deac9dba8b8941957b1"),
+        ("Z", "w^2+x^2+y^2+z^2", "2", "2", 0, (641, 0, 16),
+         "ddee086a5e46928e452c7756b1771dbad383099e22dd784f4ba2574d44805f64"),
+        ("Zi", "x^2+i*x*y+2*y^2", "2", "1", 2, (93, 8, 4),
+         "14e2812b4c3c3a1ebce4d7883a04fc3ff469b2289cbb6a2616d4163af4afb311"),
+    ],
+    ids=["Z3", "Zi", "Fpt3", "Z-failures", "four-squares", "Zi-failures"],
+)
+def test_check_adc_json_golden(capsys, domain, form, height, box, code, counts, digest):
+    # digest is the sha256 of the complete stdout: every reported point,
+    # value and detail, in sweep order
+    got, out, err = run(
+        capsys,
+        "check", "adc", "--domain", domain, "--form", form,
+        "--height", height, "--box", box, "--format", "json",
+    )
+    assert (got, err) == (code, "")
+    doc = json.loads(out)
+    assert (doc["checked"], len(doc["failures"]), len(doc.get("inapplicable", ()))) == counts
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_check_norm_axioms(capsys):
     code, out, _ = run(
         capsys, "check", "norm-axioms", "--domain", "Zi", "--samples", "1000",

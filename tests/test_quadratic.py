@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from qdescent import (
     DimensionMismatchError,
+    DomainElement,
     DomainMismatchError,
     FractionElement,
     FractionPoint,
@@ -12,6 +14,7 @@ from qdescent import (
     QuadraticPolynomial,
     ZI,
     ZZ,
+    random_quadratic,
 )
 
 F2 = GFpT(2)
@@ -105,6 +108,56 @@ def test_is_form_and_sub_scalar():
     assert f.eval_at_integral([3, 2, 0]) == 0
     # subtracting restores equality with an explicitly built polynomial
     assert f == QuadraticPolynomial(ZZ, 3, {(0, 0): 1, (1, 1): 1, (2, 2): 1}, const=-13)
+
+
+SUB_SCALARS = {
+    # raw literals each domain may or may not accept, beyond an int
+    ZZ: [(1, 2)],
+    ZI: [(2, -3), (0, 0)],
+    F2: [(1, 0, 1), (0, 2)],
+    F3: [(2, 1), (4, 0, 3, 0), ()],
+}
+
+
+@pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3], ids=lambda d: d.name)
+def test_sub_scalar_equals_the_constructed_polynomial(dom):
+    # sub_scalar shares the checked tables and swaps the constant; the
+    # result is the polynomial the constructor builds, in every view of it
+    rng = random.Random(20)
+    for _ in range(12):
+        d = rng.randint(1, 3)
+        f = random_quadratic(dom, d, rng, 4)
+        scalars = [rng.randint(-7, 7), 0] + SUB_SCALARS[dom] + [DomainElement(dom, dom._random_raw(rng, 3))]
+        for r in scalars:
+            try:
+                const = dom._add(f.const, dom._neg(dom.coerce_raw(r)))
+            except TypeError:
+                with pytest.raises(TypeError):
+                    f.sub_scalar(r)
+                continue
+            expected = QuadraticPolynomial(dom, d, f.quad, f.lin, const)
+            got = f.sub_scalar(r)
+            assert got == expected
+            assert repr(got) == repr(expected)
+            assert got._quad_terms == expected._quad_terms
+            assert got._lin_terms == expected._lin_terms
+            assert got.quad is not f.quad
+            back = pickle.loads(pickle.dumps(got))
+            assert back == expected and repr(back) == repr(expected)
+            assert back._quad_terms == expected._quad_terms
+            assert back._lin_terms == expected._lin_terms
+            y = [dom._random_raw(rng, 3) for _ in range(d)]
+            assert got._eval_raw(y) == expected._eval_raw(y)
+
+
+def test_sub_scalar_refuses_a_wrong_domain_scalar():
+    q = QuadraticPolynomial(ZZ, 2, {(0, 0): 1, (1, 1): 1})
+    with pytest.raises(DomainMismatchError):
+        q.sub_scalar(DomainElement(ZI, (1, 0)))
+    with pytest.raises(TypeError):
+        q.sub_scalar((1, 0))
+    with pytest.raises(TypeError):
+        QuadraticPolynomial(F3, 1, {(0, 0): 1}).sub_scalar("t")
 
 
 def test_equality():

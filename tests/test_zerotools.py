@@ -9,6 +9,7 @@ from qdescent import (
     AdcReport,
     FractionPoint,
     GFpT,
+    InternalInvariantError,
     IsotropicDirectionError,
     NotAFormError,
     NotAZeroError,
@@ -271,9 +272,57 @@ def test_verify_adc_oversized_sweep_refused_before_any_descent(monkeypatch):
         verify_adc(parse_form("x^2+y^2+z^2", ZZ), SearchBox(300, 2))
     with pytest.raises(SearchBudgetError, match="canonical point sweep"):
         verify_adc(parse_form("x1^2+t*x2^2", GFpT(1000003)), SearchBox(1, 1))
-    # the patched loop is the one verify_adc runs: a sweep in budget hits it
+    # the patched loop is the one verify_adc runs: a sweep in budget with a
+    # non-integral point, (1,2,2)/3 among them, hits it (at SearchBox(1, 2)
+    # every checked point is integral and checked without a descent)
     with pytest.raises(AssertionError, match="descent ran"):
+        verify_adc(parse_form("x^2+y^2+z^2", ZZ), SearchBox(2, 3))
+
+
+def test_verify_adc_checks_the_sweep_value_of_each_integral_point(monkeypatch):
+    # a denominator-1 point with a wrong value is an internal fault, not a
+    # witness: the in-place value check is the certificate a zero-step
+    # descent's start check gave
+    from qdescent.enumeration import CanonicalPoints
+
+    sweep = CanonicalPoints._integral_values
+    one = ZZ.coerce_raw(1)
+
+    def off_by_one(self, q):
+        for k, (nums, den, r) in enumerate(sweep(self, q)):
+            yield nums, den, r + 1 if den == one and k == 7 else r
+
+    monkeypatch.setattr(CanonicalPoints, "_integral_values", off_by_one)
+    with pytest.raises(InternalInvariantError, match="wrong value"):
         verify_adc(parse_form("x^2+y^2+z^2", ZZ), SearchBox(1, 2))
+
+
+@pytest.mark.parametrize(
+    "dom, text, height, box, checked, descents",
+    [
+        # the adc-referee requests
+        (ZZ, "x^2+y^2+z^2", 4, 8, 5489, 576),
+        (ZI, "x^2+i*y^2", 2, 2, 625, 0),
+        (F3, "x1^2+t*x2^2", 3, 1, 93, 12),
+    ],
+    ids=["Z3", "Zi", "Fpt3"],
+)
+def test_verify_adc_descends_each_non_integral_point_once(monkeypatch, dom, text, height, box,
+                                                         checked, descents):
+    import qdescent.zerotools as zerotools
+
+    starts = []
+    descend = zerotools._descend
+
+    def spy(f, a, b, window, steps=None):
+        starts.append((tuple(a), b))
+        return descend(f, a, b, window, steps)
+
+    monkeypatch.setattr(zerotools, "_descend", spy)
+    report = verify_adc(parse_form(text, dom), SearchBox(box, height))
+    assert report.ok and report.checked == checked
+    assert len(starts) == len(set(starts)) == descents
+    assert all(b != dom.coerce_raw(1) for _, b in starts)
 
 
 def _assert_same_as_reference(q, box):
