@@ -11,11 +11,11 @@ SearchBudgetError before anything is generated:
   coordinate, with a form's q2 summed one coordinate at a time
   (_q2_rows), never a point at a time.  integral_values(q) yields the raw
   (nums, den, r) where q is integral, every box point at denominator 1
-  with no test; residue_rows(q) gives the rows of q2
-  at the rounding residues a - b*round(a/b), with gcd(a, b) carried the
-  same way, which oracle.check_euclidean reads.  Callers build a
-  FractionPoint (through FractionPoint._trusted) only for the points they
-  report;
+  with no test; residue_rows(q) splits each denominator's box axis into
+  the classes of its rounding residues a - b*round(a/b) and gives q2 and
+  coprimality once per class, which oracle.check_euclidean reads.
+  Callers build a FractionPoint (through FractionPoint._trusted) only for
+  the points they report;
 - first_zero: the first integral zero of a polynomial in graded order,
   that is by (sum of coordinate norms, coordinatewise sort key).  It fixes
   every coordinate but the widest and solves that fiber for the last one:
@@ -42,8 +42,9 @@ from .errors import SearchBudgetError
 SEARCH_BUDGET = 10**7
 
 # CanonicalPoints.integral_values keeps the q2 values of the whole box, summed
-# once for every denominator, up to this many points (box_count^d); past it
-# it sums them again per denominator and keeps one row at a time.
+# once for every denominator, up to this many points (box_count^d), and
+# residue_rows the q2 values of the residue classes (classes^d); past it
+# each sums them again per denominator and keeps one row at a time.
 Q2_TABLE_MAX = 1 << 16
 
 
@@ -90,9 +91,10 @@ class CanonicalPoints:
     FractionPoint(domain, nums, den) would compute.  count() is the number
     of (den, nums) candidates examined, kept or not.
 
-    Neither sweep yields a point at a time: both walk the numerators of one
-    denominator in rows of the last coordinate (_q2_rows), with q2 summed
-    one coordinate at a time.
+    Neither sweep yields a point at a time: both walk one denominator in
+    rows of the last coordinate (_q2_rows), with q2 summed one coordinate
+    at a time; integral_values over the numerators, residue_rows over the
+    residue classes, whose points the caller counts by multiplicity.
     """
 
     def __init__(self, domain: Domain, d: int, height: int, box: int, integral: bool = False):
@@ -156,22 +158,30 @@ class CanonicalPoints:
                             yield nums, den, r
 
     def residue_rows(self, q):
-        """This sweep with q2 taken at the rounding residues, one
-        denominator b at a time: (b, axis, residues, rows), with axis the
-        box axis and residues[j] = axis[j] - b*round(axis[j]/b).  rows
-        yields (nums, ws, vals, coprime) per prefix of the first d - 1
-        coordinates: nums its axis elements, ws their residues, and for the
-        last coordinate at axis[j], vals[j] = q2(ws + (residues[j],)) and
-        coprime[j] whether gcd(b, nums + (axis[j],)) is a unit.  So vals
+        """This sweep by residue class, one denominator b at a time:
+        (b, axis, residues, members, rows).  axis is the box axis;
+        residues holds the distinct rounding residues u - b*round(u/b) of
+        its elements, in order of first occurrence, and members[k] the
+        ascending axis indices whose residue is residues[k].  A class is a
+        tuple of residue indices, one per coordinate, and holds the product
+        of their members.  rows yields (pos, vals, coprime) per class
+        prefix pos of the first d - 1 coordinates: for the last coordinate
+        at residues[j], vals[j] = q2 at the class residues pos + (j,), and
+        coprime[j] whether the class's points are coprime to b.  So vals
         holds q2(w0) at the vector w0 = a - b*round(a/b) the oracle clears
-        a/b to.
+        every point a/b of the class to.
 
-        The gcd is carried along the prefix like q2: g = gcd(b, nums)
-        divides b, so gcd(g, w) is gcd(g, u) up to a unit for the residue w
-        of u.  It is taken once per distinct (g, w) while g is not a unit,
-        and the last coordinate's flags once per distinct g; c_ii*w^2 once
-        per residue for the whole sweep.  Sized and refused like
-        integral_values, before anything is built.
+        Coprimality is a class property: h_k = gcd(b, residues[k]) is taken
+        once per residue, and the prefix gcd g (which divides b) is carried
+        as gcd(g, h_k), since gcd(g, u) ~ gcd(g, w) ~ gcd(g, h_k) for the
+        residue w of u; a unit h_k makes every point through it coprime.
+        The q2 table over residues^d is summed one coordinate at a time
+        (_q2_rows), kept while its len(residues)^d values fit in
+        Q2_TABLE_MAX, and reused by the next denominator with the same
+        residues (every b past the box); otherwise it is summed again per
+        denominator.  c_ii*w^2 is taken once per residue for the whole
+        sweep.  Sized and refused like integral_values, before anything is
+        built.
         """
         _within_budget(self.count(), "a canonical point sweep")
         return self._residue_rows(q)
@@ -181,36 +191,59 @@ class CanonicalPoints:
         add, neg, mul, rq = dom._add, dom._neg, dom._mul, dom._round_quotient
         axis = list(dom._box_raws(self.box))
         square_memo = {}
+        kept = kept_table = None  # the last materialized table, by residues
+
+        def fix(pos, j):
+            return pos + (j,)
+
         for den in self._denominators():
-            residues = [add(u, neg(mul(den, rq(u, den)))) for u in axis]
-            squares = _square_rows(dom, q, residues, square_memo)
-            yield den, axis, residues, self._coprime_rows(q, den, axis, residues, squares)
+            index, residues, members = {}, [], []
+            for k, u in enumerate(axis):
+                w = add(u, neg(mul(den, rq(u, den))))
+                p = index.get(w)
+                if p is None:
+                    p = index[w] = len(residues)
+                    residues.append(w)
+                    members.append([])
+                members[p].append(k)
+            if residues == kept:
+                table = kept_table
+            else:
+                squares = _square_rows(dom, q, residues, square_memo)
+                table = _q2_rows(dom, q, residues, squares, (), fix)
+                if len(residues) ** q.d <= Q2_TABLE_MAX:
+                    kept, kept_table = residues, list(table)
+                    table = kept_table
+            yield den, axis, residues, members, self._coprime_rows(den, residues, table)
 
-    def _coprime_rows(self, q, den, axis, residues, squares):
+    def _coprime_rows(self, den, residues, table):
         gcd, is_unit = self.domain._gcd, self.domain._is_unit
-        meets = {}
-        flag_rows = {}
+        # h_k = gcd(b, residues[k]), and every gcd below, is None for a unit
+        hs = [None if is_unit(w) or is_unit(h := gcd(den, w)) else h for w in residues]
+        meets = {(den, p): h for p, h in enumerate(hs)}  # gcd(b, h_p) = h_p
+        flag_rows = {None: [True] * len(residues)}
 
-        def meet(g, w):
-            m = meets.get((g, w))
-            if m is None:
-                m = meets[g, w] = gcd(g, w)
-            return m
+        def meet(g, p):
+            # gcd(g, h_p) for a non-unit g
+            h = hs[p]
+            if h is None:
+                return None
+            if (g, p) not in meets:
+                m = gcd(g, h)
+                meets[g, p] = None if is_unit(m) else m
+            return meets[g, p]
 
-        def fix(carry, j):
-            nums, ws, g = carry
-            w = residues[j]
-            return nums + (axis[j],), ws + (w,), g if is_unit(g) else meet(g, w)
-
-        for (nums, ws, g), vals in _q2_rows(self.domain, q, residues, squares, ((), (), den), fix):
+        start = None if is_unit(den) else den
+        for pos, vals in table:
+            g = start
+            for p in pos:
+                if g is None:
+                    break
+                g = meet(g, p)
             flags = flag_rows.get(g)
             if flags is None:
-                if is_unit(g):
-                    flags = [True] * len(axis)
-                else:
-                    flags = [is_unit(meet(g, w)) for w in residues]
-                flag_rows[g] = flags
-            yield nums, ws, vals, flags
+                flags = flag_rows[g] = [meet(g, j) is None for j in range(len(residues))]
+            yield pos, vals, flags
 
 
 def _square_rows(dom: Domain, q, values, memo: dict) -> list:

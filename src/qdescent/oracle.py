@@ -34,23 +34,25 @@ the public oracle, checks its point and returns an OracleResult holding
 the canonical value f2(x - y) (one ring gcd).  The descent step calls
 _search directly and wraps y once, for its DescentStep.
 
-check_euclidean never runs the oracle point by point.  The verdict at
-x = a/b, and the least norm of a failing scan, depend only on b and on
-w0 = a - b*round(a/b): rounding works coordinate by coordinate, and the
-scan's values f2(w0 - b*o) above do not depend on round(a/b).  So it walks
-the residue rows of CanonicalPoints, one denominator at a time, where
-f2(w0) is summed one coordinate at a time from per-denominator tables;
-a point with 0 < N(f2(w0)) < N(b^2) costs one integer comparison, and
-only the others reach a window scan, one per residue class, memoized per
-denominator (at most one entry per class that fails the fast path).  The
-sweep needs only the verdict, so its scans stop at the first candidate
-with 0 < N < N(b^2); a failing scan runs in full for its least norm.
+check_euclidean never runs the oracle point by point, nor decides a point
+at a time.  The verdict at x = a/b, and the least norm of a failing scan,
+depend only on b and on w0 = a - b*round(a/b): rounding works coordinate
+by coordinate, and the scan's values f2(w0 - b*o) above do not depend on
+round(a/b).  So it walks the residue classes of CanonicalPoints, one
+denominator at a time, with f2(w0) summed once per class.  A class with
+0 < N(f2(w0)) < N(b^2) costs one integer comparison and counts all of its
+points; only the others reach a window scan, one per pair of classes
++-w0, since f2(-v) = f2(v) and every offset window is closed under
+negation.  The sweep needs only the verdict, so its scans stop at the
+first candidate with 0 < N < N(b^2); a failing scan runs in full for its
+least norm, and only a failing class is expanded into points.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 
 from .domains import DomainElement, FractionElement, FractionPoint, _Record
 from .enumeration import CanonicalPoints, _within_budget
@@ -226,37 +228,51 @@ def check_euclidean(
     coordinates in the box; failures are collected in enumeration order.
 
     Each point is decided as euclidean_step would decide it, by the
-    residue-class argument of the module docstring: f2(w0) comes from
-    CanonicalPoints.residue_rows, whose denominators are non-units, so no
-    point is integral, and only a point outside 0 < N(f2(w0)) < N(b^2)
-    reaches _search, once per residue class and denominator, and that
-    scan stops at its first witness (a failing one runs in full).  The memo
-    holds at most one entry per class that fails the fast path and is
-    dropped with its denominator.  A scan is sized before it runs, so an
-    over-budget window is refused at the first point that would scan, as
-    in a point-by-point sweep.  A FractionPoint and a min_norm Fraction
-    are built only for the points that fail.
+    residue-class argument of the module docstring, one class of
+    CanonicalPoints.residue_rows at a time.  Its denominators are non-units,
+    so no point is integral.  A coprime class counts all of its points as
+    checked; one outside 0 < N(f2(w0)) < N(b^2) runs _search at its first
+    point in product order, and that scan stops at its first witness (a
+    failing one runs in full).  The result is memoized per denominator
+    under w0 and -w0, since f2(-v) = f2(v) and every offset window is
+    closed under negation.  So the first scan, and an over-budget window's
+    refusal, come at the first point that would scan in a point-by-point
+    sweep.  Only the failing classes are expanded into points, sorted into
+    product order, with one min_norm Fraction per class and a
+    FractionPoint per point.
     """
     dom = f.domain
-    norm = dom._norm
+    norm, neg = dom._norm, dom._neg
     checked = 0
     failures = []
-    for den, axis, residues, rows in CanonicalPoints(dom, f.d, height, box).residue_rows(f):
+    for den, axis, residues, members, rows in CanonicalPoints(dom, f.d, height, box).residue_rows(f):
         nb2 = norm(dom._mul(den, den))
+        sizes = [len(m) for m in members]
         scanned = {}  # residue vector -> least norm of a failing scan, None when found
-        for nums, ws, vals, coprime in rows:
+        failing = []  # (class, min_norm)
+        for pos, vals, coprime in rows:
+            size = math.prod(sizes[p] for p in pos)
             for j, v in enumerate(vals):
                 if not coprime[j]:
                     continue
-                checked += 1
+                checked += size * sizes[j]
                 if 0 < norm(v) < nb2:
                     continue
-                key = ws + (residues[j],)
-                if key not in scanned:
-                    y, _, n, _, _ = _search(f, nums + (axis[j],), den, window, first=True)
-                    scanned[key] = None if y is not None else n
-                n = scanned[key]
+                cls = pos + (j,)
+                w0 = tuple(residues[p] for p in cls)
+                if w0 not in scanned:
+                    a = tuple(axis[members[p][0]] for p in cls)
+                    y, _, n, _, _ = _search(f, a, den, window, first=True)
+                    scanned[w0] = scanned[tuple(map(neg, w0))] = None if y is not None else n
+                n = scanned[w0]
                 if n is not None:
-                    x = FractionPoint._trusted(dom, nums + (axis[j],), den)
-                    failures.append(EuclideanFailure(x, window, Fraction(n, nb2)))
+                    failing.append((cls, Fraction(n, nb2)))
+        points = sorted(
+            (ix, min_norm)
+            for cls, min_norm in failing
+            for ix in product(*(members[p] for p in cls))
+        )
+        for ix, min_norm in points:
+            x = FractionPoint._trusted(dom, tuple(axis[k] for k in ix), den)
+            failures.append(EuclideanFailure(x, window, min_norm))
     return EuclideanReport(checked, tuple(failures))

@@ -728,6 +728,36 @@ def test_check_euclidean_json_golden(capsys, args, expected):
     assert (code, out, err) == (2, expected, "")
 
 
+@pytest.mark.parametrize(
+    "domain, form, height, box, window, code, digest",
+    [
+        # the euclid-sweep requests
+        ("Z", "w^2+x^2+y^2+z^2", "4", "3", "2", 2,
+         "3c8b18a40764bb6a5e071f90ecf6f6331ca0868dc4889713e0c03339a6cacdff"),
+        ("Z", "x^2+y^2+z^2", "6", "3", "2", 0,
+         "3936047de2fe73aef74a793aa4da0b7f596f8789df564d7b8a198d0c42045d9a"),
+        ("Zi", "x^2+i*y^2", "8", "2", "2", 0,
+         "f8b34c190cf180562e92efe9a38a2287bf16d4421f6e6e48af6727b1dbd21944"),
+        ("Fpt:3", "x1^2+t*x2^2", "3", "1", "2", 0,
+         "bba5609588573f2be531094a956394a18ac307e2da1e0737f532378f7b9d03c8"),
+        # 2,456 failures in many classes of one denominator, in product order
+        ("Zi", "x1^2+x2*x3+x4^2", "2", "1", "0", 2,
+         "c11b4dedda42ed8756c6a16a0dcd7d6fe6e96c6b764aa416562a297f536ac116"),
+    ],
+    ids=["four-squares", "three-squares", "Zi", "Fpt3", "Zi-isotropic"],
+)
+def test_check_euclidean_sweep_json_golden(capsys, domain, form, height, box, window, code, digest):
+    # digest is the sha256 of the complete stdout: checked, and every
+    # failing point with its min_norm in sweep order
+    got, out, err = run(
+        capsys,
+        "check", "euclidean", "--domain", domain, "--form", form, "--height", height,
+        "--box", box, "--window", window, "--format", "json",
+    )
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_check_adc_four_squares(capsys):
     code, out, _ = run(
         capsys,

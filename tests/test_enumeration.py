@@ -52,16 +52,21 @@ def reference_points(dom, bounds):
 
 
 def swept_pairs(pts):
-    """The (nums, den) pairs a canonical point sweep keeps, in sweep order,
-    read from the coprime flags of its residue rows."""
+    """The (nums, den) pairs a canonical point sweep keeps, in sweep order:
+    the points of its coprime residue classes, sorted into product order by
+    their axis index tuples."""
     q = QuadraticPolynomial(pts.domain, pts.d, {})
-    return [
-        (nums + (u,), den)
-        for den, axis, _, rows in pts.residue_rows(q)
-        for nums, _, _, coprime in rows
-        for u, kept in zip(axis, coprime)
-        if kept
-    ]
+    pairs = []
+    for den, axis, _, members, rows in pts.residue_rows(q):
+        kept = sorted(
+            ix
+            for pos, _, coprime in rows
+            for j, ok in enumerate(coprime)
+            if ok
+            for ix in product(*(members[p] for p in pos + (j,)))
+        )
+        pairs.extend((tuple(axis[k] for k in ix), den) for ix in kept)
+    return pairs
 
 
 def reference_first_zero(f, bounds):
@@ -561,22 +566,30 @@ def test_integral_values_same_past_the_q2_table_bound(dom, monkeypatch):
 
 @pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3], ids=lambda d: d.name)
 def test_residue_rows_hold_the_cleared_value_of_each_point(dom):
-    """For each kept point a/b of the residue sweep, the row value is
-    f2(a - b*round(a/b)), the cleared value the oracle's fast path tests,
-    and the residue is each coordinate's a - b*round(a/b)."""
+    """Each axis element's a - b*round(a/b) is the residue of its class, the
+    classes partition the axis, and each row value is f2 at the class
+    residues, the cleared value f2(a - b*round(a/b)) the oracle's fast path
+    tests at every point a/b of the class."""
     rng = random.Random(5)
     for d in range(1, 4):
         for cross in (False, True):
             q = random_form(dom, rng, d, cross)
             pts = CanonicalPoints(dom, d, 2, 1)
-            for den, axis, residues, rows in pts.residue_rows(q):
-                for nums, ws, vals, _ in rows:
-                    for u, w, v in zip(axis, residues, vals):
-                        a = nums + (u,)
-                        w0 = [dom._add(c, dom._neg(dom._mul(den, dom._round_quotient(c, den))))
-                              for c in a]
-                        assert list(ws + (w,)) == w0
-                        assert v == q._f2_raw(w0)
+            for den, axis, residues, members, rows in pts.residue_rows(q):
+                for w, ks in zip(residues, members):
+                    assert ks == sorted(ks)
+                    for k in ks:
+                        u = axis[k]
+                        assert dom._add(u, dom._neg(dom._mul(den, dom._round_quotient(u, den)))) == w
+                assert sorted(k for ks in members for k in ks) == list(range(len(axis)))
+                assert len(set(residues)) == len(residues)
+                seen = []
+                for pos, vals, _ in rows:
+                    seen.append(pos)
+                    assert len(vals) == len(residues)
+                    for j, v in enumerate(vals):
+                        assert v == q._f2_raw([residues[p] for p in pos + (j,)])
+                assert seen == list(product(range(len(residues)), repeat=d - 1))
 
 
 def test_integral_values_is_sized_like_the_sweep(monkeypatch):

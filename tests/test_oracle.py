@@ -400,6 +400,9 @@ EUCLID_CASES = [
     (ZZ, "x^2+y^2+7*z^2", 2, 3, 0, 196),
     (ZZ, "w^2+2*x*y+y^2+z^2-w*z", 2, 1, 2, 2),
     (ZZ, "w^2+x^2+y^2+z^2", 4, 3, 2, 256),
+    # denominators 5-9 exceed twice the box: their residues are the whole
+    # axis, so they share one q2 table
+    (ZZ, "x^2+y^2+7*z^2", 9, 2, 2, 196),
     (ZI, "(1+i)*x^2", 2, 2, 2, 0),
     (ZI, "x^2+3*y^2", 2, 1, 2, 16),
     (ZI, "x^2+i*x*y+2*y^2", 2, 1, 2, 36),
@@ -413,6 +416,8 @@ EUCLID_CASES = [
     (F3, "x1^2+t^3*x2^2", 3, 1, 2, 594),
     (F3, "x1^2+x1*x2+t*x2^2+x3^2", 1, 1, 2, 0),
     (F3, "x1^2+x2^2+x3^2+t*x4^2", 1, 0, 2, 0),
+    # the euclid-sweep form: its 39 denominators share two q2 tables
+    (F3, "x1^2+t*x2^2", 3, 1, 2, 0),
 ]
 
 
@@ -432,6 +437,45 @@ def test_check_euclidean_matches_public_reference(dom, text, height, box, window
         (str(e.x), str(e.min_norm)) for e in expected.failures
     ]
     assert len(report.failures) == n_fail
+
+
+@pytest.mark.parametrize(
+    "dom, text, height, box, window, n_fail",
+    EUCLID_CASES,
+    ids=[f"{c[0].name}:{c[1]}:h{c[2]}b{c[3]}w{c[4]}" for c in EUCLID_CASES],
+)
+def test_check_euclidean_same_with_a_streamed_q2_table(monkeypatch, dom, text, height, box, window, n_fail):
+    """With no q2 table kept (each denominator sums its rows again) the
+    sweep gives the same report."""
+    f = parse_form(text, dom)
+    expected = check_euclidean(f, height, box, window)
+    monkeypatch.setattr(enumeration, "Q2_TABLE_MAX", 0)
+    assert check_euclidean(f, height, box, window) == expected
+
+
+def test_check_euclidean_shares_a_scan_between_negated_classes(monkeypatch):
+    """The 16 deep-hole classes of four squares at denominator 2 pair up
+    as w0 and -w0, and each pair runs one scan."""
+    real = oracle._search
+    calls = []
+
+    def spy(f, a, b, window, **first):
+        calls.append((tuple(a), b))
+        return real(f, a, b, window, **first)
+
+    monkeypatch.setattr(oracle, "_search", spy)
+    report = check_euclidean(FOUR_SQUARES, 4, 3)
+    monkeypatch.undo()
+    assert len(calls) == 8
+    assert report == reference_check_euclidean(FOUR_SQUARES, 4, 3)
+
+
+@pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3, GFpT(5)], ids=lambda d: d.name)
+def test_offset_windows_are_closed_under_negation(dom):
+    # what lets check_euclidean decide w0 and -w0 by one scan
+    for window in range(5):
+        offsets = dom._offset_raws(window)
+        assert {dom._neg(o) for o in offsets} == set(offsets)
 
 
 def random_euclid_form(dom, rng, d):
