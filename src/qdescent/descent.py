@@ -15,16 +15,22 @@ norm(b) steps, which the descent enforces as a hard cap.
 
 There is one descent loop, _descend, on raw values: it checks that the
 start a/b is a zero, runs the raw step _step until the denominator is the
-ring's one, and returns the integral raws.  _step runs the raw oracle
-(oracle._search), checks its norm with integers, expands f along the line
-on raws (QuadraticPolynomial._line_raw, with A the oracle's cleared value
-b^2 f2(x - y) = f2(v)), runs every check above and puts
-x' in canonical form with domains._canonical.  So each point is certified
-a zero once, the start by the loop and every later point by the step that
-built it, and a descent of k steps evaluates f at k + 1 points.  descend
-and descent_step wrap each step's raws into a DescentStep; adc_represent
-and zerotools.verify_adc wrap only the result.  A FractionPoint is built
-only for a point that fails, for the text and fields of the error.
+ring's one, and returns the integral raws.  _step rounds a/b once
+(oracle._rounded gives base = round(a/b) and w0 = a - b*base), runs the
+raw oracle (oracle._search) on b, base and w0, checks its norm with
+integers, and takes v = w0 when the witness is base itself, else computes
+v = a - b*y; so v always comes from the step's own a, b and y, never from
+the oracle.  It expands f along the line on raws
+(QuadraticPolynomial._line_raw, with A the oracle's cleared value
+b^2 f2(x - y) = f2(v)), runs every check above and puts x' in canonical
+form with domains._canonical.  So each point is certified a zero once, the
+start by the loop and every later point by the step that built it, and a
+descent of k steps evaluates f at k + 1 points.  descent_step wraps its
+step's raws into a DescentStep; descend wraps its result at once and its
+steps on first read of DescentTrace.steps, so a caller that reads only the
+result wraps no step.  adc_represent and zerotools.verify_adc wrap only
+the result.  A FractionPoint is built only for a point that fails, for
+the text and fields of the error.
 
 adc_represent solves value representation: for a homogeneous q and a
 point x with q(x) = r in the ring, descending q - r from x lands on an
@@ -51,7 +57,7 @@ from .errors import (
     OracleNotFound,
     ValueNotIntegralError,
 )
-from .oracle import _cleared_difference, _search, euclidean_step
+from .oracle import _cleared_difference, _rounded, _search, euclidean_step
 from .quadratic import QuadraticPolynomial
 
 
@@ -68,8 +74,44 @@ class DescentStep(_Record):
 
 
 class DescentTrace(_Record):
+    """The steps of a descent and the integral point it reached.
+
+    A trace from descend holds its steps as the raws _step returned and
+    wraps them into DescentSteps when steps is first read, then keeps
+    them.  It compares, hashes, prints, matches, copies and pickles as the
+    trace built from the wrapped steps would, whether or not steps was
+    read.
+    """
+
     steps: tuple[DescentStep, ...]
     result: tuple[DomainElement, ...]
+
+    @classmethod
+    def _unwrapped(cls, dom: Domain, x: FractionPoint, raw_steps: list, result: tuple):
+        """The trace of a descent from x, with steps still raw."""
+        trace = object.__new__(cls)
+        trace.__dict__.update(result=result, _raw_steps=(dom, x, raw_steps))
+        return trace
+
+    def __getattr__(self, name):
+        # reached only for a name missing from __dict__: steps, when this
+        # trace came from descend and steps was not read yet
+        raws = self.__dict__.get("_raw_steps") if name == "steps" else None
+        if raws is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        dom, x, raw_steps = raws
+        steps = []
+        for step in raw_steps:
+            steps.append(_wrap_step(dom, x, step))
+            x = steps[-1].x_next
+        steps = self.__dict__["steps"] = tuple(steps)
+        return steps
+
+    def _values(self) -> tuple:
+        return self.steps, self.result
+
+    def __getstate__(self):
+        return {"steps": self.steps, "result": self.result}
 
 
 def _shown(value) -> str:
@@ -130,11 +172,14 @@ def _step(f: QuadraticPolynomial, a, b, window: int):
     the point a/b, when no witness exists in the window.
     """
     dom = f.domain
+    base, w0 = _rounded(dom, a, b)
     # the oracle's cleared value b^2 f2(x - y) = f2(a - b*y) is A = f2(v)
-    y_raws, A, n, b2, nb2 = _search(f, a, b, window)
+    y_raws, A, n, b2, nb2 = _search(f, b, base, w0, window)
     if y_raws is None:
         raise OracleNotFound(FractionPoint._trusted(dom, a, b), window, Fraction(n, nb2))
-    v_raws = _cleared_difference(dom, a, b, y_raws)
+    # v = a - b*y from this step's own a, b and y: on the fast path y is
+    # the tuple base, and w0 = a - b*base was computed above
+    v_raws = w0 if y_raws is base else _cleared_difference(dom, a, b, y_raws)
     A, B, C = f._line_raw(y_raws, v_raws, A)
 
     if dom._is_zero(A):
@@ -214,11 +259,7 @@ def descend(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> Descen
     dom = f.domain
     raw_steps = []
     result = _descend(f, [n.raw for n in x.nums], x.den.raw, window, raw_steps)
-    steps = []
-    for step in raw_steps:
-        steps.append(_wrap_step(dom, x, step))
-        x = steps[-1].x_next
-    return DescentTrace(tuple(steps), tuple(DomainElement(dom, r) for r in result))
+    return DescentTrace._unwrapped(dom, x, raw_steps, tuple(DomainElement(dom, r) for r in result))
 
 
 def _value_shift(q: QuadraticPolynomial, x: FractionPoint):

@@ -40,7 +40,9 @@ class _Record:
     field exactly once, and compare, hash and print by the field values in
     declaration order, with equality only between records of one class.
     Assignment and deletion raise AttributeError.  The values live in the
-    instance __dict__, so copy and pickle need no hook.
+    instance __dict__, so copy and pickle need no hook; the one exception
+    is a DescentTrace from descend, which holds raw steps until steps is
+    read and so reads its values and pickles through its own hooks.
     """
 
     _fields = ()

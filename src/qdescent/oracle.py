@@ -29,10 +29,12 @@ candidates, and refused with SearchBudgetError over SEARCH_BUDGET before
 any offset is built.
 
 _search runs all of the above on raw values and returns either the
-winning raws or the least norm seen, wrapping nothing.  euclidean_step,
-the public oracle, checks its point and returns an OracleResult holding
-the canonical value f2(x - y) (one ring gcd).  The descent step calls
-_search directly and wraps y once, for its DescentStep.
+winning raws or the least norm seen, wrapping nothing.  It takes the point
+as b and _rounded's (base, w0), so each caller rounds once and the descent
+step, whose fast-path witness is base itself, reuses w0 as its
+v = a - b*y.  euclidean_step, the public oracle, checks its point and
+returns an OracleResult holding the canonical value f2(x - y) (one ring
+gcd).  The descent step calls _search directly and wraps nothing.
 
 check_euclidean never runs the oracle point by point, nor decides a point
 at a time.  The verdict at x = a/b, and the least norm of a failing scan,
@@ -118,22 +120,34 @@ def euclidean_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) ->
     if x.is_integral():
         raise IntegralPointError(f"{x} is integral; the witness inequality excludes R^d")
     dom = f.domain
-    y, v, n, b2, nb2 = _search(f, [c.raw for c in x.nums], x.den.raw, window)
+    b = x.den.raw
+    y, v, n, b2, nb2 = _search(f, b, *_rounded(dom, [c.raw for c in x.nums], b), window)
     if y is None:
         raise OracleNotFound(x, window, Fraction(n, nb2))
     y = tuple(DomainElement(dom, c) for c in y)
     return OracleResult(y, FractionElement(dom, v, b2), Fraction(n, nb2))
 
 
-def _search(f: QuadraticPolynomial, a, b, window: int, first: bool = False):
-    """The oracle on raws, for the non-integral point a/b.
+def _rounded(dom, a, b) -> tuple[tuple, tuple]:
+    """(base, w0) for the raw point a/b: the coordinatewise rounding
+    base = round(a/b) and w0 = a - b*base.  Both are tuples, so neither can
+    change after an identity test against base."""
+    base = tuple([dom._round_quotient(n, b) for n in a])
+    return base, tuple(_cleared_difference(dom, a, b, base))
+
+
+def _search(f: QuadraticPolynomial, b, base, w0, window: int, first: bool = False):
+    """The oracle on raws, for the non-integral point a/b given by its
+    denominator b and _rounded(dom, a, b) = (base, w0), so a = w0 + b*base.
 
     Returns (y, v, n, b^2, N(b^2)): on success the witness y, the cleared
     value v = b^2 f2(a/b - y) and its norm n, with 0 < n < N(b^2); on
     failure y and v are None and n is the least nonzero norm scanned (0
     when every candidate lands on the null cone), so n / N(b^2) is
-    OracleNotFound.min_norm.  Nothing is wrapped: no DomainElement,
-    Fraction or OracleResult is built here.
+    OracleNotFound.min_norm.  On the fast path y is base itself, the same
+    object, so a caller holding w0 has a - b*y without recomputing it.
+    Nothing is wrapped: no DomainElement, Fraction or OracleResult is built
+    here.
 
     With first set, the scan stops at the first candidate with
     0 < n < N(b^2) in scan order, so a success returns a witness but not
@@ -142,8 +156,6 @@ def _search(f: QuadraticPolynomial, a, b, window: int, first: bool = False):
     dom = f.domain
     b2 = dom._mul(b, b)
     nb2 = dom._norm(b2)
-    base = [dom._round_quotient(n, b) for n in a]
-    w0 = _cleared_difference(dom, a, b, base)
     f2w0 = f._f2_raw(w0)
     n0 = dom._norm(f2w0)
     if 0 < n0 < nb2:
@@ -262,7 +274,7 @@ def check_euclidean(
                 w0 = tuple(residues[p] for p in cls)
                 if w0 not in scanned:
                     a = tuple(axis[members[p][0]] for p in cls)
-                    y, _, n, _, _ = _search(f, a, den, window, first=True)
+                    y, _, n, _, _ = _search(f, den, *_rounded(dom, a, den), window, first=True)
                     scanned[w0] = scanned[tuple(map(neg, w0))] = None if y is not None else n
                 n = scanned[w0]
                 if n is not None:

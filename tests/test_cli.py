@@ -18,6 +18,7 @@ from qdescent import (
     SearchBox,
     ZI,
     ZZ,
+    adc_represent,
     brute_integral_zero,
     descend,
     parse_form,
@@ -181,8 +182,8 @@ def test_descend_oracle_failure_exit_2(capsys):
 def test_internal_fault_exits_4(capsys, monkeypatch):
     search = descent_module._search
 
-    def misreported_norm(f, a, b, window):
-        y, v, n, b2, nb2 = search(f, a, b, window)
+    def misreported_norm(f, b, base, w0, window):
+        y, v, n, b2, nb2 = search(f, b, base, w0, window)
         return y, v, n + 1, b2, nb2
 
     monkeypatch.setattr(descent_module, "_search", misreported_norm)
@@ -491,6 +492,67 @@ def test_big_denominator_json_golden(capsys, monkeypatch, command, domain, form,
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert calls == ["the oracle's window scan"] * scans
+
+
+BIG_POINT_TRACE_GOLDEN = [
+    ("Z", "x^2+y^2+z^2-1353", "z3", 38,
+     "ff2c121708149f0ef9c00f156e819e580918062ce2588972daf31e157c752a0c"),
+    ("Zi", "x1*x2+(-262+266i)", "zi_prod", 25,
+     "e745c72c6646a192a8f9a55b4e5e0cab8c938b34275165110840219487063ac7"),
+    ("Fpt:2", "x1^2+t*x2^2+x1+t^2", "f2_c5", 1,
+     "606a73cd518f6e36227873ba60df3bc42477314f9d279e46a15b808f8c12d7a2"),
+]
+
+
+@pytest.mark.parametrize("domain, form, point, steps, digest", BIG_POINT_TRACE_GOLDEN,
+                         ids=[c[2] for c in BIG_POINT_TRACE_GOLDEN])
+def test_big_denominator_trace_text_golden(capsys, domain, form, point, steps, digest):
+    # the sha256 of the complete text stdout of descend --trace: one line
+    # per step, then the result
+    code, out, err = run(
+        capsys, "descend", "--domain", domain, "--form", form, "--point", BIG_POINTS[point],
+        "--trace",
+    )
+    assert (code, err) == (0, "")
+    assert out.count("\n") == steps + 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# (domain, f with linear terms, a form q, c with q - c isotropic, search box)
+DESCENT_CORPUS = [
+    (ZZ, "x^2+y^2+z^2+x-3*z-26", "x^2+y^2+z^2", "26", 6),
+    (ZI, "x1*x2+(1+i)*x1+x2-2*i", "x1*x2", "-2*i", 2),
+    (GFpT(2), "x1*x2+x3^2+x1+t", "x1*x2+x3^2", "t", 1),
+    (GFpT(3), "x1^2+t*x2^2+x2-t", "x1^2+t*x2^2", "t", 1),
+]
+
+
+def test_descent_corpus_golden(monkeypatch):
+    # 200 seeded chord zeros, 25 per form and use: repr(descend(f, x)) pins
+    # every step's record, and adc_represent(q, x) the integral point found
+    # from a zero of q - c; 63 of the steps leave the oracle's fast path
+    scans = []
+    budget = oracle_module._within_budget
+
+    def spy(count, what):
+        scans.append(what)
+        return budget(count, what)
+
+    monkeypatch.setattr(oracle_module, "_within_budget", spy)
+    digest = hashlib.sha256()
+    for dom, text, qtext, c, box in DESCENT_CORPUS:
+        f = parse_form(text, dom)
+        q = parse_form(qtext, dom)
+        g = parse_form(f"{qtext}-({c})", dom)
+        f_zero = brute_integral_zero(f, SearchBox(box))
+        g_zero = brute_integral_zero(g, SearchBox(box))
+        for seed in range(25):
+            x = random_rational_zero(f, f_zero, seed=seed, height_min=3, direction_bound=40)
+            digest.update(repr(descend(f, x)).encode())
+            x = random_rational_zero(g, g_zero, seed=seed, height_min=3, direction_bound=40)
+            digest.update(repr(adc_represent(q, x)).encode())
+    assert len(scans) == 63
+    assert digest.hexdigest() == "b02da7defcdde6a0919b48943552f8208112f9f85f0ecea493effb31245f0fbe"
 
 
 # -- represent ------------------------------------------------------------------

@@ -152,16 +152,21 @@ def test_descent_chain_certificates():
         assert all(a > b for a, b in zip(chain, chain[1:]))
 
 
+def _a(dom, b, base, w0):
+    """The numerators a = w0 + b*base of the point an oracle is asked about."""
+    return [dom._add(w, dom._mul(b, c)) for w, c in zip(w0, base)]
+
+
 def _seeded_random_search(seed):
-    """A raw oracle in place of oracle._search that skips rounding and
+    """A raw oracle in place of oracle._search that skips the fast path and
     returns a seeded random admissible witness from its own window scan."""
     rng = random.Random(seed)
 
-    def search(f, a, b, window):
+    def search(f, b, base, w0, window):
         dom = f.domain
         b2 = dom._mul(b, b)
         nb2 = dom._norm(b2)
-        base = [dom._round_quotient(n, b) for n in a]
+        a = _a(dom, b, base, w0)
         admissible = []
         for offs in product(dom._offset_raws(window), repeat=f.d):
             y = [dom._add(c, o) for c, o in zip(base, offs)]
@@ -198,26 +203,26 @@ def test_descent_certificates_hold_for_any_admissible_witness(monkeypatch, dom, 
     assert len(results) > 1
 
 
-def _misreported_norm(f, a, b, window):
-    y, v, n, b2, nb2 = oracle_module._search(f, a, b, window)
+def _misreported_norm(f, b, base, w0, window):
+    y, v, n, b2, nb2 = oracle_module._search(f, b, base, w0, window)
     return y, v, n + 1, b2, nb2
 
 
-def _misreported_value(f, a, b, window):
+def _misreported_value(f, b, base, w0, window):
     # the step takes A = f2(v) from the oracle's cleared value; an A off by
     # 1 makes A + B*b + C*b^2 = 1 - b, nonzero for the non-unit b, in every
     # characteristic
-    y, v, n, b2, nb2 = oracle_module._search(f, a, b, window)
+    y, v, n, b2, nb2 = oracle_module._search(f, b, base, w0, window)
     return y, f.domain._add(v, f.domain._ONE), n, b2, nb2
 
 
-def _origin_witness(f, a, b, window):
+def _origin_witness(f, b, base, w0, window):
     # f = f2 - c with N(c) >= 1 in every ADMISSIBLE_CASES form, so at a zero
     # x the origin has |f2(x - 0)| = |c| >= 1: reported honestly, but not
     # admissible
     dom = f.domain
     b2 = dom._mul(b, b)
-    v = f._f2_raw(a)
+    v = f._f2_raw(_a(dom, b, base, w0))
     return [dom._ZERO] * f.d, v, dom._norm(v), b2, dom._norm(b2)
 
 
@@ -240,6 +245,86 @@ def test_descent_rejects_a_lying_oracle(monkeypatch, dom, text, bound, fake):
         adc_represent(q, x)
     with pytest.raises(InternalInvariantError):
         verify_adc(q, _LYING_ADC_BOXES[dom.name])
+
+
+# forms whose descents from seeded chord zeros take both oracle paths:
+# the fast path, and the window scan where rounding is not admissible
+BOTH_PATH_CASES = pytest.mark.parametrize(
+    "dom, text, bound",
+    [
+        (ZZ, "x^2-7*y^2-2", 6),
+        (ZI, "x1*x2-2*i", 2),
+        (F2, "x1*x2+x3^2+t", 1),
+        (F3, "x1*x2+x3^2+x1-t", 1),
+    ],
+    ids=["Z", "Zi", "Fpt:2", "Fpt:3"],
+)
+
+
+def _both_path_zeros(dom, text, bound):
+    f = parse_form(text, dom)
+    y0 = brute_integral_zero(f, SearchBox(bound))
+    return f, [random_rational_zero(f, y0, seed=s, height_min=3, direction_bound=40) for s in range(8)]
+
+
+def _count_calls(monkeypatch, module, name):
+    """Replace module.name by a spy; the list it returns grows by the
+    arguments of each call."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@BOTH_PATH_CASES
+def test_step_computes_v_only_on_the_scan_path(monkeypatch, dom, text, bound):
+    # on the fast path v = a - b*y is the w0 = a - b*round(a/b) the step
+    # rounded with; a scan's witness needs v computed once more
+    f, xs = _both_path_zeros(dom, text, bound)
+    scans = _count_calls(monkeypatch, oracle_module, "_within_budget")
+    differences = _count_calls(monkeypatch, descent_module, "_cleared_difference")
+    steps = sum(len(descend(f, x).steps) for x in xs)
+    assert 0 < len(differences) == len(scans) < steps
+
+
+@BOTH_PATH_CASES
+def test_a_witness_equal_to_base_but_not_base_makes_the_step_compute_v(
+    monkeypatch, dom, text, bound
+):
+    f, xs = _both_path_zeros(dom, text, bound)
+    expected = [descend(f, x) for x in xs]
+    search = oracle_module._search
+
+    def copied_base(f, b, base, w0, window):
+        y, v, n, b2, nb2 = search(f, b, base, w0, window)
+        return (list(base) if y is base else y), v, n, b2, nb2
+
+    monkeypatch.setattr(descent_module, "_search", copied_base)
+    differences = _count_calls(monkeypatch, descent_module, "_cleared_difference")
+    traces = [descend(f, x) for x in xs]
+    assert traces == expected
+    assert len(differences) == sum(len(t.steps) for t in traces)
+
+
+@BOTH_PATH_CASES
+def test_descend_wraps_its_steps_on_first_read(monkeypatch, dom, text, bound):
+    f, xs = _both_path_zeros(dom, text, bound)
+    expected = [DescentTrace(t.steps, t.result) for t in (descend(f, x) for x in xs)]
+    wrapped = _count_calls(monkeypatch, descent_module, "_wrap_step")
+    for x, trace in zip(xs, expected):
+        lazy = descend(f, x)
+        assert lazy.result == trace.result
+        assert not wrapped
+        assert lazy.steps == trace.steps  # the first read wraps each step once
+        assert [start for _, start, _ in wrapped] == [s.x for s in trace.steps]
+        assert lazy.steps == trace.steps  # a second read wraps none
+        assert len(wrapped) == len(trace.steps)
+        wrapped.clear()
 
 
 def _iterated_descent(f, x):

@@ -459,9 +459,9 @@ def test_check_euclidean_shares_a_scan_between_negated_classes(monkeypatch):
     real = oracle._search
     calls = []
 
-    def spy(f, a, b, window, **first):
-        calls.append((tuple(a), b))
-        return real(f, a, b, window, **first)
+    def spy(f, b, base, w0, window, **first):
+        calls.append((base, w0, b))
+        return real(f, b, base, w0, window, **first)
 
     monkeypatch.setattr(oracle, "_search", spy)
     report = check_euclidean(FOUR_SQUARES, 4, 3)
@@ -550,9 +550,9 @@ def test_scan_refusal_matches_the_point_by_point_sweep(monkeypatch, dom, text, h
     for run in (check_euclidean, reference_check_euclidean):
         calls = []
 
-        def spy(f, a, b, window, **first):
-            calls.append((tuple(a), b))
-            return real(f, a, b, window, **first)
+        def spy(f, b, base, w0, window, **first):
+            calls.append((base, w0, b))
+            return real(f, b, base, w0, window, **first)
 
         monkeypatch.setattr(oracle, "_search", spy)
         with pytest.raises(SearchBudgetError) as err:

@@ -191,6 +191,88 @@ def test_pinned_reprs():
     assert repr(SearchBox(8, 4)) == "SearchBox(num_bound=8, height=4)"
 
 
+# -- a trace from descend, before and after its steps are read ------------------
+
+
+def _lazy_traces(read):
+    """A factory of fresh traces from descend, steps read or not, and the
+    trace built from the same steps and result."""
+    f = parse_form("x1*x2-2*i", ZI)
+    x = random_rational_zero(f, brute_integral_zero(f, SearchBox(2)), seed=1, height_min=3,
+                             direction_bound=40)
+    ref = descend(f, x)
+    eager = DescentTrace(ref.steps, ref.result)
+    assert len(eager.steps) > 1
+
+    def fresh():
+        trace = descend(f, x)
+        if read:
+            trace.steps
+        assert ("steps" in vars(trace)) == read
+        return trace
+
+    return fresh, eager
+
+
+LAZY = pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+
+
+@LAZY
+def test_lazy_trace_equality_hash_and_repr(read):
+    fresh, eager = _lazy_traces(read)
+    assert fresh() == eager and eager == fresh() and not fresh() != eager
+    assert fresh() == fresh()
+    assert hash(fresh()) == hash(eager)
+    assert repr(fresh()) == repr(eager)
+    assert fresh() != DescentTrace(eager.steps[1:], eager.result)
+
+
+@LAZY
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_lazy_trace_pickles_as_the_eager_one(read, protocol):
+    fresh, eager = _lazy_traces(read)
+    data = pickle.dumps(fresh(), protocol)
+    assert data == pickle.dumps(eager, protocol)
+    again = pickle.loads(data)
+    assert type(again) is DescentTrace
+    assert again == eager and hash(again) == hash(eager) and repr(again) == repr(eager)
+
+
+@LAZY
+@pytest.mark.parametrize("copier", ["copy", "deepcopy"])
+def test_lazy_trace_copies_as_the_eager_one(read, copier):
+    fresh, eager = _lazy_traces(read)
+    again = COPIERS[copier](fresh())
+    assert type(again) is DescentTrace
+    assert again == eager and hash(again) == hash(eager) and repr(again) == repr(eager)
+    assert list(vars(again)) == list(vars(COPIERS[copier](eager)))
+
+
+@LAZY
+def test_lazy_trace_matches_positional_patterns(read):
+    fresh, eager = _lazy_traces(read)
+    match fresh():
+        case DescentTrace(steps, result):
+            got = (steps, result)
+        case _:
+            got = None
+    assert got == (eager.steps, eager.result)
+
+
+@LAZY
+def test_lazy_trace_is_immutable(read):
+    fresh, eager = _lazy_traces(read)
+    for name in ("steps", "result", "other"):
+        trace = fresh()
+        with pytest.raises(AttributeError):
+            setattr(trace, name, None)
+        with pytest.raises(AttributeError):
+            delattr(trace, name)
+        assert trace == eager
+    with pytest.raises(AttributeError):
+        fresh().other
+
+
 # -- points, polynomials and the records that hold them -------------------------
 
 DOMAIN_CASES = [
