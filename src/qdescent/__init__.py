@@ -52,7 +52,6 @@ from .oracle import (
     OracleResult,
     check_euclidean,
     euclidean_step,
-    round_point,
 )
 from .descent import (
     DescentStep,
@@ -71,7 +70,6 @@ from .zerotools import (
     SearchBox,
     brute_integral_zero,
     chord_zero,
-    random_quadratic,
     random_rational_zero,
     verify_adc,
 )
@@ -97,7 +95,6 @@ __all__ = [
     "OracleResult",
     "EuclideanFailure",
     "EuclideanReport",
-    "round_point",
     "euclidean_step",
     "check_euclidean",
     "DescentStep",
@@ -115,7 +112,6 @@ __all__ = [
     "brute_integral_zero",
     "chord_zero",
     "random_rational_zero",
-    "random_quadratic",
     "verify_adc",
     "DomainMismatchError",
     "DimensionMismatchError",

@@ -15,22 +15,22 @@ norm(b) steps, which the descent enforces as a hard cap.
 
 There is one descent loop, _descend, on raw values: it checks that the
 start a/b is a zero, runs the raw step _step until the denominator is the
-ring's one, and returns the integral raws.  _step rounds a/b once
-(oracle._rounded gives base = round(a/b) and w0 = a - b*base), runs the
-raw oracle (oracle._search) on b, base and w0, checks its norm with
-integers, and takes v = w0 when the witness is base itself, else computes
-v = a - b*y; so v always comes from the step's own a, b and y, never from
-the oracle.  It expands f along the line on raws
+ring's one, and returns the integral raws with the list of every step's
+raws.  _step rounds a/b once (oracle._rounded gives base = round(a/b) and
+w0 = a - b*base), runs the raw oracle (oracle._search) on b, base and w0,
+checks its norm with integers, and takes v = w0 when the witness is base
+itself, else computes v = a - b*y; so v always comes from the step's own
+a, b and y, never from the oracle.  It expands f along the line on raws
 (QuadraticPolynomial._line_raw, with A the oracle's cleared value
 b^2 f2(x - y) = f2(v)), runs every check above and puts x' in canonical
 form with domains._canonical.  So each point is certified a zero once, the
 start by the loop and every later point by the step that built it, and a
-descent of k steps evaluates f at k + 1 points.  descent_step wraps its
-step's raws into a DescentStep; descend wraps its result at once and its
-steps on first read of DescentTrace.steps, so a caller that reads only the
-result wraps no step.  adc_represent and zerotools.verify_adc wrap only
-the result.  A FractionPoint is built only for a point that fails, for
-the text and fields of the error.
+descent of k steps evaluates f at k + 1 points.  descent_step wraps its step's raws
+into a DescentStep; descend wraps its result at once and its steps on
+first read of DescentTrace.steps, so a caller that reads only the result
+wraps no step.  adc_represent and zerotools.verify_adc wrap only the
+result and drop the steps.  A FractionPoint is built only for a point that
+fails, for the text and fields of the error.
 
 adc_represent solves value representation: for a homogeneous q and a
 point x with q(x) = r in the ring, descending q - r from x lands on an
@@ -219,30 +219,27 @@ def _step(f: QuadraticPolynomial, a, b, window: int):
     return y_raws, v_raws, A, B, C, bn, a_next, b_next
 
 
-def _descend(f: QuadraticPolynomial, a, b, window: int, steps: list | None = None):
-    """descend on raws, with the same checks and errors: the integral raws
-    reached from a/b, a canonical point in f's domain and dimension.  When
-    steps is a list, each step's raws, as _step returns them, are appended
-    to it."""
+def _descend(f: QuadraticPolynomial, a, b, window: int):
+    """descend on raws, with the same checks and errors, from a/b, a
+    canonical point in f's domain and dimension: (the integral raws
+    reached, the list of each step's raws as _step returns them)."""
     _check_zero(f, a, b)
     dom = f.domain
     one, norm = dom._ONE, dom._norm
     cap = norm(b)
-    k = 0
+    steps = []
     while b != one:
-        if k >= cap:
+        if len(steps) >= cap:
             raise InternalInvariantError(f"descent exceeded its step cap of {cap}")
         try:
             step = _step(f, a, b, window)
         except OracleNotFound as err:
-            raise DescentAborted(k, err.x, err.window, err.min_norm) from err
+            raise DescentAborted(len(steps), err.x, err.window, err.min_norm) from err
         bn, a, b = step[5:]
         if not norm(b) <= norm(bn):
             raise InternalInvariantError("denominator grew across canonical reduction")
-        if steps is not None:
-            steps.append(step)
-        k += 1
-    return a
+        steps.append(step)
+    return a, steps
 
 
 def descend(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> DescentTrace:
@@ -257,8 +254,7 @@ def descend(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> Descen
     """
     f._check_point(x)
     dom = f.domain
-    raw_steps = []
-    result = _descend(f, [n.raw for n in x.nums], x.den.raw, window, raw_steps)
+    result, raw_steps = _descend(f, [n.raw for n in x.nums], x.den.raw, window)
     return DescentTrace._unwrapped(dom, x, raw_steps, tuple(DomainElement(dom, r) for r in result))
 
 
@@ -292,7 +288,7 @@ def adc_represent(
     """An integral point y with q(y) = q(x), found by descending q - q(x):
     the result of adc_trace, with the same checks, but no step wrapped."""
     qr, _ = _value_shift(q, x)
-    y = _descend(qr, [n.raw for n in x.nums], x.den.raw, window)
+    y, _ = _descend(qr, [n.raw for n in x.nums], x.den.raw, window)
     return tuple(DomainElement(q.domain, r) for r in y)
 
 

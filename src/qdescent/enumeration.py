@@ -6,14 +6,14 @@ SearchBudgetError before anything is generated:
 
 - BoxSweep: the elements of one coordinate box, in Domain._box_raws order;
 - CanonicalPoints: the canonical fraction points a/b with numerators a in
-  a box and b a normalized denominator, gcd(a, b) a unit, denominators
-  first.  It is walked one denominator at a time, in rows of the last
-  coordinate, with a form's q2 summed one coordinate at a time
+  a box and b a normalized non-unit denominator, gcd(a, b) a unit,
+  denominators first.  It is walked one denominator at a time, in rows of
+  the last coordinate, with a form's q2 summed one coordinate at a time
   (_q2_rows), never a point at a time.  integral_values(q) yields the raw
   (nums, den, r) where q is integral, every box point at denominator 1
-  with no test; residue_rows(q) splits each denominator's box axis into
-  the classes of its rounding residues a - b*round(a/b) and gives q2 and
-  coprimality once per class, which oracle.check_euclidean reads.
+  first with no test; residue_rows(q) splits each denominator's box axis
+  into the classes of its rounding residues a - b*round(a/b) and gives q2
+  and coprimality once per class, which oracle.check_euclidean reads.
   Callers build a FractionPoint (through FractionPoint._trusted) only for
   the points they report;
 - first_zero: the first integral zero of a polynomial in graded order,
@@ -84,12 +84,13 @@ class CanonicalPoints:
     denominator at a time.
 
     Denominators come in Domain._denominator_raws order (non-units of norm,
-    or degree for F_p[t], at most height), preceded by 1 when integral is
-    set; for each, the numerator vectors run over the box in product order
-    and only those with gcd(nums, den) a unit are kept.  Every denominator
-    is drawn normalized, so a kept pair is exactly the canonical form
-    FractionPoint(domain, nums, den) would compute.  count() is the number
-    of (den, nums) candidates examined, kept or not.
+    or degree for F_p[t], at most height); for each, the numerator vectors
+    run over the box in product order and only those with gcd(nums, den) a
+    unit are kept.  Every denominator is drawn normalized, so a kept pair
+    is exactly the canonical form FractionPoint(domain, nums, den) would
+    compute.  count() is the number of (den, nums) candidates examined,
+    kept or not.  integral_values also takes denominator 1 first, every
+    box point of it, and so examines count() + box_count^d candidates.
 
     Neither sweep yields a point at a time: both walk one denominator in
     rows of the last coordinate (_q2_rows), with q2 summed one coordinate
@@ -97,35 +98,32 @@ class CanonicalPoints:
     residue classes, whose points the caller counts by multiplicity.
     """
 
-    def __init__(self, domain: Domain, d: int, height: int, box: int, integral: bool = False):
+    def __init__(self, domain: Domain, d: int, height: int, box: int):
         self.domain = domain
         self.d = d
         self.height = height
         self.box = box
-        self.integral = integral
 
     def count(self) -> int:
         dom = self.domain
-        dens = dom._denominator_count(self.height) + (1 if self.integral else 0)
-        return dens * dom._box_count(self.box) ** self.d
-
-    def _denominators(self):
-        dens = self.domain._denominator_raws(self.height)
-        return chain([self.domain._ONE], dens) if self.integral else dens
+        return dom._denominator_count(self.height) * dom._box_count(self.box) ** self.d
 
     def integral_values(self, q):
-        """The points of this sweep at which the form q takes a ring value,
-        as raw (nums, den, r) with r = q2(nums)/den^2, in sweep order.
+        """The box points at denominator 1, then the points of this sweep,
+        at which the form q takes a ring value, as raw (nums, den, r) with
+        r = q2(nums)/den^2, in that order.
 
-        Sized and refused like residue_rows, before anything is evaluated.
-        q2 does not depend on den, so its rows are summed once and kept for
-        every denominator while the box has at most Q2_TABLE_MAX points; a
-        larger box is summed again per denominator, in O(d * box) memory.
-        At denominator 1 every box point is yielded with r = q2(nums), with
-        no division and no gcd test; past it only the points where den^2
-        divides q2 go through the gcd filter.
+        Sized as count() + box_count^d and refused like residue_rows,
+        before anything is evaluated.  q2 does not depend on den, so its
+        rows are summed once and kept for every denominator while the box
+        has at most Q2_TABLE_MAX points; a larger box is summed again per
+        denominator, in O(d * box) memory.  At denominator 1 every box
+        point is yielded with r = q2(nums), with no division and no gcd
+        test; past it only the points where den^2 divides q2 go through
+        the gcd filter.
         """
-        _within_budget(self.count(), "a canonical point sweep")
+        box_points = self.domain._box_count(self.box) ** self.d
+        _within_budget(self.count() + box_points, "a canonical point sweep")
         return self._integral_values(q)
 
     def _integral_values(self, q):
@@ -140,14 +138,13 @@ class CanonicalPoints:
         rows = partial(_q2_rows, dom, q, axis, squares, (), fix)
         if len(axis) ** q.d <= Q2_TABLE_MAX:
             rows = list(rows()).__iter__
-        for den in self._denominators():
-            if den == dom._ONE:
-                # every box point, with its own q2 as r: no division by 1
-                # and no gcd with 1, which is always a unit
-                for prefix, vals in rows():
-                    for u, v in zip(axis, vals):
-                        yield prefix + (u,), den, v
-                continue
+        # denominator 1: every box point, with its own q2 as r, with no
+        # division by 1 and no gcd with 1, which is always a unit
+        one = dom._ONE
+        for prefix, vals in rows():
+            for u, v in zip(axis, vals):
+                yield prefix + (u,), one, v
+        for den in dom._denominator_raws(self.height):
             den2 = mul(den, den)
             for prefix, vals in rows():
                 for u, v in zip(axis, vals):
@@ -196,7 +193,7 @@ class CanonicalPoints:
         def fix(pos, j):
             return pos + (j,)
 
-        for den in self._denominators():
+        for den in dom._denominator_raws(self.height):
             index, residues, members = {}, [], []
             for k, u in enumerate(axis):
                 w = add(u, neg(mul(den, rq(u, den))))

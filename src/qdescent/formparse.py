@@ -120,42 +120,35 @@ def _lex(text: str):
 
 # -- expansion ----------------------------------------------------------------
 
-# A polynomial under expansion: monomial key -> raw coefficient, where the
-# key is the sorted tuple of 1-based variable indices with multiplicity.
-# Offsets remember where each monomial was first created, for diagnostics.
+# A polynomial under expansion: monomial key -> (raw coefficient, offset),
+# where the key is the sorted tuple of 1-based variable indices with
+# multiplicity and the offset is where the monomial was first created, for
+# diagnostics.
 
 
-def _poly_add(dom, p1, o1, p2, o2):
+def _poly_add(dom, p1, p2):
     out = dict(p1)
-    offs = dict(o1)
-    for key, c in p2.items():
-        if key in out:
-            out[key] = dom._add(out[key], c)
-        else:
-            out[key] = c
-            offs[key] = o2[key]
-    return out, offs
+    for key, (c, at) in p2.items():
+        old = out.get(key)
+        out[key] = (c, at) if old is None else (dom._add(old[0], c), old[1])
+    return out
 
 
-def _poly_neg(dom, p, o):
-    return {k: dom._neg(c) for k, c in p.items()}, dict(o)
+def _poly_neg(dom, p):
+    return {k: (dom._neg(c), at) for k, (c, at) in p.items()}
 
 
-def _poly_mul(dom, p1, o1, p2, o2, at):
+def _poly_mul(dom, p1, p2, at):
     out = {}
-    offs = {}
-    for k1, c1 in p1.items():
-        for k2, c2 in p2.items():
+    for k1, (c1, _) in p1.items():
+        for k2, (c2, _) in p2.items():
             key = tuple(sorted(k1 + k2))
             c = dom._mul(c1, c2)
-            if key in out:
-                out[key] = dom._add(out[key], c)
-            else:
-                out[key] = c
-                offs[key] = at
+            old = out.get(key)
+            out[key] = (c if old is None else dom._add(old[0], c), at)
             if len(out) > _MAX_MONOMIALS:
                 raise FormError("expansion exceeds the monomial budget", at)
-    return out, offs
+    return out
 
 
 # -- parser -------------------------------------------------------------------
@@ -164,10 +157,10 @@ def _poly_mul(dom, p1, o1, p2, o2, at):
 class _Parser:
     """Recursive-descent parser that expands as it goes.
 
-    Each production returns (poly, offsets, start), where start is the
-    offset the production's monomials are created at (see the module
-    docstring).  Variable and literal resolution depend on the domain and
-    the dimension.
+    Each production returns (poly, start), where start is the offset the
+    production's monomials are created at (see the module docstring).
+    Variable and literal resolution depend on the domain and the
+    dimension.
     """
 
     def __init__(self, text: str, domain: Domain, d: int | None):
@@ -198,41 +191,37 @@ class _Parser:
         return None
 
     def parse(self):
-        poly, offsets, _ = self.expr()
+        poly, _ = self.expr()
         tok = self.peek()
         if tok.kind != "END":
             raise FormSyntaxError(f"unexpected {tok.text!r}", tok.pos)
-        return poly, offsets
+        return poly
 
     def expr(self):
         dom = self.domain
         start = self.peek().pos
         if self.take("-"):
-            p, o, _ = self.term()
-            p, o = _poly_neg(dom, p, o)
+            p = _poly_neg(dom, self.term()[0])
         else:
-            p, o, first = self.term()
+            p, first = self.term()
             if self.peek().text not in ("+", "-"):
-                return p, o, first
+                return p, first
         while (tok := self.take("+-")) is not None:
-            q, qo, _ = self.term()
-            if tok.text == "-":
-                q, qo = _poly_neg(dom, q, qo)
-            p, o = _poly_add(dom, p, o, q, qo)
-        return p, o, start
+            q = self.term()[0]
+            p = _poly_add(dom, p, _poly_neg(dom, q) if tok.text == "-" else q)
+        return p, start
 
     def term(self):
-        p, o, start = self.factor()
+        p, start = self.factor()
         while self.take("*"):
-            q, qo, _ = self.factor()
-            p, o = _poly_mul(self.domain, p, o, q, qo, start)
-        return p, o, start
+            p = _poly_mul(self.domain, p, self.factor()[0], start)
+        return p, start
 
     def factor(self):
         tok = self.peek()
-        base, baseo, start = self.base()
+        base, start = self.base()
         if not self.take("^"):
-            return base, baseo, start
+            return base, start
         num = self.eat("NUM")
         exp = _int_literal(num.text, num.pos)
         if tok.kind == "NAME" and tok.text == "t":
@@ -245,10 +234,10 @@ class _Parser:
         if exp > _MAX_EXPONENT:
             raise FormDegreeError(f"exponent {exp} is too large", num.pos)
         dom = self.domain
-        p, o = {(): dom._ONE}, {(): start}
+        p = {(): (dom._ONE, start)}
         for _ in range(exp):
-            p, o = _poly_mul(dom, p, o, base, baseo, start)
-        return p, o, start
+            p = _poly_mul(dom, p, base, start)
+        return p, start
 
     def base(self):
         tok = self.peek()
@@ -283,7 +272,7 @@ class _Parser:
 
     @staticmethod
     def constant(raw, tok: _Token):
-        return {(): raw}, {(): tok.pos}, tok.pos
+        return {(): (raw, tok.pos)}, tok.pos
 
     def resolve_name(self, tok: _Token):
         name = tok.text
@@ -313,7 +302,7 @@ class _Parser:
                 f"variable {name!r} exceeds dimension {self.d}", tok.pos
             )
         self.max_index = max(self.max_index, index)
-        return {(index,): self.domain._ONE}, {(index,): tok.pos}, tok.pos
+        return {(index,): (self.domain._ONE, tok.pos)}, tok.pos
 
 
 def parse_form(text: str, domain: Domain, d: int | None = None) -> QuadraticPolynomial:
@@ -324,19 +313,18 @@ def parse_form(text: str, domain: Domain, d: int | None = None) -> QuadraticPoly
     Raises a FormError subclass with a character offset on any problem.
     """
     parser = _Parser(text, domain, d)
-    poly, offsets = parser.parse()
-    poly = {k: c for k, c in poly.items() if not domain._is_zero(c)}
+    poly = {k: ca for k, ca in parser.parse().items() if not domain._is_zero(ca[0])}
     over = [k for k in poly if len(k) > 2]
     if over:
-        key = min(over, key=lambda k: offsets[k])
+        key = min(over, key=lambda k: poly[k][1])
         raise FormDegreeError(
-            f"monomial of degree {len(key)} exceeds degree 2", offsets[key]
+            f"monomial of degree {len(key)} exceeds degree 2", poly[key][1]
         )
     dim = d if d is not None else max(1, parser.max_index)
     quad = {}
     lin = [0] * dim
     const = domain._ZERO
-    for key, c in poly.items():
+    for key, (c, _) in poly.items():
         if len(key) == 0:
             const = c
         elif len(key) == 1:
@@ -348,9 +336,9 @@ def parse_form(text: str, domain: Domain, d: int | None = None) -> QuadraticPoly
 
 def parse_element(text: str, domain: Domain) -> DomainElement:
     """Parse a single ring element (no variables allowed)."""
-    poly, _ = _Parser(text, domain, 0).parse()
+    poly = _Parser(text, domain, 0).parse()
     # d = 0 rejects every variable during parsing, so only () remains
-    return DomainElement(domain, poly[()])
+    return DomainElement(domain, poly[()][0])
 
 
 # -- formatting ----------------------------------------------------------------

@@ -62,18 +62,6 @@ from .errors import IntegralPointError, OracleNotFound
 from .quadratic import QuadraticPolynomial
 
 
-def round_point(x: FractionPoint) -> tuple[DomainElement, ...]:
-    """Coordinatewise nearest ring point.
-
-    Z rounds to the nearest integer with ties toward zero; Z[i] does the
-    same independently in the real and imaginary components; F_p[t] takes
-    the polynomial part, whose remainder has extended norm < 1.
-    """
-    dom = x.domain
-    b = x.den.raw
-    return tuple(DomainElement(dom, dom._round_quotient(n.raw, b)) for n in x.nums)
-
-
 class OracleResult(_Record):
     """A witness y with value = f2(x - y) and vnorm = ext_norm(value) in (0, 1)."""
 

@@ -17,20 +17,19 @@ of descent inputs, because sampling exact rational points of a quadric
 any other way is hard.
 
 verify_adc is the referee: over the canonical fraction points of a box
-(enumeration.CanonicalPoints, integral ones included) it compares the
+(CanonicalPoints.integral_values, integral ones first) it compares the
 descent route with a brute-force search for an integral point of equal
-value, and reports disagreements.  The search is the sweep's own pass over
-the box at denominator 1 where that decides, and a graded zero search
-otherwise.  It works on the raw (nums, den, r) triples of
-CanonicalPoints.integral_values: q(a/b) = q2(a)/b^2 is integral exactly
-when b^2 divides q2(a), and q2 is summed one coordinate at a time, one
-ring add per point for a diagonal form, with no fraction built.  An
-integral point is checked in place, q2(a) = r, the check a descent of no
-step would make.  Every other point that passes is descended on raws by
-descent._descend, the loop adc_represent runs, with every certificate of
-every step, on q - r, which is built only for the values such a descent or
-a witness search needs, once per value; the result's value and box radius
-are read from raws as well.  A FractionPoint is built only for a point
+value, and reports disagreements.  It works on the raw (nums, den, r)
+triples of the sweep: q(a/b) = q2(a)/b^2 is integral exactly when b^2
+divides q2(a), and q2 is summed one coordinate at a time, one ring add per
+point for a diagonal form, with no fraction built.  An integral point is
+checked in place, q2(a) = r, the check a descent of no step would make,
+and the first one of each value goes into a value table that answers
+most witness queries; the graded zero search runs only for the rest.
+Every other point that passes is descended on raws by descent._descend,
+the loop adc_represent runs, with every certificate of every step, on
+q - r, which is built only for the values such a descent or a witness
+search needs, once per value.  A FractionPoint is built only for a point
 that is reported.  A descent that merely fails for want of an
 oracle witness is classified "inapplicable", not a failure: it does not
 refute value representability, it only means the quadratic part is not
@@ -43,7 +42,7 @@ from __future__ import annotations
 import math
 import random
 
-from .domains import Domain, DomainElement, FractionPoint, _Record
+from .domains import DomainElement, FractionPoint, _Record
 from .errors import (
     InternalInvariantError,
     IsotropicDirectionError,
@@ -136,23 +135,6 @@ def random_rational_zero(
     )
 
 
-def random_quadratic(
-    domain: Domain, d: int, rng: random.Random, coeff_bound: int = 5
-) -> QuadraticPolynomial:
-    """Random polynomial for property tests; any coefficient may be zero."""
-    quad = {}
-    for i in range(d):
-        for j in range(i, d):
-            if rng.random() < 0.5:
-                quad[(i, j)] = domain._random_raw(rng, coeff_bound)
-    lin = [
-        domain._random_raw(rng, coeff_bound) if rng.random() < 0.5 else 0
-        for _ in range(d)
-    ]
-    const = domain._random_raw(rng, coeff_bound) if rng.random() < 0.7 else 0
-    return QuadraticPolynomial(domain, d, quad, lin, const)
-
-
 class AdcFinding(_Record):
     x: FractionPoint
     value: DomainElement
@@ -182,16 +164,16 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
     r (InternalInvariantError otherwise), and it takes no descent.  Only a
     non-integral point is descended, on q - r built for its value r.
 
-    A witness query (r, box) is answered once and cached, and the sweep
-    answers most of them itself.  It runs denominator 1 first, where every
-    point a of box(num_bound)^d passes with its value r = q2(a); the first
-    such point of each r is cached as r's witness, so once denominator 1 is
-    done the cache holds every value the box takes, one entry per value.
-    A later query for r is then decided by containment: a point of value r
-    lies in every heuristic box, whose radius is at least num_bound, and
-    for a positive diagonal form it proves r represented outright; a value
-    with no such point has no witness in a query box inside box(num_bound).
-    Only the other queries run the graded search, _first_value_witness.
+    The sweep runs denominator 1 first, where every point a of
+    box(num_bound)^d passes with its value r = q2(a); the first such point
+    of each r goes into the value table taken, and is queried, so charged,
+    at once.  A witness query, r and a box (r alone for a positive
+    diagonal form), is answered once and memoized.  taken decides it by
+    containment: a point of value r lies in every heuristic box, whose
+    radius is at least num_bound, and for a positive diagonal form proves
+    r represented outright; a value missing from taken has no witness in
+    a box inside box(num_bound).  Only a missing value over a box reaching
+    past box(num_bound) runs the graded search, _first_value_witness.
 
     The sweep and each witness search are sized before they start, and the
     witness queries of one call are also sized together: each query adds
@@ -203,9 +185,8 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
     dom = q.domain
     d = q.d
     diagonal = _is_positive_diagonal_z(q)
-    # (r, None) for a diagonal form, else (r, box radius) -> (witness or
-    # None, whether the witness box is exhaustive)
-    cache = {}
+    taken = {}  # r -> the first point of box(num_bound)^d with value r
+    answers = {}  # (r, None) for a diagonal form, else (r, box radius) -> witness or None
     shifted = {}  # r -> q - r, built once per value that needs it
     searched = 0  # first_zero candidates of the queries answered so far
 
@@ -215,45 +196,38 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
             qr = shifted[r_raw] = q.sub_scalar(r_raw)
         return qr
 
-    def brute_witness(r_raw, fallback_bound, point=None):
-        # point: a point of box(num_bound)^d with value r_raw
+    def brute_witness(r_raw, radius):
         nonlocal searched
-        key = (r_raw, None) if diagonal else (r_raw, fallback_bound)
-        if key in cache:
-            return cache[key]
+        key = (r_raw, None) if diagonal else (r_raw, radius)
+        if key in answers:
+            return answers[key]
         if diagonal:
-            if r_raw < 0:
-                cache[key] = (None, True)
-                return cache[key]
+            # r >= 0: every value of a positive diagonal form is
             bounds = [
                 math.isqrt(r_raw // q.quad[(i, i)]) if (i, i) in q.quad else 0
                 for i in range(d)
             ]
         else:
-            bounds = [fallback_bound] * d
+            bounds = [radius] * d
         count = first_zero_count(dom, bounds)
         if not count <= SEARCH_BUDGET:
             # a search over the budget by itself is refused by first_zero
             return _first_value_witness(shift(r_raw), r_raw, bounds)
         searched += count
         _within_budget(searched, "the witness searches of a representation check")
-        if point is None and not diagonal:
-            # r's point from denominator 1 lies in every heuristic box (a
-            # diagonal form keys on r alone, so it hit the cache above)
-            point = cache.get((r_raw, box.num_bound), (None,))[0]
-        if point is None and max(bounds) > box.num_bound:
+        witness = taken.get(r_raw)
+        if witness is None and max(bounds) > box.num_bound:
             # box(num_bound)^d does not take r: a witness lies past it or nowhere
-            point = _first_value_witness(shift(r_raw), r_raw, bounds)
-        cache[key] = (point, diagonal)
-        return cache[key]
+            witness = _first_value_witness(shift(r_raw), r_raw, bounds)
+        answers[key] = witness
+        return witness
 
     one = dom._ONE
     f2 = q._f2_raw
-    own_key = None if diagonal else box.num_bound  # brute_witness's key at a box point
     checked = 0
     failures = []
     inapplicable = []
-    sweep = CanonicalPoints(dom, d, box.height, box.num_bound, integral=True)
+    sweep = CanonicalPoints(dom, d, box.height, box.num_bound)
     for nums, den, r_raw in sweep.integral_values(q):
         checked += 1
         if den == one:
@@ -261,11 +235,12 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
             # place: nums is then r's witness
             if f2(nums) != r_raw:
                 raise InternalInvariantError("the sweep gave an integral point a wrong value")
-            if (r_raw, own_key) not in cache:
-                brute_witness(r_raw, box.num_bound, nums)
+            if r_raw not in taken:
+                taken[r_raw] = nums
+                brute_witness(r_raw, box.num_bound)
             continue
         try:
-            y = _descend(shift(r_raw), nums, den, window)
+            y, _ = _descend(shift(r_raw), nums, den, window)
         except OracleNotFound as err:
             y = None
             note = f"no oracle witness in window {window} (best norm {err.min_norm})"
@@ -277,17 +252,15 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
                 radius = box.num_bound
                 if not diagonal:
                     radius = max([radius] + [dom._box_radius(c) for c in y])
-                if brute_witness(r_raw, radius)[0] is not None:
+                if brute_witness(r_raw, radius) is not None:
                     continue
                 found, detail = failures, "brute search missed a value descent represents"
+        elif brute_witness(r_raw, box.num_bound) is not None:
+            found, detail = inapplicable, note + "; brute search still represents the value"
+        elif diagonal:
+            found, detail = failures, "value attained on K^d but on no integral point"
         else:
-            witness, definitive = brute_witness(r_raw, box.num_bound)
-            if witness is not None:
-                found, detail = inapplicable, note + "; brute search still represents the value"
-            elif definitive:
-                found, detail = failures, "value attained on K^d but on no integral point"
-            else:
-                found, detail = failures, note + "; no witness in the heuristic box either"
+            found, detail = failures, note + "; no witness in the heuristic box either"
         x = FractionPoint._trusted(dom, nums, den)
         found.append(AdcFinding(x, DomainElement(dom, r_raw), detail))
     return AdcReport(checked, tuple(failures), tuple(inapplicable))
@@ -295,8 +268,8 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
 
 def _first_value_witness(qr: QuadraticPolynomial, r_raw, bounds):
     """The first integral zero of qr = q - r_raw in the box, or None: the
-    search behind the verify_adc witness queries that its sweep does not
-    decide, those for a value that box(num_bound)^d does not take over a
-    box reaching past it.  Kept as a named call: perfbench's tracer counts
-    witness searches (and verify_adc's cache hits) by wrapping this name."""
+    search behind the verify_adc witness queries that its value table does
+    not decide, those for a value that box(num_bound)^d does not take over
+    a box reaching past it.  Kept as a named call: perfbench's tracer counts
+    witness searches (and verify_adc's table hits) by wrapping this name."""
     return first_zero(qr, bounds)

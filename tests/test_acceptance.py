@@ -29,11 +29,12 @@ from qdescent import (
     euclidean_step,
     format_form,
     parse_form,
-    random_quadratic,
     random_rational_zero,
     verify_adc,
     SearchBox,
 )
+
+from helpers import random_quadratic
 
 F2 = GFpT(2)
 F3 = GFpT(3)

@@ -4,12 +4,15 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 import qdescent.cli as cli_module
 import qdescent.descent as descent_module
+import qdescent.enumeration as enumeration_module
 import qdescent.oracle as oracle_module
+import qdescent.zerotools as zerotools_module
 from qdescent.cli import main, parse_point
 from qdescent import (
     ExactDivisionError,
@@ -864,6 +867,70 @@ def test_check_adc_json_golden(capsys, domain, form, height, box, code, counts, 
     doc = json.loads(out)
     assert (doc["checked"], len(doc["failures"]), len(doc.get("inapplicable", ()))) == counts
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# forms over every domain for the check adc corpus: diagonal and not,
+# isotropic, with inapplicable points, failures and witness searches
+ADC_CORPUS = [
+    ("Z", "x^2+y^2"), ("Z", "x^2+y^2+z^2"), ("Z", "x^2+100*y^2"), ("Z", "x^2+y^2+7*z^2"),
+    ("Z", "-3*x^2+3*x*y+4*y^2"), ("Z", "2*x^2+x*y-3*y^2"), ("Z", "x^2+y^2+z^2+x*y+5*z^2"),
+    ("Z", "w^2+x^2+y^2+z^2"), ("Z", "x*y"), ("Z", "3*x^2+5*y^2"),
+    ("Zi", "x^2+i*y^2"), ("Zi", "x^2+3*y^2"), ("Zi", "x^2+i*x*y+2*y^2"),
+    ("Zi", "(3-2*i)*x*y+(1+2*i)*y^2"), ("Zi", "x*y+(1+i)*z^2"),
+    ("Fpt:2", "x1^2+t*x2^2"), ("Fpt:2", "x1*x2+x3^2"),
+    ("Fpt:3", "x1^2+t*x2^2"), ("Fpt:3", "x^2+t*y^2"), ("Fpt:3", "x1^2+x2^2+t*x3^2"),
+    ("Fpt:5", "x^2+t*y^2"),
+]
+
+
+def test_check_adc_corpus_digest(capsys, monkeypatch):
+    # every form at heights 1-3 and boxes 0-3, each run at one of four
+    # (window, format) pairs, under a budget of 10^5 so that the sweep, the
+    # witness total and a witness search alone are all refused somewhere;
+    # the digest covers the exit code, stdout and stderr of all 252 runs
+    for module in (enumeration_module, zerotools_module):
+        monkeypatch.setattr(module, "SEARCH_BUDGET", 100_000)
+    pairs = [("0", "text"), ("2", "json"), ("0", "json"), ("2", "text")]
+    digest = hashlib.sha256()
+    outcomes = Counter()
+    for domain, form in ADC_CORPUS:
+        for height in range(1, 4):
+            for box in range(4):
+                window, fmt = pairs[(height + box) % 4]
+                code, out, err = run(
+                    capsys, "check", "adc", "--domain", domain, "--form", form,
+                    "--height", str(height), "--box", str(box), "--window", window,
+                    "--format", fmt,
+                )
+                digest.update(f"{code}\0{out}\0{err}\0".encode())
+                outcomes[code, err.split(" would")[0]] += 1
+    assert outcomes == {
+        (0, ""): 178,
+        (2, ""): 24,
+        (2, "error: the witness searches of a representation check"): 34,
+        (2, "error: a canonical point sweep"): 15,
+        (2, "error: a graded box search"): 1,
+    }
+    assert digest.hexdigest() == "70cef262176d14f0d4d72f928f87d4b23a1a5b29f1c2992dbcb003fc55ab6760"
+
+
+@pytest.mark.parametrize(
+    "args, total",
+    [
+        (["--domain", "Fpt:5", "--form", "x^2+t*y^2", "--height", "1", "--box", "3"], 10156250),
+        (["--domain", "Fpt:5", "--form", "x^2+t*y^2", "--height", "1", "--box", "2"], 10015625),
+        (["--domain", "Zi", "--form", "x^2+i*y^2", "--height", "9", "--box", "8"], 10022520),
+    ],
+    ids=["Fpt:5-box3", "Fpt:5-box2", "Zi-height9"],
+)
+def test_check_adc_witness_total_refusal_text(capsys, args, total):
+    # the witness queries together pass the budget, none of them alone
+    code, out, err = run(capsys, "check", "adc", *args)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: the witness searches of a representation check would enumerate {total} "
+        "candidates, over the search budget of 10000000\n"
+    )
 
 
 def test_check_norm_axioms(capsys):

@@ -23,7 +23,6 @@ from qdescent import (
     check_euclidean,
     check_n2,
     parse_form,
-    random_quadratic,
 )
 from qdescent import enumeration
 from qdescent.cli import main
@@ -34,6 +33,8 @@ from qdescent.enumeration import (
     first_zero,
     first_zero_count,
 )
+
+from helpers import random_quadratic
 
 F2 = GFpT(2)
 F3 = GFpT(3)
@@ -67,6 +68,14 @@ def swept_pairs(pts):
         )
         pairs.extend((tuple(axis[k] for k in ix), den) for ix in kept)
     return pairs
+
+
+def integral_pairs(pts):
+    """The (nums, den) pairs integral_values yields for the zero form, at
+    which every point has the ring value 0: the box points at denominator 1,
+    then the points the sweep keeps."""
+    q = QuadraticPolynomial(pts.domain, pts.d, {})
+    return [(nums, den) for nums, den, _ in pts.integral_values(q)]
 
 
 def reference_first_zero(f, bounds):
@@ -408,12 +417,13 @@ def test_counts_match_enumeration_lengths():
     ):
         assert first_zero_count(dom, bounds) == len(reference_points(dom, bounds))
     for dom, d, height, box in ((ZZ, 2, 5, 2), (ZI, 2, 5, 1), (F2, 2, 2, 1), (F3, 1, 2, 1)):
+        pts = CanonicalPoints(dom, d, height, box)
         for integral in (False, True):
-            pts = CanonicalPoints(dom, d, height, box, integral)
+            # integral_values also takes denominator 1, and is sized with it
             dens = [dom.coerce_raw(1)] * integral + list(dom._denominator_raws(height))
             candidates = [(den, nums) for den in dens
                           for nums in product(list(dom._box_raws(box)), repeat=d)]
-            assert pts.count() == len(candidates)
+            assert pts.count() + integral * dom._box_count(box) ** d == len(candidates)
             kept = []
             for den, nums in candidates:
                 g = den
@@ -421,7 +431,7 @@ def test_counts_match_enumeration_lengths():
                     g = dom._gcd(g, c)
                 if dom._is_unit(g):
                     kept.append((nums, den))
-            assert swept_pairs(pts) == kept
+            assert (integral_pairs if integral else swept_pairs)(pts) == kept
     # over Z the zero search visits fibers: the box without its widest axis
     assert first_zero_count(ZZ, [3, 1, 2]) == 3 * 5
     assert first_zero_count(ZI, [1, 0]) == 9
@@ -443,7 +453,7 @@ def test_canonical_points_are_the_canonicalizing_filter(dom, d, height, box):
             for nums in product(list(dom._box_raws(box)), repeat=d)
             if FractionPoint(dom, nums, den).den.raw == den
         ]
-        pairs = swept_pairs(CanonicalPoints(dom, d, height, box, integral))
+        pairs = (integral_pairs if integral else swept_pairs)(CanonicalPoints(dom, d, height, box))
         assert pairs == kept
         assert any(not dom._is_unit(den) for _, den in pairs)
         for nums, den in pairs:
@@ -534,10 +544,12 @@ def test_integral_values_match_the_point_filter_and_form_value(dom):
     for d in range(1, 5):
         forms = [random_form(dom, rng, d, cross) for cross in (False, True, True)]
         for height, box in product(range(4), range(3)):
-            pts = CanonicalPoints(dom, d, height, box, integral=True)
-            if pts.count() > 2000:
+            pts = CanonicalPoints(dom, d, height, box)
+            box_points = list(product(list(dom._box_raws(box)), repeat=d))
+            if pts.count() + len(box_points) > 2000:
                 continue
-            kept = swept_pairs(pts)
+            # every box point at denominator 1, then the points the sweep keeps
+            kept = [(nums, dom.coerce_raw(1)) for nums in box_points] + swept_pairs(pts)
             for q in forms:
                 expected = [
                     (nums, den, r)
@@ -557,7 +569,7 @@ def test_integral_values_same_past_the_q2_table_bound(dom, monkeypatch):
     for d in range(1, 4):
         for cross in (False, True):
             q = random_form(dom, rng, d, cross)
-            pts = CanonicalPoints(dom, d, 3, 1, integral=True)
+            pts = CanonicalPoints(dom, d, 3, 1)
             kept = list(pts.integral_values(q))
             monkeypatch.setattr(enumeration, "Q2_TABLE_MAX", 0)
             assert list(pts.integral_values(q)) == kept
@@ -600,4 +612,4 @@ def test_integral_values_is_sized_like_the_sweep(monkeypatch):
     monkeypatch.setattr(PrimeFieldPolynomials, "_denominator_raws", boom)
     big = GFpT(1000003)
     with pytest.raises(SearchBudgetError, match="canonical point sweep"):
-        CanonicalPoints(big, 2, 1, 1, integral=True).integral_values(parse_form("x^2+y^2", big))
+        CanonicalPoints(big, 2, 1, 1).integral_values(parse_form("x^2+y^2", big))

@@ -17,8 +17,9 @@ from qdescent import (
     format_form,
     parse_element,
     parse_form,
-    random_quadratic,
 )
+
+from helpers import random_quadratic
 
 F2 = GFpT(2)
 F3 = GFpT(3)

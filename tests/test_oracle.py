@@ -24,7 +24,6 @@ from qdescent import (
     check_euclidean,
     euclidean_step,
     parse_form,
-    round_point,
 )
 from qdescent import enumeration, oracle
 from qdescent.enumeration import CanonicalPoints
@@ -40,29 +39,36 @@ CIRCLE = parse_form("x^2+y^2", ZZ)
 # -- rounding ------------------------------------------------------------------
 
 
-def test_round_point_ties_toward_zero():
+def rounded(x):
+    """The coordinatewise nearest ring point to x, as elements: the base
+    oracle._rounded takes for the oracle's fast path."""
+    base, _ = oracle._rounded(x.domain, [n.raw for n in x.nums], x.den.raw)
+    return tuple(DomainElement(x.domain, c) for c in base)
+
+
+def test_rounded_ties_toward_zero():
     def rp(nums, den):
-        return [c.raw for c in round_point(FractionPoint(ZZ, nums, den))]
+        return [c.raw for c in rounded(FractionPoint(ZZ, nums, den))]
 
     assert rp([1, 3, -1, -3], 2) == [0, 1, 0, -1]
     assert rp([7, 2, -7], 5) == [1, 0, -1]
     assert rp([4, 2, 5], 3) == [1, 1, 2]
 
 
-def test_round_point_gaussian():
+def test_rounded_gaussian():
     # (3+2i)/(1+i) = 5/2 - i/2, both halves round toward zero
-    y = round_point(FractionPoint(ZI, [(3, 2)], (1, 1)))
+    y = rounded(FractionPoint(ZI, [(3, 2)], (1, 1)))
     assert [c.raw for c in y] == [(2, 0)]
-    y2 = round_point(FractionPoint(ZI, [(7, 3)], (2, 0)))  # 3.5 + 1.5i
+    y2 = rounded(FractionPoint(ZI, [(7, 3)], (2, 0)))  # 3.5 + 1.5i
     assert [c.raw for c in y2] == [(3, 1)]
 
 
-def test_round_point_polynomial():
+def test_rounded_polynomial():
     # equal degrees still produce a nonzero quotient: t/(t+1) rounds to 1
-    y = round_point(FractionPoint(F2, [(0, 1)], (1, 1)))
+    y = rounded(FractionPoint(F2, [(0, 1)], (1, 1)))
     assert [c.raw for c in y] == [(1,)]
     # t^2/(t+1) = (t+1) + 1/(t+1)
-    y2 = round_point(FractionPoint(F2, [(0, 0, 1)], (1, 1)))
+    y2 = rounded(FractionPoint(F2, [(0, 0, 1)], (1, 1)))
     assert [c.raw for c in y2] == [(1, 1)]
 
 
@@ -153,12 +159,12 @@ def _f2_of_difference(f, x, y):
 )
 def test_oracle_value_is_f2_of_difference(f, x, fast):
     # fast means the rounded point itself is admissible, so no scan runs
-    assert (0 < _f2_of_difference(f, x, round_point(x)).ext_norm() < 1) == fast
+    assert (0 < _f2_of_difference(f, x, rounded(x)).ext_norm() < 1) == fast
     found = euclidean_step(f, x)
     # equal calls give equal results, with equal hashes
     again = euclidean_step(f, x)
     assert found == again and hash(found) == hash(again)
-    assert (found.y == round_point(x)) == fast
+    assert (found.y == rounded(x)) == fast
     assert found.value == _f2_of_difference(f, x, found.y)
     assert found.vnorm == found.value.ext_norm()
     assert 0 < found.vnorm < 1
@@ -213,7 +219,7 @@ def test_oracle_scan_picks_least_norm_then_least_key(f, x, window):
     # reference: every admissible candidate of the window, sorted; the
     # least norm is tied, and over F_p[t] the scan meets the least key late
     dom = f.domain
-    base = round_point(x)
+    base = rounded(x)
     cands = []
     for offs in product(dom._offset_raws(window), repeat=f.d):
         y = tuple(c + DomainElement(dom, o) for c, o in zip(base, offs))
@@ -231,7 +237,7 @@ def _reference_step(f, x, window):
     candidate.  Returns (y, value, vnorm), or the least nonzero norm when
     no candidate is admissible."""
     dom = f.domain
-    base = round_point(x)
+    base = rounded(x)
     v = _f2_of_difference(f, x, base)
     if 0 < v.ext_norm() < 1:
         return base, v, v.ext_norm()
@@ -284,7 +290,7 @@ def test_oracle_matches_reference_scan(dom):
         if x.is_integral():
             continue
         ref = _reference_step(f, x, window)
-        scanned += not (isinstance(ref, tuple) and ref[0] == round_point(x))
+        scanned += not (isinstance(ref, tuple) and ref[0] == rounded(x))
         if isinstance(ref, Fraction):
             failed += 1
             with pytest.raises(OracleNotFound) as err:
@@ -530,7 +536,7 @@ def test_check_euclidean_shares_a_scan_across_bases():
         x = fail.x
         b = x.den.raw
         residues = tuple(F2._divmod(n.raw, b)[1] for n in x.nums)
-        classes.setdefault((b, residues), set()).add(tuple(c.raw for c in round_point(x)))
+        classes.setdefault((b, residues), set()).add(tuple(c.raw for c in rounded(x)))
     assert any(len(bases) > 1 for bases in classes.values())
 
 

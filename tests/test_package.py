@@ -9,6 +9,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # names removed from the public surface; each had no caller outside the tests
 REMOVED = (
     "add", "mul", "norm", "is_unit", "ext_norm", "is_integral", "reduce_point",
+    "round_point", "random_quadratic",
 )
 
 

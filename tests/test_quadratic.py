@@ -14,8 +14,9 @@ from qdescent import (
     QuadraticPolynomial,
     ZI,
     ZZ,
-    random_quadratic,
 )
+
+from helpers import random_quadratic
 
 F2 = GFpT(2)
 F3 = GFpT(3)

@@ -23,11 +23,12 @@ from qdescent import (
     brute_integral_zero,
     chord_zero,
     parse_form,
-    random_quadratic,
     random_rational_zero,
     verify_adc,
 )
 from qdescent.enumeration import first_zero
+
+from helpers import random_quadratic
 
 F2 = GFpT(2)
 F3 = GFpT(3)
@@ -314,9 +315,9 @@ def test_verify_adc_descends_each_non_integral_point_once(monkeypatch, dom, text
     starts = []
     descend = zerotools._descend
 
-    def spy(f, a, b, window, steps=None):
+    def spy(f, a, b, window):
         starts.append((tuple(a), b))
-        return descend(f, a, b, window, steps)
+        return descend(f, a, b, window)
 
     monkeypatch.setattr(zerotools, "_descend", spy)
     report = verify_adc(parse_form(text, dom), SearchBox(box, height))
