@@ -16,7 +16,7 @@ norm(b) steps, which the descent enforces as a hard cap.
 There is one descent loop, _descend, on raw values: it checks that the
 start a/b is a zero, runs the raw step _step until the denominator is the
 ring's one, and returns the integral raws with the list of every step's
-raws.  _step rounds a/b once (oracle._rounded gives base = round(a/b) and
+raws.  _step rounds a/b once (domains._rounded gives base = round(a/b) and
 w0 = a - b*base), runs the raw oracle (oracle._search) on b, base and w0,
 checks its norm with integers, and takes v = w0 when the witness is base
 itself, else computes v = a - b*y; so v always comes from the step's own
@@ -45,7 +45,8 @@ import sys
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .domains import Domain, DomainElement, FractionPoint, _canonical, _Record
+from .domains import Domain, DomainElement, FractionPoint, _Record
+from .domains import _canonical, _cleared_difference, _rounded
 from .errors import (
     DescentAborted,
     DomainMismatchError,
@@ -57,7 +58,7 @@ from .errors import (
     OracleNotFound,
     ValueNotIntegralError,
 )
-from .oracle import _cleared_difference, _rounded, _search, euclidean_step
+from .oracle import _search, euclidean_step
 from .quadratic import QuadraticPolynomial
 
 

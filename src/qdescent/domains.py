@@ -962,6 +962,19 @@ def _canonical(domain: Domain, nums: list, den, what: str):
     return nums, den
 
 
+def _cleared_difference(dom: Domain, a, b, y) -> list:
+    """The raw vector a - b*y, which is b*(x - y), for x = a/b; all raws."""
+    return [dom._add(n, dom._neg(dom._mul(b, yi))) for n, yi in zip(a, y)]
+
+
+def _rounded(dom: Domain, a, b) -> tuple[tuple, tuple]:
+    """(base, w0) for the raw point a/b: base = round(a/b) coordinatewise
+    and the rounding residue w0 = a - b*base, computed nowhere else.  Both
+    are tuples, so neither can change after an identity test against base."""
+    base = tuple([dom._round_quotient(n, b) for n in a])
+    return base, tuple(_cleared_difference(dom, a, b, base))
+
+
 class FractionElement:
     """An element a/b of the fraction field, kept in canonical form.
 

@@ -2,7 +2,8 @@
 
 Each enumeration has a closed-form count() and is checked against
 SEARCH_BUDGET when iteration starts, so an oversized request raises
-SearchBudgetError before anything is generated:
+SearchBudgetError before anything is generated.  _within_budget is the
+only comparison with SEARCH_BUDGET in the package:
 
 - BoxSweep: the elements of one coordinate box, in Domain._box_raws order;
 - CanonicalPoints: the canonical fraction points a/b with numerators a in
@@ -12,15 +13,17 @@ SearchBudgetError before anything is generated:
   (_q2_rows), never a point at a time.  integral_values(q) yields the raw
   (nums, den, r) where q is integral, every box point at denominator 1
   first with no test; residue_rows(q) splits each denominator's box axis
-  into the classes of its rounding residues a - b*round(a/b) and gives q2
-  and coprimality once per class, which oracle.check_euclidean reads.
+  into the classes of its rounding residues a - b*round(a/b), taken from
+  domains._rounded as the oracle takes them, and gives q2 and coprimality
+  once per class, which oracle.check_euclidean reads.
   Callers build a FractionPoint (through FractionPoint._trusted) only for
   the points they report;
 - first_zero: the first integral zero of a polynomial in graded order,
   that is by (sum of coordinate norms, coordinatewise sort key).  It fixes
   every coordinate but the widest and solves that fiber for the last one:
   over Z with inline integers (_first_zero_z), over Z[i] and F_p[t] by one
-  walk over the domain's raw ops (_first_zero_walk).
+  walk over the domain's raw ops (_first_zero_walk).  _size_first_zero
+  sizes it, and zerotools.verify_adc's witness queries, in one step.
 
 The oracle's window scan is sized the same way, by Domain._offset_count.
 A count too costly to take is math.inf (see domains._COUNT_MAX_SIDE and
@@ -34,7 +37,7 @@ from collections.abc import Sequence
 from functools import partial
 from itertools import chain
 
-from .domains import ZI, Domain, DomainElement, GaussianIntegers, RationalIntegers
+from .domains import ZI, Domain, DomainElement, GaussianIntegers, RationalIntegers, _rounded
 from .errors import SearchBudgetError
 
 # Largest count() an enumeration may start with.  A Z zero search of this
@@ -130,7 +133,7 @@ class CanonicalPoints:
         dom = self.domain
         mul, quotient = dom._mul, dom._quotient_or_none
         axis = list(dom._box_raws(self.box))
-        squares = _square_rows(dom, q, axis, {})
+        squares = _square_rows(dom, q, [axis] * q.d, {})
 
         def fix(nums, j):
             return nums + (axis[j],)
@@ -185,7 +188,6 @@ class CanonicalPoints:
 
     def _residue_rows(self, q):
         dom = self.domain
-        add, neg, mul, rq = dom._add, dom._neg, dom._mul, dom._round_quotient
         axis = list(dom._box_raws(self.box))
         square_memo = {}
         kept = kept_table = None  # the last materialized table, by residues
@@ -194,19 +196,14 @@ class CanonicalPoints:
             return pos + (j,)
 
         for den in dom._denominator_raws(self.height):
-            index, residues, members = {}, [], []
-            for k, u in enumerate(axis):
-                w = add(u, neg(mul(den, rq(u, den))))
-                p = index.get(w)
-                if p is None:
-                    p = index[w] = len(residues)
-                    residues.append(w)
-                    members.append([])
-                members[p].append(k)
+            classes = {}  # residue -> its axis indices, in order of first occurrence
+            for k, w in enumerate(_rounded(dom, axis, den)[1]):
+                classes.setdefault(w, []).append(k)
+            residues, members = list(classes), list(classes.values())
             if residues == kept:
                 table = kept_table
             else:
-                squares = _square_rows(dom, q, residues, square_memo)
+                squares = _square_rows(dom, q, [residues] * q.d, square_memo)
                 table = _q2_rows(dom, q, residues, squares, (), fix)
                 if len(residues) ** q.d <= Q2_TABLE_MAX:
                     kept, kept_table = residues, list(table)
@@ -245,7 +242,7 @@ class CanonicalPoints:
 
 def _square_rows(dom: Domain, q, values, memo: dict) -> list:
     """Per coordinate i, None when q has no X_i^2 term, else the list of
-    c_ii*v^2 over values; memo maps (i, v) to the product across calls."""
+    c_ii*v^2 over v in values[i]; memo maps (i, v) to the product across calls."""
     mul = dom._mul
     out = []
     for i in range(q.d):
@@ -254,7 +251,7 @@ def _square_rows(dom: Domain, q, values, memo: dict) -> list:
             out.append(None)
             continue
         row = []
-        for v in values:
+        for v in values[i]:
             t = memo.get((i, v))
             if t is None:
                 t = memo[i, v] = mul(c, mul(v, v))
@@ -268,7 +265,7 @@ def _q2_rows(dom: Domain, q, values, squares, start, fix):
     order, one row of the last coordinate at a time: (carry, vals) for each
     prefix of the first d - 1 coordinates, with vals[j] = q2(prefix values
     + (values[j],)) and carry = fix(...fix(start, j_0)..., j_{d-2}) over
-    the prefix's positions.  squares is _square_rows(dom, q, values, ...).
+    the prefix's positions.  squares is _square_rows(dom, q, [values] * d, ...).
 
     q2 is summed one coordinate at a time: coordinate i runs over values
     with the tabulated c_ii*v^2, and fixing it adds c_ij*v to the linear
@@ -326,9 +323,19 @@ def first_zero_count(domain: Domain, bounds: Sequence[int]) -> int:
     return math.prod(domain._box_count(b) for i, b in enumerate(bounds) if i != k)
 
 
+def _size_first_zero(domain: Domain, bounds: Sequence[int]) -> int:
+    """first_zero_count(domain, bounds), refused over SEARCH_BUDGET: the
+    sizing step of first_zero and of zerotools.verify_adc's witness total."""
+    count = first_zero_count(domain, bounds)
+    z = isinstance(domain, RationalIntegers)
+    _within_budget(count, "a zero search" if z else "a graded box search")
+    return count
+
+
 def first_zero(f, bounds: Sequence[int]) -> tuple[DomainElement, ...] | None:
     """The first integral zero of f in graded order over the box
     prod_i box(bounds[i]), or None; bounds has one entry per variable."""
+    _size_first_zero(f.domain, bounds)
     if isinstance(f.domain, RationalIntegers):
         return _first_zero_z(f, list(bounds))
     return _first_zero_walk(f, list(bounds))
@@ -368,7 +375,6 @@ def _first_zero_z(f, bounds):
     roots outward.  Only a larger sum is pruned, so ties still go to
     coordinate order, and the search is still sized as every fiber.
     """
-    _within_budget(first_zero_count(f.domain, bounds), "a zero search")
     if min(bounds) < 0:
         return None
     quad, lin = f.quad, f.lin
@@ -514,19 +520,23 @@ def _zi_roots(a, bound, L, R, limit):
     return roots
 
 
-def _fiber_solver(dom: Domain, a, bound: int):
+def _fiber_solver(dom: Domain, a, bound: int, shared: bool):
     """roots(L, R, limit): roots t in box(bound) of a*t^2 + L*t + R, for the
     fixed a; a root of norm over limit may be left out.
 
     Over Z[i] the roots are exact (_zi_roots).  Elsewhere the solved axis
-    is materialized once, in graded order, with a*t^2 precomputed, and
-    tested one t at a time; its first root is the fiber's least in graded
-    order, so no other is returned.
+    is walked in graded order, with a*t^2 beside each t, and tested one t
+    at a time; its first root is the fiber's least in graded order, so no
+    other is returned.  The axis is materialized once when other
+    coordinates make it shared by many fibers; otherwise roots runs once
+    and streams it, so a one-variable search holds O(1) elements.
     """
     if isinstance(dom, GaussianIntegers):
         return partial(_zi_roots, a, bound)
     add, mul, neg = dom._add, dom._mul, dom._neg
-    axis = [(dom._norm(t), t, mul(a, mul(t, t))) for t in dom._graded_raws(bound)]
+    axis = ((dom._norm(t), t, mul(a, mul(t, t))) for t in dom._graded_raws(bound))
+    if shared:
+        axis = list(axis)
 
     def roots(L, R, limit):
         target = neg(R)  # a*t^2 + L*t = -R, raws being canonical
@@ -553,12 +563,11 @@ def _first_zero_walk(f, bounds):
     a tie.  Sized as the whole box.
     """
     dom = f.domain
-    _within_budget(first_zero_count(dom, bounds), "a graded box search")
     add, mul, norm, key = dom._add, dom._mul, dom._norm, dom._sort_key
     quad, lin, zero = f.quad, f.lin, dom._ZERO
     k = _fiber_axis(bounds)
-    roots = _fiber_solver(dom, quad.get((k, k), zero), bounds[k])
     others = [i for i in range(f.d) if i != k]
+    roots = _fiber_solver(dom, quad.get((k, k), zero), bounds[k], bool(others))
     axes = {b: [(norm(u), u) for u in dom._graded_raws(b)] for b in {bounds[i] for i in others}}
     # level p fixes u = y_{others[p]}: its axis, its square coefficient, the
     # coefficient of u*y_k (None for zero, as on every level of a diagonal

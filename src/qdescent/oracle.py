@@ -7,22 +7,17 @@ instances shipped here.  If the rounded value lands on the null cone
 per-coordinate offset window and keeps the strict minimum of (value norm,
 coordinatewise sort key), so identical inputs always give identical output.
 
-The scan never evaluates f2 from scratch.  With w0 = a - b*base and
-f2 = sum_{i<=k} c_ik X_i X_k, the cleared value of a candidate is
-
-    b^2 f2(x - y) = f2(w0 - b*o)
-                  = f2(w0) + sum_k [-b*g_k*o_k + b^2*c_kk*o_k^2]
-                           + b^2 * sum_{i<k} c_ik*o_i*o_k,
-
-where g_k = 2*c_kk*w0_k + sum_{i<k} c_ik*w0_i + sum_{k<j} c_kj*w0_j is the
-gradient row of the table-based bilinear form at w0.  Nothing is halved,
-so the identity holds in characteristic 2.  The offsets are walked axis
-by axis with one running partial sum per depth: the per-axis terms come
-from one precomputed row of |offsets| values per axis, and the cross
-coefficient b^2 * sum_{i<k} c_ik*o_i is formed once per prefix.  So each
-candidate costs O(1) ring operations and an integer comparison of its
-norm against N(b^2), memory is O(d * |offsets|), and a Fraction is built
-only for the winner (or, on failure, for OracleNotFound.min_norm).
+The scan sums the cleared value b^2 f2(x - y) = f2(w0 - b*o), with
+w0 = a - b*base, as CanonicalPoints sums q2: coordinate k runs over the
+values w0_k - b*o, o in the offsets, with c_kk*v^2 tabulated per value
+(enumeration._square_rows), and fixing coordinate i adds c_ik*v to the
+linear coefficient of each later coordinate k.  The walk goes axis by
+axis from zero with one running partial sum per depth, and each prefix
+forms its cross coefficient once.  So each candidate costs O(1) ring
+operations and an integer comparison of its norm against N(b^2), memory
+is O(d * |offsets|), and a Fraction is built only for the winner (or, on
+failure, for OracleNotFound.min_norm).  Nothing is halved, so the sum
+holds in characteristic 2.
 
 The scan is sized in closed form, Domain._offset_count(window) ** d
 candidates, and refused with SearchBudgetError over SEARCH_BUDGET before
@@ -30,11 +25,12 @@ any offset is built.
 
 _search runs all of the above on raw values and returns either the
 winning raws or the least norm seen, wrapping nothing.  It takes the point
-as b and _rounded's (base, w0), so each caller rounds once and the descent
-step, whose fast-path witness is base itself, reuses w0 as its
-v = a - b*y.  euclidean_step, the public oracle, checks its point and
-returns an OracleResult holding the canonical value f2(x - y) (one ring
-gcd).  The descent step calls _search directly and wraps nothing.
+as b and (base, w0) from domains._rounded, the one owner of the rounding
+residue, so each caller rounds once and the descent step, whose fast-path
+witness is base itself, reuses w0 as its v = a - b*y.  euclidean_step,
+the public oracle, checks its point and returns an OracleResult holding
+the canonical value f2(x - y) (one ring gcd).  The descent step calls
+_search directly and wraps nothing.
 
 check_euclidean never runs the oracle point by point, nor decides a point
 at a time.  The verdict at x = a/b, and the least norm of a failing scan,
@@ -56,8 +52,8 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from .domains import DomainElement, FractionElement, FractionPoint, _Record
-from .enumeration import CanonicalPoints, _within_budget
+from .domains import DomainElement, FractionElement, FractionPoint, _Record, _rounded
+from .enumeration import CanonicalPoints, _square_rows, _within_budget
 from .errors import IntegralPointError, OracleNotFound
 from .quadratic import QuadraticPolynomial
 
@@ -85,11 +81,6 @@ class EuclideanReport(_Record):
         return not self.failures
 
 
-def _cleared_difference(dom, a, b, y) -> list:
-    """The raw vector a - b*y, which is b*(x - y), for x = a/b; all raws."""
-    return [dom._add(n, dom._neg(dom._mul(b, yi))) for n, yi in zip(a, y)]
-
-
 def euclidean_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> OracleResult:
     """Find y with 0 < ext_norm(f2(x - y)) < 1, or raise OracleNotFound.
 
@@ -99,7 +90,7 @@ def euclidean_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) ->
     more than SEARCH_BUDGET candidates raises SearchBudgetError.
 
     Every comparison is on integers, N(b^2 f2(x - y)) against N(b^2).  The
-    scan updates b^2 f2(x - y) incrementally from f2(a - b*round(x)) (see
+    scan sums b^2 f2(x - y) = f2(w0 - b*o) one coordinate at a time (see
     the module docstring): O(1) ring operations per candidate and
     O(d * |offsets|) memory.  The sort key of a candidate is formed only
     when its norm ties the least admissible norm so far.
@@ -114,14 +105,6 @@ def euclidean_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) ->
         raise OracleNotFound(x, window, Fraction(n, nb2))
     y = tuple(DomainElement(dom, c) for c in y)
     return OracleResult(y, FractionElement(dom, v, b2), Fraction(n, nb2))
-
-
-def _rounded(dom, a, b) -> tuple[tuple, tuple]:
-    """(base, w0) for the raw point a/b: the coordinatewise rounding
-    base = round(a/b) and w0 = a - b*base.  Both are tuples, so neither can
-    change after an identity test against base."""
-    base = tuple([dom._round_quotient(n, b) for n in a])
-    return base, tuple(_cleared_difference(dom, a, b, base))
 
 
 def _search(f: QuadraticPolynomial, b, base, w0, window: int, first: bool = False):
@@ -155,25 +138,13 @@ def _search(f: QuadraticPolynomial, b, base, w0, window: int, first: bool = Fals
     add, mul, norm, sort_key = dom._add, dom._mul, dom._norm, dom._sort_key
     zero = dom._ZERO
 
-    # gradient row g at w0, the diagonal, and cross[k] = [(i, b^2*c_ik), i < k]
-    g = [zero] * d
-    diag = [zero] * d
-    cross = [[] for _ in range(d)]
-    for (i, j), c in f.quad.items():
-        if i == j:
-            diag[i] = c
-            t = mul(c, w0[i])
-            g[i] = add(g[i], add(t, t))
-        else:
-            g[i] = add(g[i], mul(c, w0[j]))
-            g[j] = add(g[j], mul(c, w0[i]))
-            cross[j].append((i, mul(b2, c)))
-    squares = [mul(o, o) for o in offsets]
-    rows = []  # rows[k][j]: -b*g_k*o_j + b^2*c_kk*o_j^2
-    for k in range(d):
-        lin = dom._neg(mul(b, g[k]))
-        quad = mul(b2, diag[k])
-        rows.append([add(mul(lin, o), mul(quad, sq)) for o, sq in zip(offsets, squares)])
+    # vals[k][j]: coordinate k of w0 - b*offsets[j]; rows[k][j]: its
+    # c_kk*v^2; cross[k] = [(i, c_ik), i < k]
+    shifts = [dom._neg(mul(b, o)) for o in offsets]
+    vals = [[add(w, t) for t in shifts] for w in w0]
+    squares = _square_rows(dom, f, vals, {})
+    rows = [[zero] * len(offsets) if r is None else r for r in squares]
+    cross = [[(i, f.quad[i, k]) for i in range(k) if (i, k) in f.quad] for k in range(d)]
 
     def key_of(ix):
         return tuple(sort_key(add(bk, offsets[j])) for bk, j in zip(base, ix))
@@ -185,11 +156,11 @@ def _search(f: QuadraticPolynomial, b, base, w0, window: int, first: bool = Fals
     def walk(k, s):
         nonlocal least, at, at_num, at_key
         row = rows[k]
-        lk = zero
-        for i, c in cross[k]:
-            lk = add(lk, mul(c, offsets[idx[i]]))
-        if not dom._is_zero(lk):
-            row = [add(r, mul(lk, o)) for r, o in zip(row, offsets)]
+        if cross[k]:
+            lk = zero
+            for i, c in cross[k]:
+                lk = add(lk, mul(c, vals[i][idx[i]]))
+            row = [add(r, mul(lk, v)) for r, v in zip(row, vals[k])]
         if k + 1 < d:
             for j, r in enumerate(row):
                 idx[k] = j
@@ -213,7 +184,7 @@ def _search(f: QuadraticPolynomial, b, base, w0, window: int, first: bool = Fals
                         at, at_num, at_key = tuple(idx), v, key
         return False
 
-    walk(0, f2w0)
+    walk(0, zero)
     if least >= nb2:
         return None, None, (least if at is not None else 0), b2, nb2
     y = [add(bk, offsets[j]) for bk, j in zip(base, at)]

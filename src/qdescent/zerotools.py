@@ -6,9 +6,9 @@ enumeration.first_zero, which solves each fiber of the widest coordinate
 for it: over Z exactly, in O(B^(d-1)) time and O(1) memory for a box of
 radius B; over Z[i] exactly, in at most (2B+1)^(2(d-1)) fibers; over
 F_p[t] by testing the solved axis on each fiber.  Every search is sized
-before it starts and refused with SearchBudgetError over
-enumeration.SEARCH_BUDGET; Z[i] and F_p[t] searches are sized as their
-whole box.
+before it starts by enumeration._size_first_zero, the one owner of the
+rule, and refused with SearchBudgetError over enumeration.SEARCH_BUDGET;
+Z[i] and F_p[t] searches are sized as their whole box.
 
 chord_zero turns one integral zero into further rational zeros: the line
 y0 + T*w meets the zero set in a second point at T = -B/A, read off from
@@ -52,8 +52,8 @@ from .errors import (
     SearchBudgetError,
 )
 from .descent import _descend
-from .enumeration import SEARCH_BUDGET, CanonicalPoints, _within_budget
-from .enumeration import _is_positive_diagonal_z, first_zero, first_zero_count
+from .enumeration import CanonicalPoints, _is_positive_diagonal_z, _size_first_zero
+from .enumeration import _within_budget, first_zero
 from .quadratic import QuadraticPolynomial
 
 
@@ -175,10 +175,11 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
     a box inside box(num_bound).  Only a missing value over a box reaching
     past box(num_bound) runs the graded search, _first_value_witness.
 
-    The sweep and each witness search are sized before they start, and the
-    witness queries of one call are also sized together: each query adds
-    the first_zero count of its box, whether or not its search runs, and
-    the query that takes the total past SEARCH_BUDGET is refused.
+    The sweep is sized before it starts.  Each witness query is sized by
+    enumeration._size_first_zero whether or not its search runs, so one
+    over the budget by itself is refused as first_zero refuses it, and it
+    adds that count to the call's total: the query that takes the total
+    past SEARCH_BUDGET is refused.
     """
     if not q.is_form():
         raise NotAFormError("the representation check needs a homogeneous form")
@@ -209,11 +210,7 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
             ]
         else:
             bounds = [radius] * d
-        count = first_zero_count(dom, bounds)
-        if not count <= SEARCH_BUDGET:
-            # a search over the budget by itself is refused by first_zero
-            return _first_value_witness(shift(r_raw), r_raw, bounds)
-        searched += count
+        searched += _size_first_zero(dom, bounds)
         _within_budget(searched, "the witness searches of a representation check")
         witness = taken.get(r_raw)
         if witness is None and max(bounds) > box.num_bound:

@@ -12,7 +12,6 @@ import qdescent.cli as cli_module
 import qdescent.descent as descent_module
 import qdescent.enumeration as enumeration_module
 import qdescent.oracle as oracle_module
-import qdescent.zerotools as zerotools_module
 from qdescent.cli import main, parse_point
 from qdescent import (
     ExactDivisionError,
@@ -640,6 +639,21 @@ def test_three_squares_json(capsys):
     assert doc["steps"]
 
 
+def test_three_squares_at_the_zero_search_budget(capsys):
+    # isqrt(2499560) = 1580 leaves 3161^2 = 9,991,921 fibers, inside the
+    # budget; isqrt(2500001) = 1581 leaves 3163^2, refused before the search
+    code, out, err = run(capsys, "three-squares", "--n", "2499560")
+    assert (code, err) == (0, "")
+    coords = [int(c) for c in out.strip().splitlines()[-1].strip("()").split(",")]
+    assert sum(c * c for c in coords) == 2499560
+    code, out, err = run(capsys, "three-squares", "--n", "2500001")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a zero search would enumerate 10004569 candidates, "
+        "over the search budget of 10000000\n"
+    )
+
+
 @pytest.mark.parametrize(
     "n, start, result, digest",
     [
@@ -888,8 +902,7 @@ def test_check_adc_corpus_digest(capsys, monkeypatch):
     # (window, format) pairs, under a budget of 10^5 so that the sweep, the
     # witness total and a witness search alone are all refused somewhere;
     # the digest covers the exit code, stdout and stderr of all 252 runs
-    for module in (enumeration_module, zerotools_module):
-        monkeypatch.setattr(module, "SEARCH_BUDGET", 100_000)
+    monkeypatch.setattr(enumeration_module, "SEARCH_BUDGET", 100_000)
     pairs = [("0", "text"), ("2", "json"), ("0", "json"), ("2", "text")]
     digest = hashlib.sha256()
     outcomes = Counter()
@@ -912,6 +925,21 @@ def test_check_adc_corpus_digest(capsys, monkeypatch):
         (2, "error: a graded box search"): 1,
     }
     assert digest.hexdigest() == "70cef262176d14f0d4d72f928f87d4b23a1a5b29f1c2992dbcb003fc55ab6760"
+
+
+def test_check_adc_witness_search_refused_by_the_enumeration_budget(capsys, monkeypatch):
+    # the budget has one owner: a witness search over it by itself is
+    # refused as first_zero refuses it, under the budget enumeration holds
+    monkeypatch.setattr(enumeration_module, "SEARCH_BUDGET", 100_000)
+    code, out, err = run(
+        capsys, "check", "adc", "--domain", "Zi", "--form", "x*y+(1+i)*z^2",
+        "--height", "2", "--box", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a graded box search would enumerate 1771561 candidates, "
+        "over the search budget of 100000\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -489,6 +489,15 @@ def test_budget_applies_to_z_fibers(monkeypatch):
     assert raws(brute_integral_zero(f, SearchBox(4))) == (-3, -2, 0)  # 81 fibers
     with pytest.raises(SearchBudgetError):
         brute_integral_zero(f, SearchBox(5))  # 121 fibers
+    # a form with cross terms is sized the same way, by its fibers
+    g = parse_form("x^2+3*x*y-y^2+2*y*z+z^2-5", ZZ)
+    assert first_zero_count(ZZ, [4, 4, 4]) == 81
+    assert raws(first_zero(g, [4, 4, 4])) == reference_first_zero(g, [4, 4, 4])
+    with pytest.raises(SearchBudgetError) as err:
+        first_zero(g, [5, 5, 5])
+    assert str(err.value) == (
+        "a zero search would enumerate 121 candidates, over the search budget of 100"
+    )
 
 
 def test_cli_budget_refusal_exit_2(capsys):

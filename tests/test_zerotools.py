@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -57,6 +58,19 @@ def test_brute_integral_zero_char2():
     zero = brute_integral_zero(f, SearchBox(3))
     assert zero is not None
     assert f.eval_at_integral(zero).is_zero()
+
+
+def test_brute_integral_zero_streams_a_one_variable_fpt_axis():
+    # x^2 + t has no root in F_2[t], so the search tests all 2^15 elements
+    # of its one axis, streamed rather than held
+    f = parse_form("x^2+t", F2)
+    tracemalloc.start()
+    try:
+        assert brute_integral_zero(f, SearchBox(14)) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_chord_zero_frozen():
