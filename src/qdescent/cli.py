@@ -52,10 +52,6 @@ def parse_point(text: str, domain) -> FractionPoint:
     return FractionPoint(domain, coords, parse_element(den_text, domain))
 
 
-def _result_text(pt) -> str:
-    return "(" + ",".join(str(c) for c in pt) + ")"
-
-
 def _step_rows(steps):
     rows = []
     for k, s in enumerate(steps):
@@ -87,29 +83,30 @@ def _trace_lines(steps):
     ]
 
 
-def _trace_text(args, domain, f, x, trace, extra):
+def _trace_text(args, domain, f, x, trace, extra, n):
     if args.format == "json":
-        doc = {
-            "domain": domain.name,
-            "form": format_form(f),
-            "start": str(x),
-            "steps": _step_rows(trace.steps),
-            "result": [str(c) for c in trace.result],
-        }
+        doc = {"domain": domain.name, "form": format_form(f)}
+        if n is not None:
+            doc["n"] = n
+        doc["start"] = str(x)
+        doc["steps"] = _step_rows(trace.steps)
+        doc["result"] = [str(c) for c in trace.result]
         doc.update((key, str(val)) for key, val in (extra or {}).items())
         return json.dumps(doc, indent=2)
-    lines = _trace_lines(trace.steps) if args.trace else []
-    lines.append(_result_text(trace.result))
+    lines = [] if n is None else [f"start={x}"]
+    if args.trace:
+        lines.extend(_trace_lines(trace.steps))
+    lines.append("(" + ",".join(str(c) for c in trace.result) + ")")
     lines.extend(f"{key}={val}" for key, val in (extra or {}).items())
     return "\n".join(lines)
 
 
-def _emit_trace(args, domain, f, x, trace, extra=None):
+def _emit_trace(args, domain, f, x, trace, extra=None, n=None):
     # the whole text is made before anything is printed: str() of an int
     # over the interpreter's digit limit raises ValueError, and that ends
     # the command with one error line, not a bare message or half a document
     try:
-        text = _trace_text(args, domain, f, x, trace, extra)
+        text = _trace_text(args, domain, f, x, trace, extra, n)
     except ValueError as err:
         raise ValueError(
             f"the output would hold an integer of more than {sys.get_int_max_str_digits()} "
@@ -152,28 +149,12 @@ def cmd_three_squares(args) -> int:
     f = QuadraticPolynomial(domain, 3, {(0, 0): 1, (1, 1): 1, (2, 2): 1}, const=-n)
     y0 = brute_integral_zero(f, SearchBox(math.isqrt(n)))
     if y0 is None:
-        # cannot happen: every n outside the 4^a(8b+7) family is a sum of
-        # three squares, and the box bound sqrt(n) is exhaustive
-        print(f"error: no integral witness found for n={n}", file=sys.stderr)
-        return 2
+        # every n outside the 4^a(8b+7) family is a sum of three squares,
+        # and the box bound sqrt(n) is exhaustive
+        raise InternalInvariantError(f"no integral witness found for n={n} in box(isqrt(n))")
     x = random_rational_zero(f, y0, seed=args.seed)
     trace = descend(f, x, window=args.window)
-    if args.format == "json":
-        doc = {
-            "domain": domain.name,
-            "form": format_form(f),
-            "n": n,
-            "start": str(x),
-            "steps": _step_rows(trace.steps),
-            "result": [str(c) for c in trace.result],
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"start={x}")
-        if args.trace:
-            for line in _trace_lines(trace.steps):
-                print(line)
-        print(_result_text(trace.result))
+    _emit_trace(args, domain, f, x, trace, n=n)
     return 0
 
 

@@ -45,7 +45,7 @@ import sys
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .domains import Domain, DomainElement, FractionPoint, _Record
+from .domains import Domain, DomainElement, FractionPoint, _Record, _Report
 from .domains import _canonical, _cleared_difference, _rounded
 from .errors import (
     DescentAborted,
@@ -298,13 +298,9 @@ class N2Failure(_Record):
     reason: str
 
 
-class N2Report(_Record):
+class N2Report(_Report):
     checked: int
     failures: tuple[N2Failure, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def check_n2(

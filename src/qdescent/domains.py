@@ -93,6 +93,14 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+class _Report(_Record):
+    """Base of the check reports: a report is ok when failures is empty."""
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
 def _round_half_toward_zero(n: int, d: int) -> int:
     """Nearest integer to n/d for d > 0, ties broken toward zero."""
     q, r = divmod(n, d)
@@ -1136,13 +1144,9 @@ _set_point_den = FractionPoint.den.__set__
 # -- norm-axiom spot checks ------------------------------------------------
 
 
-class NormAxiomReport(_Record):
+class NormAxiomReport(_Report):
     checked: int
     failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def check_norm_axioms(

@@ -10,7 +10,9 @@ only comparison with SEARCH_BUDGET in the package:
   a box and b a normalized non-unit denominator, gcd(a, b) a unit,
   denominators first.  It is walked one denominator at a time, in rows of
   the last coordinate, with a form's q2 summed one coordinate at a time
-  (_q2_rows), never a point at a time.  integral_values(q) yields the raw
+  (_q2_rows), never a point at a time; _q2_table, the one owner of
+  Q2_TABLE_MAX, decides whether those rows are kept for the next
+  denominator or summed again.  integral_values(q) yields the raw
   (nums, den, r) where q is integral, every box point at denominator 1
   first with no test; residue_rows(q) splits each denominator's box axis
   into the classes of its rounding residues a - b*round(a/b), taken from
@@ -44,10 +46,10 @@ from .errors import SearchBudgetError
 # many fibers takes seconds; three-squares up to n ~ 2.5e6 stays inside.
 SEARCH_BUDGET = 10**7
 
-# CanonicalPoints.integral_values keeps the q2 values of the whole box, summed
-# once for every denominator, up to this many points (box_count^d), and
-# residue_rows the q2 values of the residue classes (classes^d); past it
-# each sums them again per denominator and keeps one row at a time.
+# _q2_table keeps a q2 table of up to this many values: the whole box
+# (box_count^d) for CanonicalPoints.integral_values, summed once for every
+# denominator, and the residue classes (classes^d) for residue_rows; past
+# it the table is summed again per denominator, one row at a time.
 Q2_TABLE_MAX = 1 << 16
 
 
@@ -119,11 +121,12 @@ class CanonicalPoints:
         Sized as count() + box_count^d and refused like residue_rows,
         before anything is evaluated.  q2 does not depend on den, so its
         rows are summed once and kept for every denominator while the box
-        has at most Q2_TABLE_MAX points; a larger box is summed again per
-        denominator, in O(d * box) memory.  At denominator 1 every box
-        point is yielded with r = q2(nums), with no division and no gcd
-        test; past it only the points where den^2 divides q2 go through
-        the gcd filter.
+        has at most Q2_TABLE_MAX points (_q2_table); a larger box is summed
+        again per denominator, in O(d * box) memory.  At denominator 1 every
+        box point is yielded with r = q2(nums), with no division and no gcd
+        test, its row's axis indices mapped to numerators once per row; past
+        it a row is mapped at its first point where den^2 divides q2, and
+        only those points go through the gcd filter.
         """
         box_points = self.domain._box_count(self.box) ** self.d
         _within_budget(self.count() + box_points, "a canonical point sweep")
@@ -133,26 +136,23 @@ class CanonicalPoints:
         dom = self.domain
         mul, quotient = dom._mul, dom._quotient_or_none
         axis = list(dom._box_raws(self.box))
-        squares = _square_rows(dom, q, [axis] * q.d, {})
-
-        def fix(nums, j):
-            return nums + (axis[j],)
-
-        rows = partial(_q2_rows, dom, q, axis, squares, (), fix)
-        if len(axis) ** q.d <= Q2_TABLE_MAX:
-            rows = list(rows()).__iter__
+        rows = _q2_table(dom, q, axis, _square_rows(dom, q, [axis] * q.d, {}))
         # denominator 1: every box point, with its own q2 as r, with no
         # division by 1 and no gcd with 1, which is always a unit
         one = dom._ONE
-        for prefix, vals in rows():
+        for pos, vals in rows():
+            prefix = tuple(map(axis.__getitem__, pos))
             for u, v in zip(axis, vals):
                 yield prefix + (u,), one, v
         for den in dom._denominator_raws(self.height):
             den2 = mul(den, den)
-            for prefix, vals in rows():
+            for pos, vals in rows():
+                prefix = None  # mapped at the row's first passing point
                 for u, v in zip(axis, vals):
                     r = quotient(v, den2)
                     if r is not None:
+                        if prefix is None:
+                            prefix = tuple(map(axis.__getitem__, pos))
                         nums = prefix + (u,)
                         if _coprime(dom, nums, den):
                             yield nums, den, r
@@ -176,8 +176,8 @@ class CanonicalPoints:
         as gcd(g, h_k), since gcd(g, u) ~ gcd(g, w) ~ gcd(g, h_k) for the
         residue w of u; a unit h_k makes every point through it coprime.
         The q2 table over residues^d is summed one coordinate at a time
-        (_q2_rows), kept while its len(residues)^d values fit in
-        Q2_TABLE_MAX, and reused by the next denominator with the same
+        (_q2_rows), kept by _q2_table while its len(residues)^d values fit
+        in Q2_TABLE_MAX, and reused by the next denominator with the same
         residues (every b past the box); otherwise it is summed again per
         denominator.  c_ii*w^2 is taken once per residue for the whole
         sweep.  Sized and refused like integral_values, before anything is
@@ -190,25 +190,16 @@ class CanonicalPoints:
         dom = self.domain
         axis = list(dom._box_raws(self.box))
         square_memo = {}
-        kept = kept_table = None  # the last materialized table, by residues
-
-        def fix(pos, j):
-            return pos + (j,)
-
+        kept = rows = None  # the q2 table of the last residues
         for den in dom._denominator_raws(self.height):
             classes = {}  # residue -> its axis indices, in order of first occurrence
             for k, w in enumerate(_rounded(dom, axis, den)[1]):
                 classes.setdefault(w, []).append(k)
             residues, members = list(classes), list(classes.values())
-            if residues == kept:
-                table = kept_table
-            else:
+            if residues != kept:
                 squares = _square_rows(dom, q, [residues] * q.d, square_memo)
-                table = _q2_rows(dom, q, residues, squares, (), fix)
-                if len(residues) ** q.d <= Q2_TABLE_MAX:
-                    kept, kept_table = residues, list(table)
-                    table = kept_table
-            yield den, axis, residues, members, self._coprime_rows(den, residues, table)
+                kept, rows = residues, _q2_table(dom, q, residues, squares)
+            yield den, axis, residues, members, self._coprime_rows(den, residues, rows())
 
     def _coprime_rows(self, den, residues, table):
         gcd, is_unit = self.domain._gcd, self.domain._is_unit
@@ -260,12 +251,22 @@ def _square_rows(dom: Domain, q, values, memo: dict) -> list:
     return out
 
 
-def _q2_rows(dom: Domain, q, values, squares, start, fix):
+def _q2_table(dom: Domain, q, values, squares):
+    """rows() yielding _q2_rows(dom, q, values, squares), the one owner of
+    Q2_TABLE_MAX: the rows are summed once and kept while the table's
+    len(values)^d values fit in it, and summed again on each call past it."""
+    if len(values) ** q.d <= Q2_TABLE_MAX:
+        return list(_q2_rows(dom, q, values, squares)).__iter__
+    return partial(_q2_rows, dom, q, values, squares)
+
+
+def _q2_rows(dom: Domain, q, values, squares):
     """q2 over the product of values in q's d coordinates, in product
-    order, one row of the last coordinate at a time: (carry, vals) for each
-    prefix of the first d - 1 coordinates, with vals[j] = q2(prefix values
-    + (values[j],)) and carry = fix(...fix(start, j_0)..., j_{d-2}) over
-    the prefix's positions.  squares is _square_rows(dom, q, [values] * d, ...).
+    order, one row of the last coordinate at a time: (pos, vals) for each
+    prefix of the first d - 1 coordinates, with pos the prefix's indices
+    into values and vals[j] = q2(values at pos + (values[j],)).  squares
+    is _square_rows(dom, q, [values] * d, ...).  Callers take the rows
+    through _q2_table, which decides whether they are kept.
 
     q2 is summed one coordinate at a time: coordinate i runs over values
     with the tabulated c_ii*v^2, and fixing it adds c_ij*v to the linear
@@ -287,9 +288,9 @@ def _q2_rows(dom: Domain, q, values, squares, start, fix):
             vals = [add(v, mul(lin, w)) for v, w in zip(vals, values)]
         return vals
 
-    def rows(i, carry, s, lins):
+    def rows(i, pos, s, lins):
         if i == d - 1:
-            yield carry, row(i, s, lins[i])
+            yield pos, row(i, s, lins[i])
             return
         for j, (w, v) in enumerate(zip(values, row(i, s, lins[i]))):
             nxt = lins
@@ -298,9 +299,9 @@ def _q2_rows(dom: Domain, q, values, squares, start, fix):
                 for k, c in cross[i]:
                     m = mul(c, w)
                     nxt[k] = m if nxt[k] is None else add(nxt[k], m)
-            yield from rows(i + 1, fix(carry, j), v, nxt)
+            yield from rows(i + 1, pos + (j,), v, nxt)
 
-    return rows(0, start, dom._ZERO, [None] * d)
+    return rows(0, (), dom._ZERO, [None] * d)
 
 
 def _coprime(dom: Domain, nums, den) -> bool:

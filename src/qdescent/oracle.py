@@ -52,7 +52,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from .domains import DomainElement, FractionElement, FractionPoint, _Record, _rounded
+from .domains import DomainElement, FractionElement, FractionPoint, _Record, _Report, _rounded
 from .enumeration import CanonicalPoints, _square_rows, _within_budget
 from .errors import IntegralPointError, OracleNotFound
 from .quadratic import QuadraticPolynomial
@@ -72,13 +72,9 @@ class EuclideanFailure(_Record):
     min_norm: Fraction
 
 
-class EuclideanReport(_Record):
+class EuclideanReport(_Report):
     checked: int
     failures: tuple[EuclideanFailure, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def euclidean_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> OracleResult:

@@ -61,20 +61,17 @@ class QuadraticPolynomial:
             if i >= d:
                 raise DimensionMismatchError("linear part longer than dimension")
             linv[i] = domain.coerce_raw(c)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "d", d)
         quad = {k: table[k] for k in sorted(table)}
-        object.__setattr__(self, "quad", quad)
-        object.__setattr__(
-            self,
-            "_quad_terms",
-            tuple((i, j, None if c == domain._ONE else c) for (i, j), c in quad.items()),
-        )
-        object.__setattr__(self, "lin", tuple(linv))
-        object.__setattr__(
-            self, "_lin_terms", tuple((i, c) for i, c in enumerate(linv) if not domain._is_zero(c))
-        )
-        object.__setattr__(self, "const", domain.coerce_raw(const))
+        self._fill(domain, d, quad, tuple(linv), domain.coerce_raw(const),
+                   tuple((i, j, None if c == domain._ONE else c) for (i, j), c in quad.items()),
+                   tuple((i, c) for i, c in enumerate(linv) if not domain._is_zero(c)))
+
+    def _fill(self, *values):
+        """Set the slots of a new polynomial to values, in __slots__ order,
+        and return it: the one writer of a polynomial's fields."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticPolynomial is immutable")
@@ -206,15 +203,9 @@ class QuadraticPolynomial:
         (quad copied) instead of rebuilding them in the constructor."""
         dom = self.domain
         const = dom._add(self.const, dom._neg(dom.coerce_raw(r)))
-        out = object.__new__(QuadraticPolynomial)
-        object.__setattr__(out, "domain", dom)
-        object.__setattr__(out, "d", self.d)
-        object.__setattr__(out, "quad", dict(self.quad))
-        object.__setattr__(out, "_quad_terms", self._quad_terms)
-        object.__setattr__(out, "lin", self.lin)
-        object.__setattr__(out, "_lin_terms", self._lin_terms)
-        object.__setattr__(out, "const", const)
-        return out
+        return object.__new__(QuadraticPolynomial)._fill(
+            dom, self.d, dict(self.quad), self.lin, const, self._quad_terms, self._lin_terms
+        )
 
     def __eq__(self, other):
         if not isinstance(other, QuadraticPolynomial):

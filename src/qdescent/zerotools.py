@@ -29,8 +29,9 @@ most witness queries; the graded zero search runs only for the rest.
 Every other point that passes is descended on raws by descent._descend,
 the loop adc_represent runs, with every certificate of every step, on
 q - r, which is built only for the values such a descent or a witness
-search needs, once per value.  A FractionPoint is built only for a point
-that is reported.  A descent that merely fails for want of an
+search needs, once per value; the zero check of its last step,
+q2(y) - r = 0, certifies q(y) = r.  A FractionPoint is built only for a
+point that is reported.  A descent that merely fails for want of an
 oracle witness is classified "inapplicable", not a failure: it does not
 refute value representability, it only means the quadratic part is not
 covered by the rounding oracle there (the four-squares form at
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 import random
 
-from .domains import DomainElement, FractionPoint, _Record
+from .domains import DomainElement, FractionPoint, _Record, _Report
 from .errors import (
     InternalInvariantError,
     IsotropicDirectionError,
@@ -141,14 +142,10 @@ class AdcFinding(_Record):
     detail: str
 
 
-class AdcReport(_Record):
+class AdcReport(_Report):
     checked: int
     failures: tuple[AdcFinding, ...]
     inapplicable: tuple[AdcFinding, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcReport:
@@ -162,7 +159,8 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
 
     An integral point a is checked in place: q2(a) must equal the sweep's
     r (InternalInvariantError otherwise), and it takes no descent.  Only a
-    non-integral point is descended, on q - r built for its value r.
+    non-integral point is descended, on q - r built for its value r, and
+    the last step of that descent certifies q(y) = r for its result y.
 
     The sweep runs denominator 1 first, where every point a of
     box(num_bound)^d passes with its value r = q2(a); the first such point
@@ -242,16 +240,13 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
             y = None
             note = f"no oracle witness in window {window} (best norm {err.min_norm})"
         if y is not None:
-            # the descent's result has its value checked here
-            if f2(y) != r_raw:
-                found, detail = failures, "descent result has the wrong value"
-            else:
-                radius = box.num_bound
-                if not diagonal:
-                    radius = max([radius] + [dom._box_radius(c) for c in y])
-                if brute_witness(r_raw, radius) is not None:
-                    continue
-                found, detail = failures, "brute search missed a value descent represents"
+            # the last step's zero check, q2(y) - r = 0, certified q(y) = r
+            radius = box.num_bound
+            if not diagonal:
+                radius = max([radius] + [dom._box_radius(c) for c in y])
+            if brute_witness(r_raw, radius) is not None:
+                continue
+            found, detail = failures, "brute search missed a value descent represents"
         elif brute_witness(r_raw, box.num_bound) is not None:
             found, detail = inapplicable, note + "; brute search still represents the value"
         elif diagonal:

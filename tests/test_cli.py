@@ -639,6 +639,14 @@ def test_three_squares_json(capsys):
     assert doc["steps"]
 
 
+def test_three_squares_missing_witness_is_an_internal_fault(capsys, monkeypatch):
+    # the box isqrt(n) holds a witness for every n outside 4^a(8b+7)
+    monkeypatch.setattr(cli_module, "brute_integral_zero", lambda f, box: None)
+    code, out, err = run(capsys, "three-squares", "--n", "13")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal invariant violated: ") and err.count("\n") == 1
+
+
 def test_three_squares_at_the_zero_search_budget(capsys):
     # isqrt(2499560) = 1580 leaves 3161^2 = 9,991,921 fibers, inside the
     # budget; isqrt(2500001) = 1581 leaves 3163^2, refused before the search
@@ -675,6 +683,46 @@ def test_three_squares_json_golden(capsys, n, start, result, digest):
     doc = json.loads(out)
     assert (doc["start"], doc["result"]) == (start, result)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cli_trace_corpus_digest(capsys):
+    # descend, represent and three-squares in text, --trace and json: chord
+    # zeros of the descent corpus over Z, Zi, F_2[t] and F_3[t] at windows 2
+    # and 0, a descent aborted for want of an oracle witness (exit 2), and n
+    # both representable and obstructed (exit 3); the digest covers the exit
+    # code, stdout and stderr of all 96 runs
+    digest = hashlib.sha256()
+    outcomes = Counter()
+
+    def record(*argv):
+        for fmt in ((), ("--trace",), ("--format", "json")):
+            code, out, err = run(capsys, *argv, *fmt)
+            digest.update(f"{code}\0{out}\0{err}\0".encode())
+            outcomes[argv[0], code] += 1
+
+    for dom, text, qtext, c, box in DESCENT_CORPUS:
+        f = parse_form(text, dom)
+        g = parse_form(f"{qtext}-({c})", dom)
+        f_zero = brute_integral_zero(f, SearchBox(box))
+        g_zero = brute_integral_zero(g, SearchBox(box))
+        for seed, window in ((0, "2"), (1, "2"), (2, "0")):
+            x = random_rational_zero(f, f_zero, seed=seed, height_min=3, direction_bound=40)
+            record("descend", "--domain", dom.name, "--form", text, "--point", str(x),
+                   "--window", window)
+            x = random_rational_zero(g, g_zero, seed=seed, height_min=3, direction_bound=40)
+            record("represent", "--domain", dom.name, "--form", qtext, "--point", str(x),
+                   "--window", window)
+    # the four-squares form has no oracle witness at (1,1,1,1)/2
+    record("descend", "--domain", "Z", "--form", "w^2+x^2+y^2+z^2-1", "--point", "1,1,1,1/2")
+    record("represent", "--domain", "Z", "--form", "w^2+x^2+y^2+z^2", "--point", "1,1,1,1/2")
+    for argv in (["--n", "1"], ["--n", "7"], ["--n", "13", "--seed", "3"], ["--n", "48"],
+                 ["--n", "60"], ["--n", "2011", "--window", "0"]):
+        record("three-squares", *argv)
+    assert outcomes == {
+        ("descend", 0): 33, ("descend", 2): 6, ("represent", 0): 33, ("represent", 2): 6,
+        ("three-squares", 0): 12, ("three-squares", 3): 6,
+    }
+    assert digest.hexdigest() == "a7a31d969f79605e8a4d4f75c87866cfc9cedaaf40892f70f8a2b9552d4d5cd4"
 
 
 # -- check ------------------------------------------------------------------

@@ -1,10 +1,13 @@
+import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
 
 import qdescent
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # names removed from the public surface; each had no caller outside the tests
 REMOVED = (
@@ -48,3 +51,24 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out == "[]\n"
+
+
+def test_every_traced_name_resolves():
+    # perfbench's tracer wraps each SPANS entry by looking its function up
+    # in the module's (or class's) __dict__; read the table without
+    # importing the tracer, so a deleted or renamed name fails here by name
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    (table,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets)
+    ]
+    spans = ast.literal_eval(table)
+    assert spans
+    for name, (modname, attr) in spans.items():
+        owner = importlib.import_module(modname)
+        if "." in attr:
+            cls, attr = attr.split(".")
+            owner = owner.__dict__.get(cls)
+            assert isinstance(owner, type), f"{name}: {modname}.{cls} is not a class"
+        assert callable(owner.__dict__.get(attr)), f"{name}: {modname} has no {attr!r}"
