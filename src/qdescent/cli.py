@@ -158,17 +158,19 @@ def cmd_three_squares(args) -> int:
     return 0
 
 
-def _print_report(args, checked, failure_lines, extra_lines=(), extra_summary=""):
+def _print_report(args, checked, failure_lines, inapplicable=None):
+    # inapplicable (check adc's lines): always counted in text, listed in json when any
     if args.format == "json":
         doc = {"checked": checked, "failures": list(failure_lines)}
-        if extra_lines:
-            doc["inapplicable"] = list(extra_lines)
+        if inapplicable:
+            doc["inapplicable"] = inapplicable
         print(json.dumps(doc, indent=2))
     else:
-        print(f"checked={checked} failures={len(failure_lines)}" + extra_summary)
+        counted = "" if inapplicable is None else f" inapplicable={len(inapplicable)}"
+        print(f"checked={checked} failures={len(failure_lines)}{counted}")
         for line in failure_lines:
             print(line)
-        for line in extra_lines:
+        for line in inapplicable or ():
             print(f"inapplicable: {line}")
     return 0 if not failure_lines else 2
 
@@ -188,15 +190,9 @@ def cmd_check_adc(args) -> int:
     domain = domain_from_name(args.domain)
     q = parse_form(args.form, domain)
     report = verify_adc(q, SearchBox(args.box, args.height), window=args.window)
-    fail_lines = [f"x={f.x} value={f.value}: {f.detail}" for f in report.failures]
+    lines = [f"x={f.x} value={f.value}: {f.detail}" for f in report.failures]
     extra = [f"x={f.x} value={f.value}: {f.detail}" for f in report.inapplicable]
-    return _print_report(
-        args,
-        report.checked,
-        fail_lines,
-        extra_lines=extra,
-        extra_summary=f" inapplicable={len(extra)}",
-    )
+    return _print_report(args, report.checked, lines, inapplicable=extra)
 
 
 def cmd_check_norm_axioms(args) -> int:

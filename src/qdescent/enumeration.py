@@ -9,17 +9,17 @@ only comparison with SEARCH_BUDGET in the package:
 - CanonicalPoints: the canonical fraction points a/b with numerators a in
   a box and b a normalized non-unit denominator, gcd(a, b) a unit,
   denominators first.  It is walked one denominator at a time, in rows of
-  the last coordinate, with a form's q2 summed one coordinate at a time
-  (_q2_rows), never a point at a time; _q2_table, the one owner of
-  Q2_TABLE_MAX, decides whether those rows are kept for the next
-  denominator or summed again.  integral_values(q) yields the raw
-  (nums, den, r) where q is integral, every box point at denominator 1
-  first with no test; residue_rows(q) splits each denominator's box axis
-  into the classes of its rounding residues a - b*round(a/b), taken from
-  domains._rounded as the oracle takes them, and gives q2 and coprimality
-  once per class, which oracle.check_euclidean reads.
-  Callers build a FractionPoint (through FractionPoint._trusted) only for
-  the points they report;
+  the last coordinate (_q2_rows), never a point at a time, with q2 summed
+  one coordinate at a time by _q2_prefixes, the package's one q2 walk;
+  _q2_table, the one owner of Q2_TABLE_MAX, decides whether those rows are
+  kept for the next denominator or summed again.  integral_values(q)
+  yields the raw (nums, den, r) where q is integral, every box point at
+  denominator 1 first with no test; residue_rows(q) splits each
+  denominator's box axis into the classes of its rounding residues
+  a - b*round(a/b), taken from domains._rounded as the oracle takes them,
+  and gives q2 and coprimality once per class, which
+  oracle.check_euclidean reads.  Callers build a FractionPoint (through
+  FractionPoint._trusted) only for the points they report;
 - first_zero: the first integral zero of a polynomial in graded order,
   that is by (sum of coordinate norms, coordinatewise sort key).  It fixes
   every coordinate but the widest and solves that fiber for the last one:
@@ -27,7 +27,8 @@ only comparison with SEARCH_BUDGET in the package:
   walk over the domain's raw ops (_first_zero_walk).  _size_first_zero
   sizes it, and zerotools.verify_adc's witness queries, in one step.
 
-The oracle's window scan is sized the same way, by Domain._offset_count.
+The oracle's window scan is sized the same way, by Domain._offset_count,
+and sums f2 on _q2_prefixes too, running each last coordinate inline.
 A count too costly to take is math.inf (see domains._COUNT_MAX_SIDE and
 _COUNT_MAX_BITS), and is refused like any count over the budget.
 """
@@ -136,7 +137,8 @@ class CanonicalPoints:
         dom = self.domain
         mul, quotient = dom._mul, dom._quotient_or_none
         axis = list(dom._box_raws(self.box))
-        rows = _q2_table(dom, q, axis, _square_rows(dom, q, [axis] * q.d, {}))
+        values = [axis] * q.d
+        rows = _q2_table(dom, q, values, _square_rows(dom, q, values, {}))
         # denominator 1: every box point, with its own q2 as r, with no
         # division by 1 and no gcd with 1, which is always a unit
         one = dom._ONE
@@ -197,8 +199,9 @@ class CanonicalPoints:
                 classes.setdefault(w, []).append(k)
             residues, members = list(classes), list(classes.values())
             if residues != kept:
-                squares = _square_rows(dom, q, [residues] * q.d, square_memo)
-                kept, rows = residues, _q2_table(dom, q, residues, squares)
+                values = [residues] * q.d
+                squares = _square_rows(dom, q, values, square_memo)
+                kept, rows = residues, _q2_table(dom, q, values, squares)
             yield den, axis, residues, members, self._coprime_rows(den, residues, rows())
 
     def _coprime_rows(self, den, residues, table):
@@ -254,54 +257,63 @@ def _square_rows(dom: Domain, q, values, memo: dict) -> list:
 def _q2_table(dom: Domain, q, values, squares):
     """rows() yielding _q2_rows(dom, q, values, squares), the one owner of
     Q2_TABLE_MAX: the rows are summed once and kept while the table's
-    len(values)^d values fit in it, and summed again on each call past it."""
-    if len(values) ** q.d <= Q2_TABLE_MAX:
+    prod(map(len, values)) values fit in it, and summed again past it."""
+    if math.prod(map(len, values)) <= Q2_TABLE_MAX:
         return list(_q2_rows(dom, q, values, squares)).__iter__
     return partial(_q2_rows, dom, q, values, squares)
 
 
-def _q2_rows(dom: Domain, q, values, squares):
-    """q2 over the product of values in q's d coordinates, in product
-    order, one row of the last coordinate at a time: (pos, vals) for each
-    prefix of the first d - 1 coordinates, with pos the prefix's indices
-    into values and vals[j] = q2(values at pos + (values[j],)).  squares
-    is _square_rows(dom, q, [values] * d, ...).  Callers take the rows
-    through _q2_table, which decides whether they are kept.
+def _q2_prefixes(dom: Domain, q, values, squares):
+    """The one q2 walk, over the product of values[0], ..., values[d-1] in
+    product order: (pos, s, lin) per prefix of the first d - 1 coordinates,
+    with pos its indices, s = q2 there with the last coordinate at 0, and
+    lin (None for 0) the linear coefficient its cross terms give the last
+    coordinate.  squares is _square_rows(dom, q, values, ...).
 
-    q2 is summed one coordinate at a time: coordinate i runs over values
-    with the tabulated c_ii*v^2, and fixing it adds c_ij*v to the linear
-    coefficient of each later coordinate j.  Then a point of a diagonal
-    form costs one ring add, plus one multiply for a coordinate that cross
-    terms reach.  Memory is O(d * len(values)).
+    Coordinate i runs over values[i] with the tabulated c_ii*v^2, and fixing
+    it adds c_ij*v to the linear coefficient of each later coordinate j, so
+    a diagonal form costs one ring add per value per level.  The last level
+    of prefixes is yielded in a loop, not a generator per prefix.
     """
     d = q.d
     add, mul = dom._add, dom._mul
     cross = [[(j, q.quad[i, j]) for j in range(i + 1, d) if (i, j) in q.quad] for i in range(d)]
-    n = len(values)
 
-    def row(i, s, lin):
-        # q2 of the prefix extended by each value at coordinate i, given the
-        # prefix's value s and the linear coefficient lin (None for zero)
-        # its cross terms give coordinate i
-        vals = [s] * n if squares[i] is None else [add(s, t) for t in squares[i]]
-        if lin is not None:
-            vals = [add(v, mul(lin, w)) for v, w in zip(vals, values)]
-        return vals
-
-    def rows(i, pos, s, lins):
-        if i == d - 1:
-            yield pos, row(i, s, lins[i])
-            return
-        for j, (w, v) in enumerate(zip(values, row(i, s, lins[i]))):
+    def walk(i, pos, s, lins):
+        last = i + 2 == d
+        sq, lin = squares[i], lins[i]
+        for j, w in enumerate(values[i]):
+            v = s if sq is None else add(s, sq[j])
+            if lin is not None:
+                v = add(v, mul(lin, w))
             nxt = lins
             if cross[i]:
                 nxt = list(lins)
                 for k, c in cross[i]:
                     m = mul(c, w)
                     nxt[k] = m if nxt[k] is None else add(nxt[k], m)
-            yield from rows(i + 1, pos + (j,), v, nxt)
+            if last:
+                yield pos + (j,), v, nxt[-1]
+            else:
+                yield from walk(i + 1, pos + (j,), v, nxt)
 
-    return rows(0, (), dom._ZERO, [None] * d)
+    if d == 1:
+        return iter([((), dom._ZERO, None)])
+    return walk(0, (), dom._ZERO, [None] * d)
+
+
+def _q2_rows(dom: Domain, q, values, squares):
+    """q2 over the product of values[0], ..., values[d-1] in product order,
+    one row of the last coordinate at a time: (pos, vals) for each prefix
+    of _q2_prefixes, with vals[j] = q2 at pos + (j,).  Callers take the
+    rows through _q2_table, which decides whether they are kept."""
+    add, mul = dom._add, dom._mul
+    last, sq = values[-1], squares[-1]
+    for pos, s, lin in _q2_prefixes(dom, q, values, squares):
+        vals = [s] * len(last) if sq is None else [add(s, t) for t in sq]
+        if lin is not None:
+            vals = [add(v, mul(lin, w)) for v, w in zip(vals, last)]
+        yield pos, vals
 
 
 def _coprime(dom: Domain, nums, den) -> bool:

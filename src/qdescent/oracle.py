@@ -8,16 +8,15 @@ per-coordinate offset window and keeps the strict minimum of (value norm,
 coordinatewise sort key), so identical inputs always give identical output.
 
 The scan sums the cleared value b^2 f2(x - y) = f2(w0 - b*o), with
-w0 = a - b*base, as CanonicalPoints sums q2: coordinate k runs over the
-values w0_k - b*o, o in the offsets, with c_kk*v^2 tabulated per value
-(enumeration._square_rows), and fixing coordinate i adds c_ik*v to the
-linear coefficient of each later coordinate k.  The walk goes axis by
-axis from zero with one running partial sum per depth, and each prefix
-forms its cross coefficient once.  So each candidate costs O(1) ring
-operations and an integer comparison of its norm against N(b^2), memory
-is O(d * |offsets|), and a Fraction is built only for the winner (or, on
-failure, for OracleNotFound.min_norm).  Nothing is halved, so the sum
-holds in characteristic 2.
+w0 = a - b*base, with enumeration._q2_prefixes, the walk CanonicalPoints
+sums q2 with: coordinate k runs over the values w0_k - b*o, o in the
+offsets, and each prefix of the first d - 1 coordinates comes with its
+partial sum and the linear coefficient its cross terms give the last
+coordinate, which the scan runs inline.  So each candidate costs O(1)
+ring operations and an integer comparison of its norm against N(b^2),
+memory is O(d * |offsets|), and a Fraction is built only for the winner
+(or, on failure, for OracleNotFound.min_norm).  Nothing is halved, so the
+sum holds in characteristic 2.
 
 The scan is sized in closed form, Domain._offset_count(window) ** d
 candidates, and refused with SearchBudgetError over SEARCH_BUDGET before
@@ -53,7 +52,7 @@ from fractions import Fraction
 from itertools import product
 
 from .domains import DomainElement, FractionElement, FractionPoint, _Record, _Report, _rounded
-from .enumeration import CanonicalPoints, _square_rows, _within_budget
+from .enumeration import CanonicalPoints, _q2_prefixes, _square_rows, _within_budget
 from .errors import IntegralPointError, OracleNotFound
 from .quadratic import QuadraticPolynomial
 
@@ -116,9 +115,10 @@ def _search(f: QuadraticPolynomial, b, base, w0, window: int, first: bool = Fals
     Nothing is wrapped: no DomainElement, Fraction or OracleResult is built
     here.
 
-    With first set, the scan stops at the first candidate with
-    0 < n < N(b^2) in scan order, so a success returns a witness but not
-    necessarily the least one; a failing scan still runs in full.
+    The scan reads enumeration._q2_prefixes (see the module docstring).
+    With first set, it stops at the first candidate with 0 < n < N(b^2) in
+    scan order, so a success returns a witness but not necessarily the
+    least one; a failing scan still runs in full.
     """
     dom = f.domain
     b2 = dom._mul(b, b)
@@ -128,59 +128,45 @@ def _search(f: QuadraticPolynomial, b, base, w0, window: int, first: bool = Fals
     if 0 < n0 < nb2:
         return base, f2w0, n0, b2, nb2
 
-    d = f.d
-    _within_budget(dom._offset_count(window) ** d, "the oracle's window scan")
+    _within_budget(dom._offset_count(window) ** f.d, "the oracle's window scan")
     offsets = dom._offset_raws(window)
     add, mul, norm, sort_key = dom._add, dom._mul, dom._norm, dom._sort_key
-    zero = dom._ZERO
 
-    # vals[k][j]: coordinate k of w0 - b*offsets[j]; rows[k][j]: its
-    # c_kk*v^2; cross[k] = [(i, c_ik), i < k]
+    # vals[k][j]: coordinate k of w0 - b*offsets[j]; row[j]: the last
+    # coordinate's c*v^2 + lin*v at vals[-1][j], after a prefix with linear
+    # coefficient lin
     shifts = [dom._neg(mul(b, o)) for o in offsets]
     vals = [[add(w, t) for t in shifts] for w in w0]
     squares = _square_rows(dom, f, vals, {})
-    rows = [[zero] * len(offsets) if r is None else r for r in squares]
-    cross = [[(i, f.quad[i, k]) for i in range(k) if (i, k) in f.quad] for k in range(d)]
+    last = vals[-1]
+    squares_last = squares[-1] or [dom._ZERO] * len(offsets)
 
     def key_of(ix):
         return tuple(sort_key(add(bk, offsets[j])) for bk, j in zip(base, ix))
 
-    idx = [0] * d
     least = math.inf  # least nonzero norm seen
     at = at_num = at_key = None  # its offset indices, value, sort key (lazy)
-
-    def walk(k, s):
-        nonlocal least, at, at_num, at_key
-        row = rows[k]
-        if cross[k]:
-            lk = zero
-            for i, c in cross[k]:
-                lk = add(lk, mul(c, vals[i][idx[i]]))
-            row = [add(r, mul(lk, v)) for r, v in zip(row, vals[k])]
-        if k + 1 < d:
-            for j, r in enumerate(row):
-                idx[k] = j
-                if walk(k + 1, add(s, r)):
-                    return True
-            return False
+    for pos, s, lin in _q2_prefixes(dom, f, vals, squares):
+        row = squares_last
+        if lin is not None:
+            row = [add(t, mul(lin, v)) for t, v in zip(row, last)]
         for j, r in enumerate(row):
             v = add(s, r)
             n = norm(v)
             if n and n <= least:
-                idx[k] = j
                 if n < least:
-                    least, at, at_num, at_key = n, tuple(idx), v, None
+                    least, at, at_num, at_key = n, pos + (j,), v, None
                     if first and n < nb2:
-                        return True
+                        break
                 elif n < nb2:
-                    key = key_of(idx)
+                    key = key_of(pos + (j,))
                     if at_key is None:
                         at_key = key_of(at)
                     if key < at_key:
-                        at, at_num, at_key = tuple(idx), v, key
-        return False
-
-    walk(0, zero)
+                        at, at_num, at_key = pos + (j,), v, key
+        else:
+            continue
+        break
     if least >= nb2:
         return None, None, (least if at is not None else 0), b2, nb2
     y = [add(bk, offsets[j]) for bk, j in zip(base, at)]

@@ -586,6 +586,41 @@ def test_integral_values_same_past_the_q2_table_bound(dom, monkeypatch):
 
 
 @pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3], ids=lambda d: d.name)
+def test_q2_rows_match_f2_over_unequal_value_lists(dom, monkeypatch):
+    """_q2_rows, summed by the _q2_prefixes walk, gives q2 at every point
+    of a product of per-coordinate value lists of unequal lengths, in
+    product order, kept or summed again by _q2_table alike.  The forms have
+    a coordinate with no square term, or only cross terms."""
+    rng = random.Random(f"q2-rows-{dom.name}")
+
+    def nonzero():
+        c = dom._random_raw(rng, 2)
+        return dom._ONE if dom._is_zero(c) else c
+
+    for d in range(1, 5):
+        values = [[dom._random_raw(rng, 4) for _ in range(n)] for n in (3, 1, 4, 2)[:d]]
+        points = list(product(*map(range, map(len, values))))
+        forms = [random_form(dom, rng, d, True)]
+        for k in range(d):
+            # every square term but coordinate k's, and a cross term on each pair
+            quad = {(i, j): nonzero() for i in range(d) for j in range(i, d)}
+            del quad[k, k]
+            forms.append(QuadraticPolynomial(dom, d, quad))
+        only_cross = {(i, j): nonzero() for i in range(d) for j in range(i + 1, d)}
+        forms.append(QuadraticPolynomial(dom, d, only_cross))
+        for q in forms:
+            squares = enumeration._square_rows(dom, q, values, {})
+            rows = list(enumeration._q2_rows(dom, q, values, squares))
+            assert [pos + (j,) for pos, row in rows for j in range(len(row))] == points
+            got = [v for _, row in rows for v in row]
+            assert got == [q._f2_raw([vs[j] for vs, j in zip(values, ix)]) for ix in points]
+            for table_max in (len(points), len(points) - 1):
+                monkeypatch.setattr(enumeration, "Q2_TABLE_MAX", table_max)
+                assert list(enumeration._q2_table(dom, q, values, squares)()) == rows
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3], ids=lambda d: d.name)
 def test_residue_rows_hold_the_cleared_value_of_each_point(dom):
     """Each axis element's a - b*round(a/b) is the residue of its class, the
     classes partition the axis, and each row value is f2 at the class

@@ -26,6 +26,7 @@ from qdescent import (
     parse_form,
 )
 from qdescent import enumeration, oracle
+from qdescent.domains import _cleared_difference
 from qdescent.enumeration import CanonicalPoints
 
 F2 = GFpT(2)
@@ -523,6 +524,58 @@ def test_check_euclidean_matches_reference_on_random_forms(dom):
                 cases += 1
                 scanned += bool(expected.failures)
     assert cases >= 15 and scanned >= 8
+
+
+@pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3], ids=lambda d: d.name)
+def test_search_first_fails_exactly_when_the_full_scan_fails(dom):
+    """_search with first set, the sweep's early exit out of both loops,
+    fails exactly when the full scan fails, with the same least norm.  A
+    witness it returns is checked afresh: f2 of the cleared difference
+    a - b*y has norm in (0, N(b^2)), y - base is in the window, and after a
+    failed fast path y is the first such candidate in product order of the
+    offsets.  Seeded forms with cross terms, d = 1-4, windows 0-3."""
+    rng = random.Random(f"first-{dom.name}")
+    poly = isinstance(dom, type(F2))
+    neg, add, norm = dom._neg, dom._add, dom._norm
+    cases = scanned = early = failed = 0
+    for d, window in product(range(1, 5), range(4)):
+        if dom._offset_count(window) ** d > 2000:
+            continue
+        offsets = dom._offset_raws(window)
+        for _ in range(30):
+            f = random_euclid_form(dom, rng, d)
+            if d > 1 and all(i == j for i, j in f.quad):
+                f = QuadraticPolynomial(dom, d, {**f.quad, (0, d - 1): dom._ONE})
+            b = dom._random_raw(rng, 2 if poly else 6)
+            if dom._is_zero(b) or dom._is_unit(b):
+                continue
+            a = [dom._random_raw(rng, 3 if poly else 20) for _ in range(d)]
+            base, w0 = oracle._rounded(dom, a, b)
+            if all(map(dom._is_zero, w0)):
+                continue  # a/b is integral
+            nb2 = norm(dom._mul(b, b))
+
+            def admissible(y):
+                return 0 < norm(f._f2_raw(_cleared_difference(dom, a, b, y))) < nb2
+
+            full = oracle._search(f, b, base, w0, window)
+            y, v, n, _, _ = oracle._search(f, b, base, w0, window, first=True)
+            cases += 1
+            assert (y is None) == (full[0] is None)
+            if y is None:
+                failed += 1
+                assert n == full[2]
+                continue
+            assert f._f2_raw(_cleared_difference(dom, a, b, y)) == v and admissible(y)
+            assert all(add(yk, neg(bk)) in offsets for yk, bk in zip(y, base))
+            if not admissible(base):
+                scanned += 1
+                candidates = (tuple(map(add, base, o)) for o in product(offsets, repeat=d))
+                assert tuple(y) == next(filter(admissible, candidates))
+                early += tuple(y) != tuple(full[0])
+    # the sample reaches both outcomes, and the scan stops at a witness
+    # that is not the full scan's least one
+    assert cases >= 100 and failed >= 20 and scanned >= 10 and early >= 2
 
 
 def test_check_euclidean_shares_a_scan_across_bases():
