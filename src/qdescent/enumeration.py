@@ -16,10 +16,11 @@ only comparison with SEARCH_BUDGET in the package:
   yields the raw (nums, den, r) where q is integral, every box point at
   denominator 1 first with no test; residue_rows(q) splits each
   denominator's box axis into the classes of its rounding residues
-  a - b*round(a/b), taken from domains._rounded as the oracle takes them,
-  and gives q2 and coprimality once per class, which
-  oracle.check_euclidean reads.  Callers build a FractionPoint (through
-  FractionPoint._trusted) only for the points they report;
+  a - b*round(a/b), taken from domains._rounded as the oracle takes them
+  and up to sign when q has no cross term, and gives q2 and coprimality
+  once per class, which oracle.check_euclidean reads.  Callers build a
+  FractionPoint (through FractionPoint._trusted) only for the points they
+  report;
 - first_zero: the first integral zero of a polynomial in graded order,
   that is by (sum of coordinate norms, coordinatewise sort key).  It fixes
   every coordinate but the widest and solves that fiber for the last one:
@@ -164,18 +165,28 @@ class CanonicalPoints:
         (b, axis, residues, members, rows).  axis is the box axis;
         residues holds the distinct rounding residues u - b*round(u/b) of
         its elements, in order of first occurrence, and members[k] the
-        ascending axis indices whose residue is residues[k].  A class is a
-        tuple of residue indices, one per coordinate, and holds the product
-        of their members.  rows yields (pos, vals, coprime) per class
+        ascending axis indices whose residue is residues[k].  When q has no
+        cross term, residues are taken up to sign: w and -w share one
+        class, whose residue is the one of the two that comes first on the
+        axis, and members[k] holds the indices of both.  A class is a tuple
+        of residue indices, one per coordinate, and holds the product of
+        their members, the first of them in product order at the class
+        residues themselves.  rows yields (pos, vals, coprime) per class
         prefix pos of the first d - 1 coordinates: for the last coordinate
         at residues[j], vals[j] = q2 at the class residues pos + (j,), and
         coprime[j] whether the class's points are coprime to b.  So vals
         holds q2(w0) at the vector w0 = a - b*round(a/b) the oracle clears
-        every point a/b of the class to.
+        every point a/b of the class to, up to the signs of its coordinates.
+
+        Taking residues up to sign is exact: with no cross term
+        q2 = sum c_ii*w_i^2 does not change when a coordinate is negated,
+        and gcd(b, -w) is an associate of gcd(b, w).  (In characteristic 2,
+        -w = w and nothing merges.)  Forms with a cross term keep signed
+        residues.
 
         Coprimality is a class property: h_k = gcd(b, residues[k]) is taken
         once per residue, and the prefix gcd g (which divides b) is carried
-        as gcd(g, h_k), since gcd(g, u) ~ gcd(g, w) ~ gcd(g, h_k) for the
+        as gcd(g, h_k), since gcd(g, u) ~ gcd(g, +-w) ~ gcd(g, h_k) for the
         residue w of u; a unit h_k makes every point through it coprime.
         The q2 table over residues^d is summed one coordinate at a time
         (_q2_rows), kept by _q2_table while its len(residues)^d values fit
@@ -190,12 +201,16 @@ class CanonicalPoints:
 
     def _residue_rows(self, q):
         dom = self.domain
+        neg = dom._neg
+        signed = any(i != j for i, j in q.quad)  # a cross term: no merging by sign
         axis = list(dom._box_raws(self.box))
         square_memo = {}
         kept = rows = None  # the q2 table of the last residues
         for den in dom._denominator_raws(self.height):
             classes = {}  # residue -> its axis indices, in order of first occurrence
             for k, w in enumerate(_rounded(dom, axis, den)[1]):
+                if not signed and w not in classes and (m := neg(w)) in classes:
+                    w = m  # the class of -w, which came first on the axis
                 classes.setdefault(w, []).append(k)
             residues, members = list(classes), list(classes.values())
             if residues != kept:

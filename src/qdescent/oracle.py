@@ -38,11 +38,16 @@ by coordinate, and the scan's values f2(w0 - b*o) above do not depend on
 round(a/b).  So it walks the residue classes of CanonicalPoints, one
 denominator at a time, with f2(w0) summed once per class.  A class with
 0 < N(f2(w0)) < N(b^2) costs one integer comparison and counts all of its
-points; only the others reach a window scan, one per pair of classes
-+-w0, since f2(-v) = f2(v) and every offset window is closed under
-negation.  The sweep needs only the verdict, so its scans stop at the
-first candidate with 0 < N < N(b^2); a failing scan runs in full for its
-least norm, and only a failing class is expanded into points.
+points; only the others reach a window scan.  Every offset window is a
+product of per-coordinate offset sets closed under negation, so negating
+a set of coordinates of w0 under which f2 is invariant only permutes the
+candidate values f2(w0 - b*o): the verdict and the least norm stay.  With
+no cross term f2 is invariant under negating any coordinate, and
+CanonicalPoints already takes such a form's classes up to sign; every
+form has f2(-v) = f2(v), so the scan at w0 also decides the class of -w0.
+The sweep needs only the verdict, so its scans stop at the first
+candidate with 0 < N < N(b^2); a failing scan runs in full for its least
+norm, and only a failing class is expanded into points.
 """
 
 from __future__ import annotations
@@ -182,17 +187,21 @@ def check_euclidean(
 
     Each point is decided as euclidean_step would decide it, by the
     residue-class argument of the module docstring, one class of
-    CanonicalPoints.residue_rows at a time.  Its denominators are non-units,
-    so no point is integral.  A coprime class counts all of its points as
-    checked; one outside 0 < N(f2(w0)) < N(b^2) runs _search at its first
-    point in product order, and that scan stops at its first witness (a
-    failing one runs in full).  The result is memoized per denominator
-    under w0 and -w0, since f2(-v) = f2(v) and every offset window is
-    closed under negation.  So the first scan, and an over-budget window's
-    refusal, come at the first point that would scan in a point-by-point
-    sweep.  Only the failing classes are expanded into points, sorted into
-    product order, with one min_norm Fraction per class and a
-    FractionPoint per point.
+    CanonicalPoints.residue_rows at a time.  For a form with no cross term
+    a class is a residue vector up to the sign of each coordinate, which
+    is exact: f2 = sum c_ii*w_i^2, so negating a coordinate of w0 changes
+    neither f2(w0) nor the scan's verdict and least norm.  Its denominators
+    are non-units, so no point is integral.  A coprime class counts all of
+    its points as checked; one outside 0 < N(f2(w0)) < N(b^2) runs _search
+    at its first point in product order, whose residue vector is the
+    class's w0, and that scan stops at its first witness (a failing one
+    runs in full).  The result is memoized per denominator under w0 and
+    -w0, since f2(-v) = f2(v) for every form, so a form with cross terms
+    still runs one scan per pair of classes +-w0.  The first scan, and an
+    over-budget window's refusal, come at the first point that would scan
+    in a point-by-point sweep.  Only the failing classes are expanded into
+    points, sorted into product order, with one min_norm Fraction per class
+    and a FractionPoint per point.
     """
     dom = f.domain
     norm, neg = dom._norm, dom._neg

@@ -622,30 +622,41 @@ def test_q2_rows_match_f2_over_unequal_value_lists(dom, monkeypatch):
 
 @pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3], ids=lambda d: d.name)
 def test_residue_rows_hold_the_cleared_value_of_each_point(dom):
-    """Each axis element's a - b*round(a/b) is the residue of its class, the
-    classes partition the axis, and each row value is f2 at the class
-    residues, the cleared value f2(a - b*round(a/b)) the oracle's fast path
-    tests at every point a/b of the class."""
+    """Each axis element's own residue a - b*round(a/b) is the residue of
+    its class, or, for a form with no cross term, its negation; the class's
+    first member has the class residue itself, and the classes partition
+    the axis.  Each row value is the cleared value f2(a - b*round(a/b)) the
+    oracle's fast path tests, checked at every point a/b of the class at
+    its own residues, and each coprime flag is _coprime at every point."""
     rng = random.Random(5)
+    neg = dom._neg
+    merged = 0  # classes holding both w and -w
     for d in range(1, 4):
         for cross in (False, True):
             q = random_form(dom, rng, d, cross)
+            signed = any(i != j for i, j in q.quad)
             pts = CanonicalPoints(dom, d, 2, 1)
             for den, axis, residues, members, rows in pts.residue_rows(q):
+                own = [dom._add(u, neg(dom._mul(den, dom._round_quotient(u, den)))) for u in axis]
                 for w, ks in zip(residues, members):
-                    assert ks == sorted(ks)
+                    assert ks == sorted(ks) and own[ks[0]] == w
                     for k in ks:
-                        u = axis[k]
-                        assert dom._add(u, dom._neg(dom._mul(den, dom._round_quotient(u, den)))) == w
+                        assert own[k] == w or (not signed and own[k] == neg(w))
+                    merged += len({own[k] for k in ks}) > 1
                 assert sorted(k for ks in members for k in ks) == list(range(len(axis)))
-                assert len(set(residues)) == len(residues)
+                classes = residues if signed else [{w, neg(w)} for w in residues]
+                assert all(classes.count(c) == 1 for c in classes)
                 seen = []
-                for pos, vals, _ in rows:
+                for pos, vals, coprime in rows:
                     seen.append(pos)
-                    assert len(vals) == len(residues)
-                    for j, v in enumerate(vals):
-                        assert v == q._f2_raw([residues[p] for p in pos + (j,)])
+                    assert len(vals) == len(coprime) == len(residues)
+                    for j, (v, ok) in enumerate(zip(vals, coprime)):
+                        for ix in product(*(members[p] for p in pos + (j,))):
+                            assert v == q._f2_raw([own[k] for k in ix])
+                            assert ok == enumeration._coprime(dom, [axis[k] for k in ix], den)
                 assert seen == list(product(range(len(residues)), repeat=d - 1))
+    # the sign merge is reached, except in characteristic 2 where -w = w
+    assert (merged > 0) == (dom is not F2)
 
 
 def test_integral_values_is_sized_like_the_sweep(monkeypatch):

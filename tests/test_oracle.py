@@ -461,20 +461,42 @@ def test_check_euclidean_same_with_a_streamed_q2_table(monkeypatch, dom, text, h
 
 
 def test_check_euclidean_shares_a_scan_between_negated_classes(monkeypatch):
-    """The 16 deep-hole classes of four squares at denominator 2 pair up
-    as w0 and -w0, and each pair runs one scan."""
+    """Four squares has no cross term, so its 16 deep-hole residue vectors
+    (+-1, +-1, +-1, +-1) at denominator 2 are one class up to sign and run
+    one scan, at its first point (-3, -3, -3, -3)/2, whose residue -1 comes
+    first on the axis -3..3.  x^2+i*x*y+2*y^2 over Z[i] keeps signed
+    classes: its 20 classes that miss the fast path pair up as w0 and -w0,
+    and the scan memo runs one scan per pair."""
     real = oracle._search
     calls = []
 
     def spy(f, b, base, w0, window, **first):
-        calls.append((base, w0, b))
+        calls.append((b, tuple(w0)))
         return real(f, b, base, w0, window, **first)
 
     monkeypatch.setattr(oracle, "_search", spy)
     report = check_euclidean(FOUR_SQUARES, 4, 3)
+    assert calls == [(2, (-1, -1, -1, -1))]
     monkeypatch.undo()
-    assert len(calls) == 8
     assert report == reference_check_euclidean(FOUR_SQUARES, 4, 3)
+
+    f = parse_form("x^2+i*x*y+2*y^2", ZI)
+    pts = CanonicalPoints(ZI, f.d, 2, 1)
+    missed = set()  # (b, w0) of each coprime class the fast path misses
+    for den, _, residues, _, rows in pts.residue_rows(f):
+        nb2 = ZI._norm(ZI._mul(den, den))
+        for pos, vals, coprime in rows:
+            for j, v in enumerate(vals):
+                if coprime[j] and not 0 < ZI._norm(v) < nb2:
+                    missed.add((den, tuple(residues[p] for p in pos + (j,))))
+    calls.clear()
+    monkeypatch.setattr(oracle, "_search", spy)
+    report = check_euclidean(f, 2, 1)
+    monkeypatch.undo()
+    assert len(missed) == 20 and len(calls) == 10
+    negated = {(b, tuple(map(ZI._neg, w0))) for b, w0 in calls}
+    assert set(calls) | negated == missed
+    assert report == reference_check_euclidean(f, 2, 1)
 
 
 @pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3, GFpT(5)], ids=lambda d: d.name)
@@ -524,6 +546,82 @@ def test_check_euclidean_matches_reference_on_random_forms(dom):
                 cases += 1
                 scanned += bool(expected.failures)
     assert cases >= 15 and scanned >= 8
+
+
+F5 = GFpT(5)
+
+# failing diagonal forms: (domain, form, height, box)
+DIAGONAL_FAILING = [
+    (ZZ, "w^2+x^2+y^2+z^2", 2, 1),
+    (ZZ, "x1^2+x2^2+x3^2+x4^2+x5^2", 2, 1),
+    (ZZ, "x^2+y^2+7*z^2", 2, 3),
+    (ZI, "x^2+3*y^2", 2, 1),
+    (F3, "x1^2+t^3*x2^2", 3, 1),
+]
+
+
+def random_diagonal_form(dom, rng, d):
+    """A form with a nonzero square term on every coordinate and no cross
+    term, the forms whose residue classes are taken up to sign."""
+    quad = {}
+    for i in range(d):
+        c = dom._random_raw(rng, 1 if dom is ZI else 2)
+        quad[i, i] = dom._ONE if dom._is_zero(c) else c
+    return QuadraticPolynomial(dom, d, quad)
+
+
+@pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3, F5], ids=lambda d: d.name)
+def test_check_euclidean_matches_reference_on_diagonal_forms(monkeypatch, dom):
+    """The sweep by classes up to sign against the point-by-point reference
+    on seeded diagonal forms, d = 1-4, windows 0-3, and on the domain's
+    failing forms of DIAGONAL_FAILING.  On the cases of at most 400 points a
+    spy on _search checks every failing class further: a full scan at each
+    member point's own w0, which may differ from the class residue in the
+    signs of its coordinates, fails with the same least norm."""
+    rng = random.Random(f"diagonal-{dom.name}")
+    sizes = {ZZ: [(2, 1), (3, 1), (2, 2), (4, 2)], ZI: [(2, 1), (5, 1), (2, 2)]}.get(
+        dom, [(1, 0), (2, 0), (1, 1)] if dom is F5 else [(1, 1), (2, 1), (2, 0)]
+    )
+    forms = [(parse_form(text, dom), h, b) for fdom, text, h, b in DIAGONAL_FAILING if fdom is dom]
+    for d in range(1, 5):
+        for height, box in sizes:
+            if CanonicalPoints(dom, d, height, box).count() <= 700:
+                forms.append((random_diagonal_form(dom, rng, d), height, box))
+    real = oracle._search
+    neg = dom._neg
+    cases = failing = members = flipped = 0
+    for f, height, box in forms:
+        axis = list(dom._box_raws(box))
+        small = CanonicalPoints(dom, f.d, height, box).count() <= 400
+        for window in range(4):
+            if dom._offset_count(window) ** f.d > 2000:
+                continue
+
+            def spy(f, b, base, w0, window, **first):
+                nonlocal members, flipped
+                out = real(f, b, base, w0, window, **first)
+                if out[0] is None and small:
+                    own = oracle._rounded(dom, axis, b)[1]
+                    ks = [[k for k, w in enumerate(own) if w in (v, neg(v))] for v in w0]
+                    for ix in product(*ks):
+                        a = [axis[k] for k in ix]
+                        assert enumeration._coprime(dom, a, b)
+                        rounded_a = oracle._rounded(dom, a, b)
+                        y, _, n, _, _ = real(f, b, *rounded_a, window)
+                        assert y is None and n == out[2]
+                        members += 1
+                        flipped += tuple(rounded_a[1]) != tuple(w0)
+                return out
+
+            monkeypatch.setattr(oracle, "_search", spy)
+            report = check_euclidean(f, height, box, window)
+            monkeypatch.undo()
+            assert report == reference_check_euclidean(f, height, box, window)
+            cases += 1
+            failing += bool(report.failures)
+    assert cases >= 15 and failing >= 5 and members >= 20
+    # in characteristic 2, -w = w: no member differs from its class residue
+    assert (flipped > 0) == (dom is not F2)
 
 
 @pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3], ids=lambda d: d.name)
