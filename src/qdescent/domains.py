@@ -115,23 +115,27 @@ def _round_half_toward_zero(n: int, d: int) -> int:
 class Domain:
     """A commutative integral domain with a discrete multiplicative norm.
 
-    Adding another normed domain means subclassing this and nothing else;
-    the rest of the package only talks to the protocol below.
+    Adding another normed domain means subclassing this, and giving
+    formparse._coefficient_text a branch for it, which otherwise lifts the
+    sign of any ring but Z[i] and F_p[t] by raw < 0; the rest of the
+    package only talks to the protocol below.
 
     A ring sets name, _ZERO, _ONE and _GENERATOR (the name of the literal
     for (0, 1), or None), and implements the raw-value protocol: _coerce,
     _add, _neg, _mul, _norm, _is_unit, _quotient_or_none, _gcd,
     _normalizing_unit, _round_quotient, _format and _random_raw; and the
-    bounded enumerations: _box_raws, _box_count, _graded_raws,
-    _denominator_raws, _denominator_count, _offset_raws, _offset_count and
-    _box_radius.
+    bounded enumerations: _box_raws, _box_count, _graded_raws (Z's runs
+    0, -1, 1, -2, 2, ...), _denominator_raws, _denominator_count,
+    _offset_raws, _offset_count and _box_radius.
 
     It inherits coerce_raw (the domain check of a DomainElement, then
     _coerce), _is_zero (equality with _ZERO), _divexact (from
     _quotient_or_none), _content (a fold of _gcd; override it when the
     ring has a cheaper rule), _sort_key (the identity; override it when
-    raws do not compare in the ring's order), equality and hashing by
-    (type, name), and the element-level API.
+    raws do not compare in the ring's order), _sqrt (None, so the zero
+    search tests each fiber's solved axis; Z and Z[i] override it with a
+    square root of a raw, or None, and solve fibers exactly), equality and
+    hashing by (type, name), and the element-level API.
     """
 
     name = "?"
@@ -211,6 +215,8 @@ class Domain:
 
     def _sort_key(self, a):
         return a
+
+    _sqrt = None  # or a method: a square root of a raw, or None
 
     def _format(self, a) -> str:
         raise NotImplementedError
@@ -418,6 +424,12 @@ class RationalIntegers(Domain):
     def _normalizing_unit(self, a):
         return -1 if a < 0 else 1
 
+    def _sqrt(self, a):
+        if a < 0:
+            return None
+        r = math.isqrt(a)
+        return r if r * r == a else None
+
     def _round_quotient(self, a, b):
         if b < 0:
             a, b = -a, -b
@@ -434,6 +446,9 @@ class RationalIntegers(Domain):
 
     def _box_count(self, bound):
         return max(0, 2 * bound + 1)
+
+    def _graded_raws(self, bound):
+        return sorted(self._box_raws(bound), key=abs)  # 0, -1, 1, -2, 2, ...
 
     def _denominator_raws(self, height):
         return range(2, height + 1)
@@ -567,6 +582,21 @@ class GaussianIntegers(Domain):
         if im > 0:
             return (0, -1)
         raise ZeroDenominatorError("zero has no normalizing unit")
+
+    def _sqrt(self, a):
+        # (u + v*i)^2 = x + y*i means u^2 - v^2 = x and 2*u*v = y, and then
+        # u^2 + v^2 = m with m^2 = x^2 + y^2; so u^2 = (m + x)/2,
+        # v^2 = (m - x)/2 and v takes the sign of y
+        x, y = a
+        n = x * x + y * y
+        m = math.isqrt(n)
+        if m * m != n or (m + x) & 1:
+            return None
+        u = math.isqrt((m + x) >> 1)
+        v = math.isqrt((m - x) >> 1)
+        if 2 * u * u != m + x or 2 * v * v != m - x:
+            return None
+        return (u, -v if y < 0 else v)
 
     def _format(self, a):
         re, im = a

@@ -23,10 +23,13 @@ only comparison with SEARCH_BUDGET in the package:
   report;
 - first_zero: the first integral zero of a polynomial in graded order,
   that is by (sum of coordinate norms, coordinatewise sort key).  It fixes
-  every coordinate but the widest and solves that fiber for the last one:
-  over Z with inline integers (_first_zero_z), over Z[i] and F_p[t] by one
-  walk over the domain's raw ops (_first_zero_walk).  _size_first_zero
-  sizes it, and zerotools.verify_adc's witness queries, in one step.
+  every coordinate but the widest and solves that fiber for the last one,
+  by one walk over the domain's raw ops for every polynomial over every
+  ring (_first_zero_walk), with exact roots where the ring has a square
+  root (Z and Z[i]) and a test of the solved axis elsewhere; only a
+  positive diagonal form over Z minus a constant takes the pruned integer
+  search _first_zero_z.  _size_first_zero sizes it, and
+  zerotools.verify_adc's witness queries, in one step.
 
 The oracle's window scan is sized the same way, by Domain._offset_count,
 and sums f2 on _q2_prefixes too, running each last coordinate inline.
@@ -41,7 +44,7 @@ from collections.abc import Sequence
 from functools import partial
 from itertools import chain
 
-from .domains import ZI, Domain, DomainElement, GaussianIntegers, RationalIntegers, _rounded
+from .domains import Domain, DomainElement, RationalIntegers, _rounded
 from .errors import SearchBudgetError
 
 # Largest count() an enumeration may start with.  A Z zero search of this
@@ -362,9 +365,13 @@ def _size_first_zero(domain: Domain, bounds: Sequence[int]) -> int:
 
 def first_zero(f, bounds: Sequence[int]) -> tuple[DomainElement, ...] | None:
     """The first integral zero of f in graded order over the box
-    prod_i box(bounds[i]), or None; bounds has one entry per variable."""
+    prod_i box(bounds[i]), or None; bounds has one entry per variable.
+
+    A positive diagonal form over Z minus a constant, with a square term on
+    every variable, runs the pruned search _first_zero_z; every other
+    polynomial, over every ring, runs _first_zero_walk."""
     _size_first_zero(f.domain, bounds)
-    if isinstance(f.domain, RationalIntegers):
+    if _is_positive_diagonal_z(f) and len(f.quad) == f.d:
         return _first_zero_z(f, list(bounds))
     return _first_zero_walk(f, list(bounds))
 
@@ -381,96 +388,70 @@ def _is_positive_diagonal_z(f) -> bool:
 
 
 def _first_zero_z(f, bounds):
-    """Graded-first zero over Z by exact fiber solving.
+    """Graded-first zero over Z of a positive diagonal form minus a
+    constant with a square term on every coordinate, by exact fiber solving.
 
-    Fix every coordinate but y_k.  On that fiber f is a*t^2 + L*t + R in
-    t = y_k, and its integral roots come from isqrt of L^2 - 4aR (or from
-    one exact division when a = 0, or all of t when a = L = R = 0, of which
-    t = 0 comes first).  The graded order is the order of (sum |y_i|, y), so
-    the answer is the least such key over all roots inside the box.  Fibers
-    whose fixed coordinates alone already exceed the best sum found are
-    skipped.  Cost: one pass over the fibers, O(1) memory.
+    Fix every coordinate but y_k.  On that fiber f = 0 reads a*t^2 = m in
+    t = y_k, whose roots are +-isqrt(m/a) when a divides m and m/a is a
+    square.  The graded order is the order of (sum |y_i|, y), so the answer
+    is the least such key over all roots inside the box, and of the two
+    roots -isqrt(m/a) comes first.
 
-    When f is a positive diagonal form minus a constant with a square term
-    on every coordinate, the coordinates u_i left at a level must supply
-    sum c_i*u_i^2 = m = -R.  So a level returns when m < 0, caps |u| at
-    isqrt(m // c), and, once a zero is known, returns when the prefix sum
-    plus the least L with L^2 * c_max >= m (c_max over the coordinates
-    left, the solved one included) exceeds the best sum, as
+    The coordinates u_i left at a level must supply sum c_i*u_i^2 = m.  So
+    a level returns when m < 0, caps |u| at isqrt(m // c) and, once a zero
+    is known, at the best sum less the prefix sum, and returns when the
+    prefix sum plus the least L with L^2 * c_max >= m (c_max over the
+    coordinates left, the solved one included) exceeds the best sum, as
     (sum |u_i|)^2 >= m / c_max.  The innermost level scans only the |u|
     where c*u^2 + a*t^2 = m allows |u| + |t| <= B = best sum - prefix sum,
     that is (a+c)u^2 - 2aB|u| + aB^2 - m >= 0, with isqrt rounding both
     roots outward.  Only a larger sum is pruned, so ties still go to
     coordinate order, and the search is still sized as every fiber.
+    Memory is O(d).
     """
     if min(bounds) < 0:
         return None
-    quad, lin = f.quad, f.lin
+    quad = f.quad
     k = _fiber_axis(bounds)
-    bk = bounds[k]
-    a = quad.get((k, k), 0)
-    a2, a4 = 2 * a, 4 * a
+    bk, a = bounds[k], quad[k, k]
     others = [i for i in range(f.d) if i != k]
-    # level p fixes u = y_{others[p]}: its bound, its square coefficient, the
-    # coefficient of u*y_k, its linear coefficient and the coefficients of
-    # its products with the coordinates fixed before it
+    # level p fixes u = y_{others[p]}: its bound, its square coefficient and
+    # the largest square coefficient from level p on, the solved axis's
+    # included
     levels = [
-        (
-            bounds[i],
-            quad.get((i, i), 0),
-            quad.get((min(i, k), max(i, k)), 0),
-            lin[i],
-            [quad.get((j, i), 0) for j in others[:p]],
-        )
+        (bounds[i], quad[i, i], max(quad[j, j] for j in others[p:] + [k]))
         for p, i in enumerate(others)
     ]
-    # the largest square coefficient from level p on, the solved axis
-    # included, when the diagonal bounds apply (else None)
-    cmax = None
-    if _is_positive_diagonal_z(f) and len(quad) == f.d:
-        cmax = [max(quad[i, i] for i in others[p:] + [k]) for p in range(len(others))]
     best = None  # (sum of |y_i|, y)
 
-    def offer(prefix, s, L, R):
+    def offer(prefix, s, m):
         nonlocal best
-        if a:
-            disc = L * L - a4 * R
-            if disc < 0:
-                return
-            r = math.isqrt(disc)
-            if r * r != disc:
-                return
-            roots = [n // a2 for n in (-L - r, -L + r) if n % a2 == 0]
-        elif L:
-            roots = [] if R % L else [-R // L]
-        else:
-            roots = [] if R else [0]
-        for t in roots:
-            if abs(t) <= bk:
-                cand = (s + abs(t), prefix[:k] + (t,) + prefix[k:])
-                if best is None or cand < best:
-                    best = cand
+        q, rem = divmod(m, a)
+        if q < 0 or rem:
+            return
+        t = math.isqrt(q)
+        if t * t == q and t <= bk:
+            cand = (s + t, prefix[:k] + (-t,) + prefix[k:])
+            if best is None or cand < best:
+                best = cand
 
-    def level(p, R, L, s, prefix):
-        bound, c, kappa, l, cross = levels[p]
-        beta = l + sum(cj * yj for cj, yj in zip(cross, prefix))
-        lim = bound if best is None else min(bound, best[0] - s)
-        if cmax is not None:
-            m = -R
-            if m < 0:
+    def level(p, m, s, prefix):
+        bound, c, cmax = levels[p]
+        if m < 0:
+            return
+        lim = min(bound, math.isqrt(m // c))
+        if best is not None:
+            lim = min(lim, best[0] - s)
+            # the coordinates left have (sum |u_i|)^2 >= m / c_max
+            sq = -(-m // cmax)
+            if s + (math.isqrt(sq - 1) + 1 if sq else 0) > best[0]:
                 return
-            lim = min(lim, math.isqrt(m // c))
-            if best is not None:
-                # the coordinates left have (sum |u_i|)^2 >= m / c_max
-                sq = -(-m // cmax[p])
-                if s + (math.isqrt(sq - 1) + 1 if sq else 0) > best[0]:
-                    return
         if p + 1 < len(levels):
             for u in range(-lim, lim + 1):
-                level(p + 1, R + u * (beta + c * u), L + kappa * u, s + abs(u), prefix + (u,))
+                level(p + 1, m - c * u * u, s + abs(u), prefix + (u,))
             return
         us = range(-lim, lim + 1)
-        if cmax is not None and best is not None:
+        if best is not None:
             B = best[0] - s
             aB, ac = a * B, a + c
             disc = aB * aB - ac * (aB * B - m)
@@ -479,72 +460,47 @@ def _first_zero_z(f, bounds):
                 lo, hi = (aB - r) // ac, (aB + r) // ac
                 if lo < lim and hi > lo + 1:
                     us = chain(range(-lim, -hi + 1), range(-lo, lo + 1), range(hi, lim + 1))
-        # innermost fibers: a cheap root test first, offer() decides
+        # innermost fibers, the root test inline: a*t^2 = m - c*u^2 needs
+        # a*(m - c*u^2) to be a square; offer() decides
+        am, acu = a * m, a * c
         for u in us:
-            Ru = R + u * (beta + c * u)
-            Lu = L + kappa * u
-            if a:
-                disc = Lu * Lu - a4 * Ru
-                if disc < 0:
-                    continue
-                r = math.isqrt(disc)
-                if r * r != disc:
-                    continue
-            elif Lu:
-                if Ru % Lu:
-                    continue
-            elif Ru:
-                continue
-            offer(prefix + (u,), s + abs(u), Lu, Ru)
+            x = am - acu * u * u
+            r = math.isqrt(x)
+            if r * r == x:
+                offer(prefix + (u,), s + abs(u), m - c * u * u)
 
     if levels:
-        level(0, f.const, lin[k], 0, ())
+        level(0, -f.const, 0, ())
     else:
-        offer((), 0, lin[k], f.const)
+        offer((), 0, -f.const)
     return None if best is None else tuple(DomainElement(f.domain, c) for c in best[1])
 
 
-def _zi_sqrt(x, y):
-    """A square root of x + y*i in Z[i], or None when there is none.
+def _exact_roots(dom: Domain, a, bound: int):
+    """roots(L, R, limit): the roots t of a*t^2 + L*t + R with
+    _box_radius(t) <= bound and norm at most limit, by the quadratic
+    formula t = (-L +- s) / 2a with s = dom._sqrt(L^2 - 4aR) and one exact
+    division each; when a = 0, -R/L, or zero for every t when all three
+    vanish (t = 0 comes first in graded order).  2a and -4a are taken once."""
+    add, mul, neg, norm, is_zero = dom._add, dom._mul, dom._neg, dom._norm, dom._is_zero
+    quotient, radius, sqrt = dom._quotient_or_none, dom._box_radius, dom._sqrt
+    a2 = add(a, a)
+    a4 = None if is_zero(a) else neg(add(a2, a2))
+    zero = [] if bound < 0 else [dom._ZERO]
 
-    (u + v*i)^2 = x + y*i means u^2 - v^2 = x and 2*u*v = y, and then
-    u^2 + v^2 = m with m^2 = x^2 + y^2; so u^2 = (m + x)/2, v^2 = (m - x)/2
-    and v takes the sign of y."""
-    n = x * x + y * y
-    m = math.isqrt(n)
-    if m * m != n or (m + x) & 1:
-        return None
-    u = math.isqrt((m + x) >> 1)
-    v = math.isqrt((m - x) >> 1)
-    if 2 * u * u != m + x or 2 * v * v != m - x:
-        return None
-    return (u, -v if y < 0 else v)
+    def roots(L, R, limit):
+        if a4 is not None:
+            s = sqrt(add(mul(L, L), mul(a4, R)))
+            if s is None:
+                return []
+            nL = neg(L)
+            ts = (quotient(add(nL, s), a2), quotient(add(nL, neg(s)), a2))
+        elif not is_zero(L):
+            ts = (quotient(neg(R), L),)
+        else:
+            return [] if not is_zero(R) else zero
+        return [t for t in ts if t is not None and radius(t) <= bound and norm(t) <= limit]
 
-
-def _zi_roots(a, bound, L, R, limit):
-    """The roots in Z[i] of a*t^2 + L*t + R with both components at most
-    bound and norm at most limit, with (0, 0) standing for every t when all
-    three vanish (t = 0 comes first in graded order)."""
-    (ar, ai), (lr, li), (rr, ri) = a, L, R
-    if ar or ai:
-        # t = (-L +- s) / 2a with s^2 = L^2 - 4aR
-        s = _zi_sqrt(lr * lr - li * li - 4 * (ar * rr - ai * ri),
-                     2 * lr * li - 4 * (ar * ri + ai * rr))
-        if s is None:
-            return []
-        nums, den = [(s[0] - lr, s[1] - li), (-s[0] - lr, -s[1] - li)], (2 * ar, 2 * ai)
-    elif lr or li:
-        nums, den = [(-rr, -ri)], L
-    else:
-        return [] if rr or ri or bound < 0 else [(0, 0)]
-    roots = []
-    for n in nums:
-        t = ZI._quotient_or_none(n, den)
-        if t is None:
-            continue
-        tr, ti = t
-        if abs(tr) <= bound and abs(ti) <= bound and tr * tr + ti * ti <= limit:
-            roots.append((tr, ti))
     return roots
 
 
@@ -552,15 +508,16 @@ def _fiber_solver(dom: Domain, a, bound: int, shared: bool):
     """roots(L, R, limit): roots t in box(bound) of a*t^2 + L*t + R, for the
     fixed a; a root of norm over limit may be left out.
 
-    Over Z[i] the roots are exact (_zi_roots).  Elsewhere the solved axis
-    is walked in graded order, with a*t^2 beside each t, and tested one t
-    at a time; its first root is the fiber's least in graded order, so no
-    other is returned.  The axis is materialized once when other
-    coordinates make it shared by many fibers; otherwise roots runs once
-    and streams it, so a one-variable search holds O(1) elements.
+    A ring with a square root (dom._sqrt, over Z and Z[i]) solves the fiber
+    exactly (_exact_roots).  Otherwise the solved axis is walked in graded
+    order, with a*t^2 beside each t, and tested one t at a time; its first
+    root is the fiber's least in graded order, so no other is returned.
+    The axis is materialized once when other coordinates make it shared by
+    many fibers; otherwise roots runs once and streams it, so a
+    one-variable search holds O(1) elements.
     """
-    if isinstance(dom, GaussianIntegers):
-        return partial(_zi_roots, a, bound)
+    if dom._sqrt is not None:
+        return _exact_roots(dom, a, bound)
     add, mul, neg = dom._add, dom._mul, dom._neg
     axis = ((dom._norm(t), t, mul(a, mul(t, t))) for t in dom._graded_raws(bound))
     if shared:
@@ -579,16 +536,17 @@ def _fiber_solver(dom: Domain, a, bound: int, shared: bool):
 
 
 def _first_zero_walk(f, bounds):
-    """Graded-first zero over Z[i] and F_p[t] by fiber solving.
+    """Graded-first zero by fiber solving, over every ring.
 
-    As in _first_zero_z: on the fiber of y_k, f is a*t^2 + L*t + R with a,
-    L, R in the ring, solved by _fiber_solver, and the answer is the least
-    (sum of coordinate norms, coordinatewise sort key) over all roots inside
-    the box.  Keys are compared, not raws: F_p[t] raws do not sort like
-    their keys.  Each other coordinate runs over its axis in graded order,
-    materialized once per distinct bound, and a level stops once its norm
-    sum exceeds the best sum found; equal sums go on, since the key decides
-    a tie.  Sized as the whole box.
+    Fix every coordinate but the widest, y_k.  On that fiber f is
+    a*t^2 + L*t + R in t = y_k, with a, L, R in the ring, solved by
+    _fiber_solver, and the answer is the least (sum of coordinate norms,
+    coordinatewise sort key) over all roots inside the box.  Keys are
+    compared, not raws: F_p[t] raws do not sort like their keys.  Each
+    other coordinate runs over its axis in graded order, materialized once
+    per distinct bound, and a level stops once its norm sum exceeds the
+    best sum found; equal sums go on, since the key decides a tie.  Sized
+    as the whole box, or over Z as its fibers (first_zero_count).
     """
     dom = f.domain
     add, mul, norm, key = dom._add, dom._mul, dom._norm, dom._sort_key

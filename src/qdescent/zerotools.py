@@ -3,12 +3,15 @@
 brute_integral_zero returns the first integral zero of a box in graded
 order, by (sum of coordinate norms, coordinatewise sort key), through
 enumeration.first_zero, which solves each fiber of the widest coordinate
-for it: over Z exactly, in O(B^(d-1)) time and O(1) memory for a box of
-radius B; over Z[i] exactly, in at most (2B+1)^(2(d-1)) fibers; over
-F_p[t] by testing the solved axis on each fiber.  Every search is sized
-before it starts by enumeration._size_first_zero, the one owner of the
-rule, and refused with SearchBudgetError over enumeration.SEARCH_BUDGET;
-Z[i] and F_p[t] searches are sized as their whole box.
+for it by one walk over the ring: exactly over Z and Z[i], in at most
+(2B+1)^(d-1) and (2B+1)^(2(d-1)) fibers for a box of radius B, with one
+graded axis per distinct bound in memory; over F_p[t] by testing the
+solved axis on each fiber.  A positive diagonal form over Z minus a
+constant runs a pruned search on plain integers in O(1) memory instead.
+Every search is sized before it starts by enumeration._size_first_zero,
+the one owner of the rule, and refused with SearchBudgetError over
+enumeration.SEARCH_BUDGET; Z[i] and F_p[t] searches are sized as their
+whole box.
 
 chord_zero turns one integral zero into further rational zeros: the line
 y0 + T*w meets the zero set in a second point at T = -B/A, read off from

@@ -470,6 +470,36 @@ def test_quotient_or_none_agrees_with_divexact(dom):
             assert str(err.value) == "division by zero"
 
 
+@pytest.mark.parametrize("dom", [ZZ, ZI], ids=lambda d: d.name)
+def test_sqrt_finds_exactly_the_squares(dom):
+    # every square root of a raw of norm at most norm(R^2) lies in box(R),
+    # so over those raws _sqrt must find a root exactly at the squares of
+    # box(R): none for a negative integer, and over Z[i] one with v < 0
+    # when y < 0
+    R = 8 if dom == ZZ else 5
+    limit = dom._norm(dom.coerce_raw(R * R))
+    squares = {dom._mul(w, w) for w in dom._box_raws(R)}
+    found = 0
+    for a in dom._box_raws(R * R):
+        if dom._norm(a) > limit:
+            continue
+        r = dom._sqrt(a)
+        assert (r is not None) == (a in squares), a
+        if r is not None:
+            assert dom._mul(r, r) == a
+            found += 1
+    assert found > R
+
+
+def test_sqrt_signs_and_rings_without_one():
+    assert [ZZ._sqrt(a) for a in (-4, -1, 0, 1, 4, 5)] == [None, None, 0, 1, 2, None]
+    # (1 - 2i)^2 = -3 - 4i and (2 + i)^2 = 3 + 4i
+    assert ZI._sqrt((-3, -4)) == (1, -2) and ZI._sqrt((3, 4)) == (2, 1)
+    assert ZI._sqrt((-1, 0)) == (0, 1) and ZI._sqrt((0, 2)) == (1, 1)
+    assert ZI._sqrt((0, -1)) is None and ZI._sqrt((5, 0)) is None
+    assert F2._sqrt is F3._sqrt is None  # F_p[t] tests the solved axis instead
+
+
 # -- ring kernels against their straightforward versions -------------------------
 
 

@@ -310,9 +310,69 @@ def test_first_zero_zi_matches_reference_on_random_forms():
     ],
 )
 def test_first_zero_zi_degenerate_fibers(text, bounds, expected):
-    f = parse_form(text, ZI)
+    check_degenerate_fiber(ZI, text, bounds, expected)
+
+
+def check_degenerate_fiber(dom, text, bounds, expected):
+    f = parse_form(text, dom)
     assert reference_first_zero(f, bounds) == expected
     assert raws(first_zero(f, bounds)) == expected
+
+
+@pytest.mark.parametrize(
+    "text, bounds, expected",
+    [
+        # a = 0, L != 0: one exact division, t = 6/3
+        ("3*x-6", [3], (2,)),
+        ("3*x-7", [3], None),
+        # roots 1/2 and -1: only -1 is divisible by 2a = 4
+        ("2*x^2+x-1", [2], (-1,)),
+        # (x1-1)*(x2+3): the fiber x1 = 1 vanishes for every x2, so t = 0
+        # is its zero; the other fibers' roots lie outside the box
+        ("x1*x2+3*x1-x2-3", [1, 2], (1, 0)),
+        # x2*(x1-1): the fiber x1 = 0 gives t = 0 before the vanishing
+        # fiber x1 = 1 is reached
+        ("x1*x2-x2", [1, 2], (0, 0)),
+        # roots +-4 and a root 5 of a linear fiber, outside box(3)
+        ("x^2-16", [3], None),
+        ("x-5", [3], None),
+        # the fiber x2 = 1 has the best norm sum already; its zero wins the tie
+        ("x1+x2-1", [2, 1], (0, 1)),
+    ],
+    ids=[
+        "linear", "linear-inexact", "not-divisible", "vanishing-fiber", "vanishing-at-zero",
+        "outside", "linear-outside", "tie",
+    ],
+)
+def test_first_zero_z_degenerate_fibers(text, bounds, expected):
+    check_degenerate_fiber(ZZ, text, bounds, expected)
+
+
+@pytest.mark.parametrize(
+    "text, pruned",
+    [
+        ("x^2+y^2+z^2", True),
+        ("x^2+2*y^2+3*z^2", True),
+        ("x^2+y^2", False),  # no square term on z
+        ("x^2+y^2+z^2+x", False),  # a linear term
+        ("x^2+x*y+y^2+z^2", False),  # a cross term
+        ("x^2-2*y^2+z^2", False),  # a negative square coefficient
+    ],
+    ids=["three-squares", "uneven-squares", "missing-square", "linear", "cross", "negative"],
+)
+def test_only_positive_diagonal_z_forms_take_the_pruned_search(monkeypatch, text, pruned):
+    # the pruned search runs exactly on a positive diagonal form minus a
+    # constant with a square term on every variable; every other form takes
+    # the ring-generic walk, with the reference's answer either way
+    calls = []
+    real = enumeration._first_zero_z
+    monkeypatch.setattr(enumeration, "_first_zero_z", lambda f, b: calls.append(b) or real(f, b))
+    q = parse_form(text, ZZ, 3)
+    for n in (0, 3, 7, 14, 29):
+        f = q.sub_scalar(n)
+        for bounds in ([3, 3, 3], [2, 4, 1]):
+            assert raws(first_zero(f, bounds)) == reference_first_zero(f, bounds), (n, bounds)
+    assert len(calls) == (10 if pruned else 0)
 
 
 def test_first_zero_zi_refusal_is_the_box_scan_refusal(monkeypatch):
@@ -367,9 +427,7 @@ def test_first_zero_fpt_matches_reference_on_random_forms():
     ids=["linear", "linear-inexact", "vanishing-fiber", "tie", "keys-not-raws"],
 )
 def test_first_zero_fpt_degenerate_fibers(text, bounds, expected):
-    f = parse_form(text, F3)
-    assert reference_first_zero(f, bounds) == expected
-    assert raws(first_zero(f, bounds)) == expected
+    check_degenerate_fiber(F3, text, bounds, expected)
 
 
 @pytest.mark.parametrize(
@@ -391,11 +449,11 @@ def test_graded_box_order_and_count(dom, bounds):
     """Each axis of the box comes in graded order, and the zero search is
     sized as the whole box; over Z, as the box without its widest axis."""
     pts = reference_points(dom, bounds)
+    for b in bounds:
+        assert list(dom._graded_raws(b)) == [pt[0] for pt in reference_points(dom, [b])]
     if dom == ZZ:
         assert first_zero_count(dom, bounds) == len(pts) // (2 * max(bounds) + 1)
         return
-    for b in bounds:
-        assert list(dom._graded_raws(b)) == [pt[0] for pt in reference_points(dom, [b])]
     assert first_zero_count(dom, bounds) == len(pts)
 
 
