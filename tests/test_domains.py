@@ -491,7 +491,7 @@ def test_sqrt_finds_exactly_the_squares(dom):
     assert found > R
 
 
-def test_sqrt_signs_and_rings_without_one():
+def test_sqrt_known_roots():
     assert [ZZ._sqrt(a) for a in (-4, -1, 0, 1, 4, 5)] == [None, None, 0, 1, 2, None]
     # (1 - 2i)^2 = -3 - 4i and (2 + i)^2 = 3 + 4i
     assert ZI._sqrt((-3, -4)) == (1, -2) and ZI._sqrt((3, 4)) == (2, 1)
