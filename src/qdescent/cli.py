@@ -27,7 +27,7 @@ import sys
 
 from .descent import adc_trace, check_n2, descend
 from .domains import FractionPoint, ZZ, check_norm_axioms, domain_from_name
-from .enumeration import BoxSweep
+from .enumeration import box_elements
 from .errors import ExactDivisionError, InternalInvariantError, OracleNotFound, SearchBudgetError
 from .formparse import format_form, parse_element, parse_form
 from .oracle import check_euclidean
@@ -204,7 +204,7 @@ def cmd_check_norm_axioms(args) -> int:
 def cmd_check_n2(args) -> int:
     domain = domain_from_name(args.domain)
     q = parse_form(args.form, domain)
-    report = check_n2(domain, q, BoxSweep(domain, args.box), window=args.window)
+    report = check_n2(domain, q, box_elements(domain, args.box), window=args.window)
     lines = [f"a={f.element}: {f.reason}" for f in report.failures]
     return _print_report(args, report.checked, lines)
 

@@ -115,27 +115,26 @@ def _round_half_toward_zero(n: int, d: int) -> int:
 class Domain:
     """A commutative integral domain with a discrete multiplicative norm.
 
-    Adding another normed domain means subclassing this, and giving
-    formparse._coefficient_text a branch for it, which otherwise lifts the
-    sign of any ring but Z[i] and F_p[t] by raw < 0; the rest of the
+    Adding another normed domain means subclassing this; the rest of the
     package only talks to the protocol below.
 
     A ring sets name, _ZERO, _ONE and _GENERATOR (the name of the literal
     for (0, 1), or None), and implements the raw-value protocol: _coerce,
     _add, _neg, _mul, _norm, _is_unit, _quotient_or_none, _gcd,
     _normalizing_unit, _round_quotient, _format and _random_raw; and the
-    bounded enumerations: _box_raws, _box_count, _graded_raws (Z's runs
-    0, -1, 1, -2, 2, ...), _denominator_raws, _denominator_count,
-    _offset_raws, _offset_count and _box_radius.
+    bounded enumerations: _box_raws, _box_count, _denominator_raws,
+    _denominator_count, _offset_raws, _offset_count and _box_radius.
 
     It inherits coerce_raw (the domain check of a DomainElement, then
     _coerce), _is_zero (equality with _ZERO), _divexact (from
     _quotient_or_none), _content (a fold of _gcd; override it when the
     ring has a cheaper rule), _sort_key (the identity; override it when
-    raws do not compare in the ring's order), _sqrt (None, so the zero
-    search tests each fiber's solved axis; Z and Z[i] override it with a
-    square root of a raw, or None, and solve fibers exactly), equality and
-    hashing by (type, name), and the element-level API.
+    raws do not compare in the ring's order), _graded_raws (the box
+    sorted by (_norm, _sort_key), so Z's runs 0, -1, 1, -2, 2, ...;
+    F_p[t] streams it), _sqrt (None, so the zero search tests each
+    fiber's solved axis; Z and Z[i] override it with a square root of a
+    raw, or None, and solve fibers exactly), equality and hashing by
+    (type, name), and the element-level API.
     """
 
     name = "?"
@@ -241,8 +240,10 @@ class Domain:
         raise NotImplementedError
 
     def _graded_raws(self, bound: int):
-        """The _box_raws elements, lazily, in (norm, sort key) order."""
-        raise NotImplementedError
+        """The _box_raws elements in (norm, sort key) order, the graded order
+        of every zero search; a ring may stream it instead (F_p[t] does)."""
+        norm, key = self._norm, self._sort_key
+        return sorted(self._box_raws(bound), key=lambda a: (norm(a), key(a)))
 
     def _denominator_raws(self, height: int):
         """Canonical non-unit denominators of norm <= height (degree <=
@@ -447,9 +448,6 @@ class RationalIntegers(Domain):
     def _box_count(self, bound):
         return max(0, 2 * bound + 1)
 
-    def _graded_raws(self, bound):
-        return sorted(self._box_raws(bound), key=abs)  # 0, -1, 1, -2, 2, ...
-
     def _denominator_raws(self, height):
         return range(2, height + 1)
 
@@ -624,10 +622,6 @@ class GaussianIntegers(Domain):
 
     def _box_count(self, bound):
         return max(0, 2 * bound + 1) ** 2
-
-    def _graded_raws(self, bound):
-        # by (norm, re, im)
-        return sorted(self._box_raws(bound), key=lambda a: (a[0] * a[0] + a[1] * a[1], a))
 
     def _denominator_count(self, height):
         # (re, im) with re >= 1, im >= 0 and 2 <= re^2 + im^2 <= height
@@ -1122,8 +1116,8 @@ class FractionPoint:
     @classmethod
     def _trusted(cls, domain: Domain, nums, den) -> "FractionPoint":
         """The point nums/den from raws already in canonical form (gcd a
-        unit, den normalized), as enumeration.CanonicalPoints yields them;
-        nothing is re-checked."""
+        unit, den normalized), as enumeration.integral_values and
+        enumeration.residue_rows yield them; nothing is re-checked."""
         self = object.__new__(cls)
         _set_point_domain(self, domain)
         _set_point_nums(self, tuple(DomainElement(domain, r) for r in nums))

@@ -1,35 +1,40 @@
 """Lazy, budgeted enumerations behind every search.
 
-Each enumeration has a closed-form count() and is checked against
-SEARCH_BUDGET when iteration starts, so an oversized request raises
-SearchBudgetError before anything is generated.  _within_budget is the
+Each enumeration is one function of its inputs, sized in closed form and
+checked against SEARCH_BUDGET before anything is generated, so an
+oversized request raises SearchBudgetError first.  _within_budget is the
 only comparison with SEARCH_BUDGET in the package:
 
-- BoxSweep: the elements of one coordinate box, in Domain._box_raws order;
-- CanonicalPoints: the canonical fraction points a/b with numerators a in
-  a box and b a normalized non-unit denominator, gcd(a, b) a unit,
-  denominators first.  It is walked one denominator at a time, in rows of
-  the last coordinate (_q2_rows), never a point at a time, with q2 summed
-  one coordinate at a time by _q2_prefixes, the package's one q2 walk;
-  _q2_table, the one owner of Q2_TABLE_MAX, decides whether those rows are
-  kept for the next denominator or summed again.  integral_values(q)
-  yields the raw (nums, den, r) where q is integral, every box point at
-  denominator 1 first with no test; residue_rows(q) splits each
-  denominator's box axis into the classes of its rounding residues
-  a - b*round(a/b), taken from domains._rounded as the oracle takes them
-  and up to sign when q has no cross term, and gives q2 and coprimality
-  once per class, which oracle.check_euclidean reads.  Callers build a
-  FractionPoint (through FractionPoint._trusted) only for the points they
-  report;
+- box_elements(domain, bound): the elements of one coordinate box, in
+  Domain._box_raws order, sized when iteration starts;
+- integral_values(q, height, box) and residue_rows(q, height, box): the
+  canonical fraction points a/b with numerators a in box^d and b a
+  normalized non-unit denominator of norm at most height, gcd(a, b) a
+  unit, denominators first, for the form q, whose ring and dimension they
+  read; sized when called, as sweep_count(domain, d, height, box)
+  candidates (integral_values adds the box^d points at denominator 1).
+  Both walk one denominator at a time, in rows of the last coordinate
+  (_q2_rows), never a point at a time, with q2 summed one coordinate at a
+  time by _q2_prefixes, the package's one q2 walk; _q2_table, the one
+  owner of Q2_TABLE_MAX, decides whether those rows are kept for the next
+  denominator or summed again.  integral_values yields the raw
+  (nums, den, r) where q is integral, every box point at denominator 1
+  first with no test; residue_rows splits each denominator's box axis into
+  the classes of its rounding residues a - b*round(a/b), taken from
+  domains._rounded as the oracle takes them and up to sign when q has no
+  cross term, and gives q2 and coprimality once per class, which
+  oracle.check_euclidean reads.  Callers build a FractionPoint (through
+  FractionPoint._trusted) only for the points they report;
 - first_zero: the first integral zero of a polynomial in graded order,
-  that is by (sum of coordinate norms, coordinatewise sort key).  It fixes
-  every coordinate but the widest and solves that fiber for the last one,
-  by one walk over the domain's raw ops for every polynomial over every
-  ring (_first_zero_walk), with exact roots where the ring has a square
-  root (Z and Z[i]) and a test of the solved axis elsewhere; only a
-  positive diagonal form over Z minus a constant takes the pruned integer
-  search _first_zero_z.  _size_first_zero sizes it, and
-  zerotools.verify_adc's witness queries, in one step.
+  that is by (sum of coordinate norms, coordinatewise sort key), the order
+  of Domain._graded_raws.  It fixes every coordinate but the widest and
+  solves that fiber for the last one, by one walk over the domain's raw
+  ops for every polynomial over every ring (_first_zero_walk), with exact
+  roots where the ring has a square root (Z and Z[i]) and a test of the
+  solved axis elsewhere; only a positive diagonal form over Z minus a
+  constant takes the pruned integer search _first_zero_z.
+  _size_first_zero sizes it, and zerotools.verify_adc's witness queries,
+  in one step.
 
 The oracle's window scan is sized the same way, by Domain._offset_count,
 and sums f2 on _q2_prefixes too, running each last coordinate inline.
@@ -47,12 +52,12 @@ from itertools import chain
 from .domains import Domain, DomainElement, RationalIntegers, _rounded
 from .errors import SearchBudgetError
 
-# Largest count() an enumeration may start with.  A Z zero search of this
+# Largest count an enumeration may start with.  A Z zero search of this
 # many fibers takes seconds; three-squares up to n ~ 2.5e6 stays inside.
 SEARCH_BUDGET = 10**7
 
 # _q2_table keeps a q2 table of up to this many values: the whole box
-# (box_count^d) for CanonicalPoints.integral_values, summed once for every
+# (box_count^d) for integral_values, summed once for every
 # denominator, and the residue classes (classes^d) for residue_rows; past
 # it the table is summed again per denominator, one row at a time.
 Q2_TABLE_MAX = 1 << 16
@@ -73,183 +78,161 @@ def _within_budget(count: int, what: str) -> None:
         )
 
 
-class BoxSweep:
-    """The elements of box(bound), in Domain._box_raws order."""
-
-    def __init__(self, domain: Domain, bound: int):
-        self.domain = domain
-        self.bound = bound
-
-    def count(self) -> int:
-        return self.domain._box_count(self.bound)
-
-    def __iter__(self):
-        _within_budget(self.count(), "an element sweep")
-        dom = self.domain
-        return (DomainElement(dom, r) for r in dom._box_raws(self.bound))
+def box_elements(domain: Domain, bound: int):
+    """The elements of box(bound), in Domain._box_raws order.  A generator:
+    it is sized, and refused over SEARCH_BUDGET, when iteration starts."""
+    _within_budget(domain._box_count(bound), "an element sweep")
+    for r in domain._box_raws(bound):
+        yield DomainElement(domain, r)
 
 
-class CanonicalPoints:
-    """Canonical fraction points in the box, denominators first, walked one
-    denominator at a time.
+def sweep_count(domain: Domain, d: int, height: int, box: int) -> int:
+    """The (den, nums) candidates the canonical point sweeps examine, kept
+    or not: every denominator of Domain._denominator_raws (the non-units of
+    norm, or degree for F_p[t], at most height, each drawn normalized) times
+    every numerator vector of box^d, in product order.  A pair is kept when
+    gcd(nums, den) is a unit, so it is exactly the canonical form
+    FractionPoint(domain, nums, den) would compute."""
+    return domain._denominator_count(height) * domain._box_count(box) ** d
 
-    Denominators come in Domain._denominator_raws order (non-units of norm,
-    or degree for F_p[t], at most height); for each, the numerator vectors
-    run over the box in product order and only those with gcd(nums, den) a
-    unit are kept.  Every denominator is drawn normalized, so a kept pair
-    is exactly the canonical form FractionPoint(domain, nums, den) would
-    compute.  count() is the number of (den, nums) candidates examined,
-    kept or not.  integral_values also takes denominator 1 first, every
-    box point of it, and so examines count() + box_count^d candidates.
 
-    Neither sweep yields a point at a time: both walk one denominator in
-    rows of the last coordinate (_q2_rows), with q2 summed one coordinate
-    at a time; integral_values over the numerators, residue_rows over the
-    residue classes, whose points the caller counts by multiplicity.
+def integral_values(q, height: int, box: int):
+    """The box points at denominator 1, then the canonical points of the
+    sweep, at which the form q takes a ring value, as raw (nums, den, r)
+    with r = q2(nums)/den^2, in that order.
+
+    Sized as sweep_count + box_count^d and refused like residue_rows,
+    before anything is evaluated.  q2 does not depend on den, so its rows
+    are summed once and kept for every denominator while the box has at
+    most Q2_TABLE_MAX points (_q2_table); a larger box is summed again per
+    denominator, in O(d * box) memory.  At denominator 1 every box point
+    is yielded with r = q2(nums), with no division and no gcd test, its
+    row's axis indices mapped to numerators once per row; past it a row is
+    mapped at its first point where den^2 divides q2, and only those points
+    go through the gcd filter.
     """
+    dom = q.domain
+    box_points = dom._box_count(box) ** q.d
+    _within_budget(sweep_count(dom, q.d, height, box) + box_points, "a canonical point sweep")
+    return _integral_values(q, height, box)
 
-    def __init__(self, domain: Domain, d: int, height: int, box: int):
-        self.domain = domain
-        self.d = d
-        self.height = height
-        self.box = box
 
-    def count(self) -> int:
-        dom = self.domain
-        return dom._denominator_count(self.height) * dom._box_count(self.box) ** self.d
-
-    def integral_values(self, q):
-        """The box points at denominator 1, then the points of this sweep,
-        at which the form q takes a ring value, as raw (nums, den, r) with
-        r = q2(nums)/den^2, in that order.
-
-        Sized as count() + box_count^d and refused like residue_rows,
-        before anything is evaluated.  q2 does not depend on den, so its
-        rows are summed once and kept for every denominator while the box
-        has at most Q2_TABLE_MAX points (_q2_table); a larger box is summed
-        again per denominator, in O(d * box) memory.  At denominator 1 every
-        box point is yielded with r = q2(nums), with no division and no gcd
-        test, its row's axis indices mapped to numerators once per row; past
-        it a row is mapped at its first point where den^2 divides q2, and
-        only those points go through the gcd filter.
-        """
-        box_points = self.domain._box_count(self.box) ** self.d
-        _within_budget(self.count() + box_points, "a canonical point sweep")
-        return self._integral_values(q)
-
-    def _integral_values(self, q):
-        dom = self.domain
-        mul, quotient = dom._mul, dom._quotient_or_none
-        axis = list(dom._box_raws(self.box))
-        values = [axis] * q.d
-        rows = _q2_table(dom, q, values, _square_rows(dom, q, values, {}))
-        # denominator 1: every box point, with its own q2 as r, with no
-        # division by 1 and no gcd with 1, which is always a unit
-        one = dom._ONE
+def _integral_values(q, height, box):
+    dom = q.domain
+    mul, quotient = dom._mul, dom._quotient_or_none
+    axis = list(dom._box_raws(box))
+    values = [axis] * q.d
+    rows = _q2_table(dom, q, values, _square_rows(dom, q, values, {}))
+    # denominator 1: every box point, with its own q2 as r, with no
+    # division by 1 and no gcd with 1, which is always a unit
+    one = dom._ONE
+    for pos, vals in rows():
+        prefix = tuple(map(axis.__getitem__, pos))
+        for u, v in zip(axis, vals):
+            yield prefix + (u,), one, v
+    for den in dom._denominator_raws(height):
+        den2 = mul(den, den)
         for pos, vals in rows():
-            prefix = tuple(map(axis.__getitem__, pos))
+            prefix = None  # mapped at the row's first passing point
             for u, v in zip(axis, vals):
-                yield prefix + (u,), one, v
-        for den in dom._denominator_raws(self.height):
-            den2 = mul(den, den)
-            for pos, vals in rows():
-                prefix = None  # mapped at the row's first passing point
-                for u, v in zip(axis, vals):
-                    r = quotient(v, den2)
-                    if r is not None:
-                        if prefix is None:
-                            prefix = tuple(map(axis.__getitem__, pos))
-                        nums = prefix + (u,)
-                        if _coprime(dom, nums, den):
-                            yield nums, den, r
+                r = quotient(v, den2)
+                if r is not None:
+                    if prefix is None:
+                        prefix = tuple(map(axis.__getitem__, pos))
+                    nums = prefix + (u,)
+                    if _coprime(dom, nums, den):
+                        yield nums, den, r
 
-    def residue_rows(self, q):
-        """This sweep by residue class, one denominator b at a time:
-        (b, axis, residues, members, rows).  axis is the box axis;
-        residues holds the distinct rounding residues u - b*round(u/b) of
-        its elements, in order of first occurrence, and members[k] the
-        ascending axis indices whose residue is residues[k].  When q has no
-        cross term, residues are taken up to sign: w and -w share one
-        class, whose residue is the one of the two that comes first on the
-        axis, and members[k] holds the indices of both.  A class is a tuple
-        of residue indices, one per coordinate, and holds the product of
-        their members, the first of them in product order at the class
-        residues themselves.  rows yields (pos, vals, coprime) per class
-        prefix pos of the first d - 1 coordinates: for the last coordinate
-        at residues[j], vals[j] = q2 at the class residues pos + (j,), and
-        coprime[j] whether the class's points are coprime to b.  So vals
-        holds q2(w0) at the vector w0 = a - b*round(a/b) the oracle clears
-        every point a/b of the class to, up to the signs of its coordinates.
 
-        Taking residues up to sign is exact: with no cross term
-        q2 = sum c_ii*w_i^2 does not change when a coordinate is negated,
-        and gcd(b, -w) is an associate of gcd(b, w).  (In characteristic 2,
-        -w = w and nothing merges.)  Forms with a cross term keep signed
-        residues.
+def residue_rows(q, height: int, box: int):
+    """The canonical point sweep by residue class, one denominator b at a
+    time: (b, axis, residues, members, rows).  axis is the box axis;
+    residues holds the distinct rounding residues u - b*round(u/b) of its
+    elements, in order of first occurrence, and members[k] the ascending
+    axis indices whose residue is residues[k].  When q has no cross term,
+    residues are taken up to sign: w and -w share one class, whose residue
+    is the one of the two that comes first on the axis, and members[k]
+    holds the indices of both.  A class is a tuple of residue indices, one
+    per coordinate, and holds the product of their members, the first of
+    them in product order at the class residues themselves.  rows yields
+    (pos, vals, coprime) per class prefix pos of the first d - 1
+    coordinates: for the last coordinate at residues[j], vals[j] = q2 at
+    the class residues pos + (j,), and coprime[j] whether the class's
+    points are coprime to b.  So vals holds q2(w0) at the vector
+    w0 = a - b*round(a/b) the oracle clears every point a/b of the class
+    to, up to the signs of its coordinates.
 
-        Coprimality is a class property: h_k = gcd(b, residues[k]) is taken
-        once per residue, and the prefix gcd g (which divides b) is carried
-        as gcd(g, h_k), since gcd(g, u) ~ gcd(g, +-w) ~ gcd(g, h_k) for the
-        residue w of u; a unit h_k makes every point through it coprime.
-        The q2 table over residues^d is summed one coordinate at a time
-        (_q2_rows), kept by _q2_table while its len(residues)^d values fit
-        in Q2_TABLE_MAX, and reused by the next denominator with the same
-        residues (every b past the box); otherwise it is summed again per
-        denominator.  c_ii*w^2 is taken once per residue for the whole
-        sweep.  Sized and refused like integral_values, before anything is
-        built.
-        """
-        _within_budget(self.count(), "a canonical point sweep")
-        return self._residue_rows(q)
+    Taking residues up to sign is exact: with no cross term
+    q2 = sum c_ii*w_i^2 does not change when a coordinate is negated, and
+    gcd(b, -w) is an associate of gcd(b, w).  (In characteristic 2,
+    -w = w and nothing merges.)  Forms with a cross term keep signed
+    residues.
 
-    def _residue_rows(self, q):
-        dom = self.domain
-        neg = dom._neg
-        signed = any(i != j for i, j in q.quad)  # a cross term: no merging by sign
-        axis = list(dom._box_raws(self.box))
-        square_memo = {}
-        kept = rows = None  # the q2 table of the last residues
-        for den in dom._denominator_raws(self.height):
-            classes = {}  # residue -> its axis indices, in order of first occurrence
-            for k, w in enumerate(_rounded(dom, axis, den)[1]):
-                if not signed and w not in classes and (m := neg(w)) in classes:
-                    w = m  # the class of -w, which came first on the axis
-                classes.setdefault(w, []).append(k)
-            residues, members = list(classes), list(classes.values())
-            if residues != kept:
-                values = [residues] * q.d
-                squares = _square_rows(dom, q, values, square_memo)
-                kept, rows = residues, _q2_table(dom, q, values, squares)
-            yield den, axis, residues, members, self._coprime_rows(den, residues, rows())
+    Coprimality is a class property: h_k = gcd(b, residues[k]) is taken
+    once per residue, and the prefix gcd g (which divides b) is carried as
+    gcd(g, h_k), since gcd(g, u) ~ gcd(g, +-w) ~ gcd(g, h_k) for the
+    residue w of u; a unit h_k makes every point through it coprime.  The
+    q2 table over residues^d is summed one coordinate at a time
+    (_q2_rows), kept by _q2_table while its len(residues)^d values fit in
+    Q2_TABLE_MAX, and reused by the next denominator with the same
+    residues (every b past the box); otherwise it is summed again per
+    denominator.  c_ii*w^2 is taken once per residue for the whole sweep.
+    Sized as sweep_count and refused over SEARCH_BUDGET before anything is
+    built.
+    """
+    _within_budget(sweep_count(q.domain, q.d, height, box), "a canonical point sweep")
+    return _residue_rows(q, height, box)
 
-    def _coprime_rows(self, den, residues, table):
-        gcd, is_unit = self.domain._gcd, self.domain._is_unit
-        # h_k = gcd(b, residues[k]), and every gcd below, is None for a unit
-        hs = [None if is_unit(w) or is_unit(h := gcd(den, w)) else h for w in residues]
-        meets = {(den, p): h for p, h in enumerate(hs)}  # gcd(b, h_p) = h_p
-        flag_rows = {None: [True] * len(residues)}
 
-        def meet(g, p):
-            # gcd(g, h_p) for a non-unit g
-            h = hs[p]
-            if h is None:
-                return None
-            if (g, p) not in meets:
-                m = gcd(g, h)
-                meets[g, p] = None if is_unit(m) else m
-            return meets[g, p]
+def _residue_rows(q, height, box):
+    dom = q.domain
+    neg = dom._neg
+    signed = any(i != j for i, j in q.quad)  # a cross term: no merging by sign
+    axis = list(dom._box_raws(box))
+    square_memo = {}
+    kept = rows = None  # the q2 table of the last residues
+    for den in dom._denominator_raws(height):
+        classes = {}  # residue -> its axis indices, in order of first occurrence
+        for k, w in enumerate(_rounded(dom, axis, den)[1]):
+            if not signed and w not in classes and (m := neg(w)) in classes:
+                w = m  # the class of -w, which came first on the axis
+            classes.setdefault(w, []).append(k)
+        residues, members = list(classes), list(classes.values())
+        if residues != kept:
+            values = [residues] * q.d
+            squares = _square_rows(dom, q, values, square_memo)
+            kept, rows = residues, _q2_table(dom, q, values, squares)
+        yield den, axis, residues, members, _coprime_rows(dom, den, residues, rows())
 
-        start = None if is_unit(den) else den
-        for pos, vals in table:
-            g = start
-            for p in pos:
-                if g is None:
-                    break
-                g = meet(g, p)
-            flags = flag_rows.get(g)
-            if flags is None:
-                flags = flag_rows[g] = [meet(g, j) is None for j in range(len(residues))]
-            yield pos, vals, flags
+
+def _coprime_rows(dom: Domain, den, residues, table):
+    gcd, is_unit = dom._gcd, dom._is_unit
+    # h_k = gcd(b, residues[k]), and every gcd below, is None for a unit
+    hs = [None if is_unit(w) or is_unit(h := gcd(den, w)) else h for w in residues]
+    meets = {(den, p): h for p, h in enumerate(hs)}  # gcd(b, h_p) = h_p
+    flag_rows = {None: [True] * len(residues)}
+
+    def meet(g, p):
+        # gcd(g, h_p) for a non-unit g
+        h = hs[p]
+        if h is None:
+            return None
+        if (g, p) not in meets:
+            m = gcd(g, h)
+            meets[g, p] = None if is_unit(m) else m
+        return meets[g, p]
+
+    start = None if is_unit(den) else den
+    for pos, vals in table:
+        g = start
+        for p in pos:
+            if g is None:
+                break
+            g = meet(g, p)
+        flags = flag_rows.get(g)
+        if flags is None:
+            flags = flag_rows[g] = [meet(g, j) is None for j in range(len(residues))]
+        yield pos, vals, flags
 
 
 def _square_rows(dom: Domain, q, values, memo: dict) -> list:
@@ -345,20 +328,15 @@ def _fiber_axis(bounds: Sequence[int]) -> int:
     return max(range(len(bounds)), key=lambda i: (bounds[i], i))
 
 
-def first_zero_count(domain: Domain, bounds: Sequence[int]) -> int:
-    """Candidates first_zero is sized by: fibers over Z (the box without
-    its solved coordinate), the whole box elsewhere.  Over Z[i] and F_p[t]
-    the box bounds what the walk tests and keeps the refusals of the box
-    scan it replaced."""
-    k = _fiber_axis(bounds) if isinstance(domain, RationalIntegers) else None
-    return math.prod(domain._box_count(b) for i, b in enumerate(bounds) if i != k)
-
-
 def _size_first_zero(domain: Domain, bounds: Sequence[int]) -> int:
-    """first_zero_count(domain, bounds), refused over SEARCH_BUDGET: the
-    sizing step of first_zero and of zerotools.verify_adc's witness total."""
-    count = first_zero_count(domain, bounds)
+    """The candidates first_zero is sized by, refused over SEARCH_BUDGET:
+    the sizing step of first_zero and of zerotools.verify_adc's witness
+    total.  Over Z they are the fibers, the box without its solved
+    coordinate; elsewhere the whole box, which bounds what the walk tests
+    and keeps the refusals of the box scan it replaced."""
     z = isinstance(domain, RationalIntegers)
+    k = _fiber_axis(bounds) if z else None
+    count = math.prod(domain._box_count(b) for i, b in enumerate(bounds) if i != k)
     _within_budget(count, "a zero search" if z else "a graded box search")
     return count
 
@@ -546,7 +524,7 @@ def _first_zero_walk(f, bounds):
     other coordinate runs over its axis in graded order, materialized once
     per distinct bound, and a level stops once its norm sum exceeds the
     best sum found; equal sums go on, since the key decides a tie.  Sized
-    as the whole box, or over Z as its fibers (first_zero_count).
+    as the whole box, or over Z as its fibers (_size_first_zero).
     """
     dom = f.domain
     add, mul, norm, key = dom._add, dom._mul, dom._norm, dom._sort_key

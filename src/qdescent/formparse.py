@@ -27,21 +27,16 @@ first factor.  A parenthesized single term starts where that term
 starts, while a sum or a leading minus starts at its own first token,
 so "((x)+y)*z*w" reports offset 1 and "((x))*y*z" offset 2.  A
 monomial-budget overflow is reported as soon as it happens, ahead of any
-fault later in the text.  Variable indices stop at _MAX_VARIABLES, which
-bounds the dimension before any coefficient vector is built.
+fault later in the text.  Variable indices stop at
+quadratic._MAX_DIMENSION, the package's one dimension limit, so the
+dimension is bounded before any coefficient vector is built.
 """
 
 from __future__ import annotations
 
 import sys
 
-from .domains import (
-    Domain,
-    DomainElement,
-    GaussianIntegers,
-    PrimeFieldPolynomials,
-    _Record,
-)
+from .domains import Domain, DomainElement, _Record
 from .errors import (
     FormCoefficientError,
     FormDegreeError,
@@ -49,13 +44,11 @@ from .errors import (
     FormSyntaxError,
     FormVariableError,
 )
-from .quadratic import QuadraticPolynomial
+from .quadratic import _MAX_DIMENSION, QuadraticPolynomial
 
 _MAX_EXPONENT = 64
 _MAX_MONOMIALS = 20000
 _MAX_DEPTH = 100
-# largest variable index, so the dimension is bounded before lin is built
-_MAX_VARIABLES = 1000
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
 
@@ -288,9 +281,9 @@ class _Parser:
         elif name.startswith("x") and name[1:].isdecimal():
             digits = name[1:].lstrip("0")
             # the length test keeps int() off overlong digit strings
-            if len(digits) > len(str(_MAX_VARIABLES)) or int(digits or 0) > _MAX_VARIABLES:
+            if len(digits) > len(str(_MAX_DIMENSION)) or int(digits or 0) > _MAX_DIMENSION:
                 raise FormVariableError(
-                    f"variable {name!r} is beyond x{_MAX_VARIABLES}", tok.pos
+                    f"variable {name!r} is beyond x{_MAX_DIMENSION}", tok.pos
                 )
             index = int(digits or 0)
             if index < 1:
@@ -347,19 +340,16 @@ def parse_element(text: str, domain: Domain) -> DomainElement:
 def _coefficient_text(domain: Domain, raw) -> tuple[str, str]:
     """Render a coefficient as (sign, magnitude text).
 
-    The sign is lifted out only when the element is the negative of
-    something whose text has no interior sign (negative integers, negative
-    real or pure-imaginary Gaussian integers); everything else renders with
-    sign '+' and gets parenthesized by the caller if it contains + or -.
+    The sign is lifted out only when the element's text is '-' followed by
+    text with no other sign (negative integers, negative real or
+    pure-imaginary Gaussian integers), in every ring alike; everything else
+    renders with sign '+' and gets parenthesized by the caller if it
+    contains + or -.
     """
-    if isinstance(domain, GaussianIntegers):
-        re, im = raw
-        if (im == 0 and re < 0) or (re == 0 and im < 0):
-            return "-", domain._format(domain._neg(raw))
-        return "+", domain._format(raw)
-    if isinstance(domain, PrimeFieldPolynomials):
-        return "+", domain._format(raw)
-    return ("-", str(-raw)) if raw < 0 else ("+", str(raw))
+    text = domain._format(raw)
+    if text[0] == "-" and "+" not in text and "-" not in text[1:]:
+        return "-", text[1:]
+    return "+", text
 
 
 def _monomial_piece(dom, c, mono) -> tuple[str, str]:

@@ -8,9 +8,9 @@ per-coordinate offset window and keeps the strict minimum of (value norm,
 coordinatewise sort key), so identical inputs always give identical output.
 
 The scan sums the cleared value b^2 f2(x - y) = f2(w0 - b*o), with
-w0 = a - b*base, with enumeration._q2_prefixes, the walk CanonicalPoints
-sums q2 with: coordinate k runs over the values w0_k - b*o, o in the
-offsets, and each prefix of the first d - 1 coordinates comes with its
+w0 = a - b*base, with enumeration._q2_prefixes, the walk the canonical
+point sweeps sum q2 with: coordinate k runs over the values w0_k - b*o,
+o in the offsets, and each prefix of the first d - 1 coordinates comes with its
 partial sum and the linear coefficient its cross terms give the last
 coordinate, which the scan runs inline.  So each candidate costs O(1)
 ring operations and an integer comparison of its norm against N(b^2),
@@ -35,15 +35,15 @@ check_euclidean never runs the oracle point by point, nor decides a point
 at a time.  The verdict at x = a/b, and the least norm of a failing scan,
 depend only on b and on w0 = a - b*round(a/b): rounding works coordinate
 by coordinate, and the scan's values f2(w0 - b*o) above do not depend on
-round(a/b).  So it walks the residue classes of CanonicalPoints, one
-denominator at a time, with f2(w0) summed once per class.  A class with
+round(a/b).  So it walks the residue classes of enumeration.residue_rows,
+one denominator at a time, with f2(w0) summed once per class.  A class with
 0 < N(f2(w0)) < N(b^2) costs one integer comparison and counts all of its
 points; only the others reach a window scan.  Every offset window is a
 product of per-coordinate offset sets closed under negation, so negating
 a set of coordinates of w0 under which f2 is invariant only permutes the
 candidate values f2(w0 - b*o): the verdict and the least norm stay.  With
 no cross term f2 is invariant under negating any coordinate, and
-CanonicalPoints already takes such a form's classes up to sign; every
+residue_rows already takes such a form's classes up to sign; every
 form has f2(-v) = f2(v), so the scan at w0 also decides the class of -w0.
 The sweep needs only the verdict, so its scans stop at the first
 candidate with 0 < N < N(b^2); a failing scan runs in full for its least
@@ -57,7 +57,7 @@ from fractions import Fraction
 from itertools import product
 
 from .domains import DomainElement, FractionElement, FractionPoint, _Record, _Report, _rounded
-from .enumeration import CanonicalPoints, _q2_prefixes, _square_rows, _within_budget
+from .enumeration import _q2_prefixes, _square_rows, _within_budget, residue_rows
 from .errors import IntegralPointError, OracleNotFound
 from .quadratic import QuadraticPolynomial
 
@@ -187,7 +187,7 @@ def check_euclidean(
 
     Each point is decided as euclidean_step would decide it, by the
     residue-class argument of the module docstring, one class of
-    CanonicalPoints.residue_rows at a time.  For a form with no cross term
+    enumeration.residue_rows at a time.  For a form with no cross term
     a class is a residue vector up to the sign of each coordinate, which
     is exact: f2 = sum c_ii*w_i^2, so negating a coordinate of w0 changes
     neither f2(w0) nor the scan's verdict and least norm.  Its denominators
@@ -207,7 +207,7 @@ def check_euclidean(
     norm, neg = dom._norm, dom._neg
     checked = 0
     failures = []
-    for den, axis, residues, members, rows in CanonicalPoints(dom, f.d, height, box).residue_rows(f):
+    for den, axis, residues, members, rows in residue_rows(f, height, box):
         nb2 = norm(dom._mul(den, den))
         sizes = [len(m) for m in members]
         scanned = {}  # residue vector -> least norm of a failing scan, None when found

@@ -22,6 +22,12 @@ from .errors import (
     InternalInvariantError,
 )
 
+# Largest dimension of a polynomial.  The q2 walk (enumeration._q2_prefixes)
+# and the zero searches recurse once per coordinate, so this stays well
+# under Python's default recursion limit of 1000; formparse reads it as the
+# largest variable index.
+_MAX_DIMENSION = 500
+
 
 class LineExpansion(_Record):
     """Coefficients of f(y + T*v) = C + B*T + A*T^2; A always equals f2(v)."""
@@ -49,6 +55,8 @@ class QuadraticPolynomial:
                  lin: Iterable = (), const=0):
         if d < 1:
             raise DimensionMismatchError(f"dimension must be >= 1, got {d}")
+        if d > _MAX_DIMENSION:
+            raise DimensionMismatchError(f"dimension must be <= {_MAX_DIMENSION}, got {d}")
         table = {}
         for (i, j), c in quad.items():
             if not (0 <= i <= j < d):

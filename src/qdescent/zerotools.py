@@ -20,7 +20,7 @@ of descent inputs, because sampling exact rational points of a quadric
 any other way is hard.
 
 verify_adc is the referee: over the canonical fraction points of a box
-(CanonicalPoints.integral_values, integral ones first) it compares the
+(enumeration.integral_values, integral ones first) it compares the
 descent route with a brute-force search for an integral point of equal
 value, and reports disagreements.  It works on the raw (nums, den, r)
 triples of the sweep: q(a/b) = q2(a)/b^2 is integral exactly when b^2
@@ -56,8 +56,8 @@ from .errors import (
     SearchBudgetError,
 )
 from .descent import _descend
-from .enumeration import CanonicalPoints, _is_positive_diagonal_z, _size_first_zero
-from .enumeration import _within_budget, first_zero
+from .enumeration import _is_positive_diagonal_z, _size_first_zero, _within_budget
+from .enumeration import first_zero, integral_values
 from .quadratic import QuadraticPolynomial
 
 
@@ -225,8 +225,7 @@ def verify_adc(q: QuadraticPolynomial, box: SearchBox, window: int = 2) -> AdcRe
     checked = 0
     failures = []
     inapplicable = []
-    sweep = CanonicalPoints(dom, d, box.height, box.num_bound)
-    for nums, den, r_raw in sweep.integral_values(q):
+    for nums, den, r_raw in integral_values(q, box.height, box.num_bound):
         checked += 1
         if den == one:
             # the start check of a zero-step descent, q2(nums) - r = 0, in

@@ -249,7 +249,40 @@ def test_variable_index_beyond_limit_is_input_error(capsys, name):
     assert time.perf_counter() - start < 1
     assert code == 1
     assert out == ""
-    assert err == f"error: variable '{name}' is beyond x1000 (at offset 0)\n"
+    assert err == f"error: variable '{name}' is beyond x500 (at offset 0)\n"
+
+
+# a zero of x500^2-x1^2 whose rounding lands on the null cone, so the oracle
+# runs its window scan, one recursion level per coordinate
+LIMIT_POINT = ",".join(["1"] + ["0"] * 498 + ["1"]) + "/2"
+
+
+@pytest.mark.parametrize(
+    "argv, code, first",
+    [
+        (["check", "euclidean", "--domain", "Z", "--form", "{x}^2", "--height", "2",
+          "--box", "0"], 0, "checked=0 failures=0"),
+        (["check", "adc", "--domain", "Z", "--form", "{x}^2", "--height", "2", "--box", "0"],
+         0, "checked=1 failures=0 inapplicable=0"),
+        (["check", "n2", "--domain", "Z", "--form", "{x}^2", "--box", "2", "--window", "0"],
+         2, "checked=2 failures=2"),
+        (["descend", "--domain", "Z", "--form", "{x}^2-x1^2", "--point", LIMIT_POINT,
+          "--window", "0"], 2, "error: descent aborted at step 0: no witness within window 0"),
+    ],
+    ids=["check euclidean", "check adc", "check n2", "descend"],
+)
+def test_walks_run_at_the_dimension_limit(capsys, argv, code, first):
+    """The q2 walks recurse once per coordinate: at x500 each path ends with
+    its exit code and no traceback, and x501 is an input error."""
+    at, out, err = run(capsys, *(a.format(x="x500") for a in argv))
+    assert at == code
+    if argv[0] == "check":
+        assert out.splitlines()[0] == first and err == ""
+    else:
+        assert out == "" and err.startswith(first) and err.count("\n") == 1
+    past, out, err = run(capsys, *(a.format(x="x501") for a in argv))
+    assert (past, out) == (1, "")
+    assert err == "error: variable 'x501' is beyond x500 (at offset 0)\n"
 
 
 @pytest.mark.parametrize(
@@ -1024,6 +1057,15 @@ def test_check_n2(capsys):
     )
     assert code == 0
     assert out.strip() == "checked=18 failures=0"
+
+
+def test_check_n2_refuses_an_inhomogeneous_form_before_sizing_its_sweep(capsys):
+    # the element sweep over Fpt:1000003 is over the budget, but it is sized
+    # only when its iteration starts, after check_n2 has checked the form
+    code, out, err = run(
+        capsys, "check", "n2", "--domain", "Fpt:1000003", "--form", "x^2+y+1", "--box", "1"
+    )
+    assert (code, out, err) == (1, "", "error: the unit-norm check needs a homogeneous form\n")
 
 
 def test_check_n2_failing_form(capsys):

@@ -28,10 +28,12 @@ from qdescent import enumeration
 from qdescent.cli import main
 from qdescent.domains import PrimeFieldPolynomials
 from qdescent.enumeration import (
-    BoxSweep,
-    CanonicalPoints,
+    _size_first_zero,
+    box_elements,
     first_zero,
-    first_zero_count,
+    integral_values,
+    residue_rows,
+    sweep_count,
 )
 
 from helpers import random_quadratic
@@ -52,13 +54,13 @@ def reference_points(dom, bounds):
     return pts
 
 
-def swept_pairs(pts):
+def swept_pairs(dom, d, height, box):
     """The (nums, den) pairs a canonical point sweep keeps, in sweep order:
     the points of its coprime residue classes, sorted into product order by
     their axis index tuples."""
-    q = QuadraticPolynomial(pts.domain, pts.d, {})
+    q = QuadraticPolynomial(dom, d, {})
     pairs = []
-    for den, axis, _, members, rows in pts.residue_rows(q):
+    for den, axis, _, members, rows in residue_rows(q, height, box):
         kept = sorted(
             ix
             for pos, _, coprime in rows
@@ -70,12 +72,12 @@ def swept_pairs(pts):
     return pairs
 
 
-def integral_pairs(pts):
+def integral_pairs(dom, d, height, box):
     """The (nums, den) pairs integral_values yields for the zero form, at
     which every point has the ring value 0: the box points at denominator 1,
     then the points the sweep keeps."""
-    q = QuadraticPolynomial(pts.domain, pts.d, {})
-    return [(nums, den) for nums, den, _ in pts.integral_values(q)]
+    q = QuadraticPolynomial(dom, d, {})
+    return [(nums, den) for nums, den, _ in integral_values(q, height, box)]
 
 
 def reference_first_zero(f, bounds):
@@ -378,12 +380,12 @@ def test_only_positive_diagonal_z_forms_take_the_pruned_search(monkeypatch, text
 def test_first_zero_zi_refusal_is_the_box_scan_refusal(monkeypatch):
     monkeypatch.setattr(enumeration, "SEARCH_BUDGET", 100)
     f = parse_form("x^2+i*y^2-2", ZI)
-    assert first_zero_count(ZI, [1, 1]) == 81
+    assert _size_first_zero(ZI, [1, 1]) == 81
     assert raws(first_zero(f, [1, 1])) == reference_first_zero(f, [1, 1])
     with pytest.raises(SearchBudgetError, match="^a graded box search would enumerate 625 "):
         first_zero(f, [2, 2])
     g = parse_form("x^2+t*y^2-t", F3)
-    assert first_zero_count(F3, [0, 1]) == 27
+    assert _size_first_zero(F3, [0, 1]) == 27
     assert raws(first_zero(g, [0, 1])) == reference_first_zero(g, [0, 1])
     with pytest.raises(SearchBudgetError, match="^a graded box search would enumerate 243 "):
         first_zero(g, [1, 2])
@@ -452,9 +454,9 @@ def test_graded_box_order_and_count(dom, bounds):
     for b in bounds:
         assert list(dom._graded_raws(b)) == [pt[0] for pt in reference_points(dom, [b])]
     if dom == ZZ:
-        assert first_zero_count(dom, bounds) == len(pts) // (2 * max(bounds) + 1)
+        assert _size_first_zero(dom, bounds) == len(pts) // (2 * max(bounds) + 1)
         return
-    assert first_zero_count(dom, bounds) == len(pts)
+    assert _size_first_zero(dom, bounds) == len(pts)
 
 
 @pytest.mark.parametrize("dom,bound", [(ZI, 2), (F2, 2), (F3, 1)], ids=str)
@@ -473,15 +475,15 @@ def test_counts_match_enumeration_lengths():
     for dom, bounds in (
         (ZI, [0, 1]), (ZI, [-1]), (F2, [0, 2]), (F3, [1]), (F3, [-1, 0]), (F5, [1, -1]),
     ):
-        assert first_zero_count(dom, bounds) == len(reference_points(dom, bounds))
+        assert _size_first_zero(dom, bounds) == len(reference_points(dom, bounds))
     for dom, d, height, box in ((ZZ, 2, 5, 2), (ZI, 2, 5, 1), (F2, 2, 2, 1), (F3, 1, 2, 1)):
-        pts = CanonicalPoints(dom, d, height, box)
         for integral in (False, True):
             # integral_values also takes denominator 1, and is sized with it
             dens = [dom.coerce_raw(1)] * integral + list(dom._denominator_raws(height))
             candidates = [(den, nums) for den in dens
                           for nums in product(list(dom._box_raws(box)), repeat=d)]
-            assert pts.count() + integral * dom._box_count(box) ** d == len(candidates)
+            count = sweep_count(dom, d, height, box)
+            assert count + integral * dom._box_count(box) ** d == len(candidates)
             kept = []
             for den, nums in candidates:
                 g = den
@@ -489,10 +491,10 @@ def test_counts_match_enumeration_lengths():
                     g = dom._gcd(g, c)
                 if dom._is_unit(g):
                     kept.append((nums, den))
-            assert (integral_pairs if integral else swept_pairs)(pts) == kept
+            assert (integral_pairs if integral else swept_pairs)(dom, d, height, box) == kept
     # over Z the zero search visits fibers: the box without its widest axis
-    assert first_zero_count(ZZ, [3, 1, 2]) == 3 * 5
-    assert first_zero_count(ZI, [1, 0]) == 9
+    assert _size_first_zero(ZZ, [3, 1, 2]) == 3 * 5
+    assert _size_first_zero(ZI, [1, 0]) == 9
 
 
 @pytest.mark.parametrize(
@@ -511,12 +513,27 @@ def test_canonical_points_are_the_canonicalizing_filter(dom, d, height, box):
             for nums in product(list(dom._box_raws(box)), repeat=d)
             if FractionPoint(dom, nums, den).den.raw == den
         ]
-        pairs = (integral_pairs if integral else swept_pairs)(CanonicalPoints(dom, d, height, box))
+        pairs = (integral_pairs if integral else swept_pairs)(dom, d, height, box)
         assert pairs == kept
         assert any(not dom._is_unit(den) for _, den in pairs)
         for nums, den in pairs:
             x, public = FractionPoint._trusted(dom, nums, den), FractionPoint(dom, nums, den)
             assert (x, str(x), hash(x)) == (public, str(public), hash(public))
+
+
+def test_zero_searches_run_at_the_dimension_limit():
+    """Both zero searches recurse once per coordinate; at 500 coordinates,
+    the dimension limit, they answer without overflowing the stack."""
+    squares = parse_form("+".join(f"x{i}^2" for i in range(1, 501)) + "-1", ZZ)
+    assert len(squares.quad) == 500  # the pruned search _first_zero_z
+    assert raws(first_zero(squares, [0] * 499 + [1])) == (0,) * 499 + (-1,)
+    for dom, text, bounds in (
+        (ZZ, "x500^2-x1-1", [0] * 499 + [1]),
+        (ZI, "x500^2-x1-1", [0] * 499 + [1]),
+        (F3, "x1*x500-x2", [-1] * 500),
+    ):
+        f = parse_form(text, dom)
+        assert raws(first_zero(f, bounds)) == reference_first_zero(f, bounds)
 
 
 def test_three_squares_large_n_is_answered():
@@ -534,7 +551,7 @@ def test_budget_refusal_before_anything_is_built(monkeypatch):
     monkeypatch.setattr(PrimeFieldPolynomials, "_denominator_raws", boom)
     monkeypatch.setattr(PrimeFieldPolynomials, "_graded_raws", boom)
     with pytest.raises(SearchBudgetError):
-        CanonicalPoints(big, 2, 1, 1).residue_rows(parse_form("x^2+y^2", big))
+        residue_rows(parse_form("x^2+y^2", big), 1, 1)
     with pytest.raises(SearchBudgetError):
         check_euclidean(parse_form("x^2+y^2", big), 1, 1)
     with pytest.raises(SearchBudgetError):
@@ -549,7 +566,7 @@ def test_budget_applies_to_z_fibers(monkeypatch):
         brute_integral_zero(f, SearchBox(5))  # 121 fibers
     # a form with cross terms is sized the same way, by its fibers
     g = parse_form("x^2+3*x*y-y^2+2*y*z+z^2-5", ZZ)
-    assert first_zero_count(ZZ, [4, 4, 4]) == 81
+    assert _size_first_zero(ZZ, [4, 4, 4]) == 81
     assert raws(first_zero(g, [4, 4, 4])) == reference_first_zero(g, [4, 4, 4])
     with pytest.raises(SearchBudgetError) as err:
         first_zero(g, [5, 5, 5])
@@ -572,9 +589,9 @@ def test_cli_budget_refusal_exit_2(capsys):
 @pytest.mark.parametrize("dom", [ZZ, ZI, F2, F3], ids=lambda d: d.name)
 def test_box_sweep_is_box_raws_order(dom):
     for bound in range(4):
-        sweep = BoxSweep(dom, bound)
-        assert [e.raw for e in sweep] == list(dom._box_raws(bound))
-        assert sweep.count() == len(list(dom._box_raws(bound)))
+        assert [e.raw for e in box_elements(dom, bound)] == list(dom._box_raws(bound))
+        # the count box_elements is sized by
+        assert dom._box_count(bound) == len(list(dom._box_raws(bound)))
 
 
 def test_box_sweep_refused_before_anything_is_built(monkeypatch):
@@ -584,9 +601,9 @@ def test_box_sweep_refused_before_anything_is_built(monkeypatch):
     monkeypatch.setattr(PrimeFieldPolynomials, "_box_raws", boom)
     big = GFpT(1000003)
     with pytest.raises(SearchBudgetError, match="element sweep"):
-        iter(BoxSweep(big, 1))
+        next(box_elements(big, 1))
     with pytest.raises(SearchBudgetError):
-        check_n2(big, parse_form("x^2+y^2", big), BoxSweep(big, 1))
+        check_n2(big, parse_form("x^2+y^2", big), box_elements(big, 1))
 
 
 def random_form(dom, rng, d, cross):
@@ -611,19 +628,19 @@ def test_integral_values_match_the_point_filter_and_form_value(dom):
     for d in range(1, 5):
         forms = [random_form(dom, rng, d, cross) for cross in (False, True, True)]
         for height, box in product(range(4), range(3)):
-            pts = CanonicalPoints(dom, d, height, box)
             box_points = list(product(list(dom._box_raws(box)), repeat=d))
-            if pts.count() + len(box_points) > 2000:
+            if sweep_count(dom, d, height, box) + len(box_points) > 2000:
                 continue
             # every box point at denominator 1, then the points the sweep keeps
-            kept = [(nums, dom.coerce_raw(1)) for nums in box_points] + swept_pairs(pts)
+            kept = [(nums, dom.coerce_raw(1)) for nums in box_points]
+            kept += swept_pairs(dom, d, height, box)
             for q in forms:
                 expected = [
                     (nums, den, r)
                     for nums, den in kept
                     if (r := q._form_value_raw(nums, den)) is not None
                 ]
-                assert list(pts.integral_values(q)) == expected
+                assert list(integral_values(q, height, box)) == expected
                 cases += 1
     assert cases >= 40
 
@@ -636,10 +653,9 @@ def test_integral_values_same_past_the_q2_table_bound(dom, monkeypatch):
     for d in range(1, 4):
         for cross in (False, True):
             q = random_form(dom, rng, d, cross)
-            pts = CanonicalPoints(dom, d, 3, 1)
-            kept = list(pts.integral_values(q))
+            kept = list(integral_values(q, 3, 1))
             monkeypatch.setattr(enumeration, "Q2_TABLE_MAX", 0)
-            assert list(pts.integral_values(q)) == kept
+            assert list(integral_values(q, 3, 1)) == kept
             monkeypatch.undo()
 
 
@@ -693,8 +709,7 @@ def test_residue_rows_hold_the_cleared_value_of_each_point(dom):
         for cross in (False, True):
             q = random_form(dom, rng, d, cross)
             signed = any(i != j for i, j in q.quad)
-            pts = CanonicalPoints(dom, d, 2, 1)
-            for den, axis, residues, members, rows in pts.residue_rows(q):
+            for den, axis, residues, members, rows in residue_rows(q, 2, 1):
                 own = [dom._add(u, neg(dom._mul(den, dom._round_quotient(u, den)))) for u in axis]
                 for w, ks in zip(residues, members):
                     assert ks == sorted(ks) and own[ks[0]] == w
@@ -725,4 +740,4 @@ def test_integral_values_is_sized_like_the_sweep(monkeypatch):
     monkeypatch.setattr(PrimeFieldPolynomials, "_denominator_raws", boom)
     big = GFpT(1000003)
     with pytest.raises(SearchBudgetError, match="canonical point sweep"):
-        CanonicalPoints(big, 2, 1, 1).integral_values(parse_form("x^2+y^2", big))
+        integral_values(parse_form("x^2+y^2", big), 1, 1)

@@ -27,7 +27,7 @@ from qdescent import (
 )
 from qdescent import enumeration, oracle
 from qdescent.domains import _cleared_difference
-from qdescent.enumeration import CanonicalPoints
+from qdescent.enumeration import residue_rows, sweep_count
 
 F2 = GFpT(2)
 F3 = GFpT(3)
@@ -481,9 +481,8 @@ def test_check_euclidean_shares_a_scan_between_negated_classes(monkeypatch):
     assert report == reference_check_euclidean(FOUR_SQUARES, 4, 3)
 
     f = parse_form("x^2+i*x*y+2*y^2", ZI)
-    pts = CanonicalPoints(ZI, f.d, 2, 1)
     missed = set()  # (b, w0) of each coprime class the fast path misses
-    for den, _, residues, _, rows in pts.residue_rows(f):
+    for den, _, residues, _, rows in residue_rows(f, 2, 1):
         nb2 = ZI._norm(ZI._mul(den, den))
         for pos, vals, coprime in rows:
             for j, v in enumerate(vals):
@@ -534,7 +533,7 @@ def test_check_euclidean_matches_reference_on_random_forms(dom):
     cases = scanned = 0
     for d in range(1, 5):
         for height, box in sizes:
-            count = CanonicalPoints(dom, d, height, box).count()
+            count = sweep_count(dom, d, height, box)
             if count > 700:
                 continue
             for window in range(3):
@@ -585,14 +584,14 @@ def test_check_euclidean_matches_reference_on_diagonal_forms(monkeypatch, dom):
     forms = [(parse_form(text, dom), h, b) for fdom, text, h, b in DIAGONAL_FAILING if fdom is dom]
     for d in range(1, 5):
         for height, box in sizes:
-            if CanonicalPoints(dom, d, height, box).count() <= 700:
+            if sweep_count(dom, d, height, box) <= 700:
                 forms.append((random_diagonal_form(dom, rng, d), height, box))
     real = oracle._search
     neg = dom._neg
     cases = failing = members = flipped = 0
     for f, height, box in forms:
         axis = list(dom._box_raws(box))
-        small = CanonicalPoints(dom, f.d, height, box).count() <= 400
+        small = sweep_count(dom, f.d, height, box) <= 400
         for window in range(4):
             if dom._offset_count(window) ** f.d > 2000:
                 continue
@@ -701,7 +700,7 @@ def test_scan_refusal_matches_the_point_by_point_sweep(monkeypatch, dom, text, h
     sweep is refused with the same text at the same point as the reference,
     the first point whose rounding fails."""
     f = parse_form(text, dom)
-    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", CanonicalPoints(dom, f.d, height, box).count())
+    monkeypatch.setattr(enumeration, "SEARCH_BUDGET", sweep_count(dom, f.d, height, box))
     assert dom._offset_count(window) ** f.d > enumeration.SEARCH_BUDGET
     real = oracle._search
     for run in (check_euclidean, reference_check_euclidean):

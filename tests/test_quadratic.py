@@ -43,6 +43,10 @@ def test_construction_validates():
         QuadraticPolynomial(ZZ, 2, {(1, 0): 1})  # i <= j required
     with pytest.raises(DimensionMismatchError):
         QuadraticPolynomial(ZZ, 1, {}, [1, 2])
+    # the one dimension limit, which the parser reads as its largest index
+    assert QuadraticPolynomial(ZZ, 500, {}).d == 500
+    with pytest.raises(DimensionMismatchError, match="^dimension must be <= 500, got 501$"):
+        QuadraticPolynomial(ZZ, 501, {})
 
 
 def test_eval_exact():

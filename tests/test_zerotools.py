@@ -27,6 +27,7 @@ from qdescent import (
     random_rational_zero,
     verify_adc,
 )
+from qdescent import enumeration
 from qdescent.enumeration import first_zero
 
 from helpers import random_quadratic
@@ -298,16 +299,14 @@ def test_verify_adc_checks_the_sweep_value_of_each_integral_point(monkeypatch):
     # a denominator-1 point with a wrong value is an internal fault, not a
     # witness: the in-place value check is the certificate a zero-step
     # descent's start check gave
-    from qdescent.enumeration import CanonicalPoints
-
-    sweep = CanonicalPoints._integral_values
+    sweep = enumeration._integral_values
     one = ZZ.coerce_raw(1)
 
-    def off_by_one(self, q):
-        for k, (nums, den, r) in enumerate(sweep(self, q)):
+    def off_by_one(q, height, box):
+        for k, (nums, den, r) in enumerate(sweep(q, height, box)):
             yield nums, den, r + 1 if den == one and k == 7 else r
 
-    monkeypatch.setattr(CanonicalPoints, "_integral_values", off_by_one)
+    monkeypatch.setattr(enumeration, "_integral_values", off_by_one)
     with pytest.raises(InternalInvariantError, match="wrong value"):
         verify_adc(parse_form("x^2+y^2+z^2", ZZ), SearchBox(1, 2))
 
