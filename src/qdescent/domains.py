@@ -545,27 +545,29 @@ class GaussianIntegers(Domain):
         )
 
     def _gcd(self, a, b):
-        # A common divisor g of a and b divides N(g), which divides N(a) and
-        # N(b), so g divides m = gcd(N(a), N(b)) in Z.  So gcd(a, b) =
-        # gcd(a, gcd(b mod m, m)): Euclid runs on operands below m, after
-        # one step that reduces a by that small gcd.
-        m = math.gcd(a[0] * a[0] + a[1] * a[1], b[0] * b[0] + b[1] * b[1])
-        if m == 1:
-            return (1, 0)
-        if not m:
-            return (0, 0)
-        g = _zi_euclid(a[0], a[1], *_zi_euclid(m, 0, b[0] % m, b[1] % m))
-        return self._mul(g, self._normalizing_unit(g))
+        return self._content(a, (b,))
 
     def _content(self, a, rest):
-        # a common divisor's norm divides every norm, so coprime norms
-        # prove the content a unit without a Euclid step
+        # A common divisor g divides N(g), which divides every norm and so
+        # m, the gcd of all the norms: coprime norms prove the content a
+        # unit without a Euclid step.  Otherwise the content is
+        # gcd(m, a, *rest), one Euclid chain on residues mod m: it starts
+        # from (m, 0) and a mod m, and each r mod m folds into the running
+        # gcd, which divides m, so r mod m gives the same gcd as r.  No
+        # operand exceeds m, and the result is normalized once.
         m = a[0] * a[0] + a[1] * a[1]
         for r in rest:
             m = math.gcd(m, r[0] * r[0] + r[1] * r[1])
             if m == 1:
                 return self._ONE
-        return super()._content(a, rest)
+        if not m:
+            return self._ZERO
+        g = _zi_euclid(m, 0, a[0] % m, a[1] % m)
+        for r in rest:
+            if g[0] * g[0] + g[1] * g[1] == 1:
+                return self._ONE
+            g = _zi_euclid(*g, r[0] % m, r[1] % m)
+        return self._mul(g, self._normalizing_unit(g))
 
     def _normalizing_unit(self, a):
         # the unit that turns a into its associate with re > 0, im >= 0:
@@ -872,11 +874,27 @@ class PrimeFieldPolynomials(Domain):
                     n = x.bit_length()
                 x, y = y, x
             return tuple(x.to_bytes((x.bit_length() + 7) >> 3, "little"))
+        # Euclid on coefficient lists, remainders only: each leading term
+        # of a is popped and cancelled against b's, and the gcd is made
+        # monic once at the end
+        p = self.p
+        a, b = list(a), list(b)
         while b:
-            a, b = b, self._divmod(a, b)[1]
-        if a:
-            a = self._mul(a, self._normalizing_unit(a))
-        return a
+            db = len(b) - 1
+            inv = pow(b[-1], -1, p)
+            while len(a) > db:
+                c = a.pop()
+                if c:
+                    base, factor = len(a) - db, (c * inv) % p
+                    for j in range(db):
+                        a[base + j] = (a[base + j] - factor * b[j]) % p
+            while a and not a[-1]:
+                a.pop()
+            a, b = b, a
+        if not a:
+            return ()
+        inv = pow(a[-1], -1, p)
+        return tuple([(c * inv) % p for c in a])
 
     def _normalizing_unit(self, a):
         if not a:

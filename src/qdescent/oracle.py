@@ -137,14 +137,11 @@ def _search(f: QuadraticPolynomial, b, base, w0, window: int, first: bool = Fals
     offsets = dom._offset_raws(window)
     add, mul, norm, sort_key = dom._add, dom._mul, dom._norm, dom._sort_key
 
-    # vals[k][j]: coordinate k of w0 - b*offsets[j]; row[j]: the last
-    # coordinate's c*v^2 + lin*v at vals[-1][j], after a prefix with linear
-    # coefficient lin
+    # vals[k][j]: coordinate k of w0 - b*offsets[j]
     shifts = [dom._neg(mul(b, o)) for o in offsets]
     vals = [[add(w, t) for t in shifts] for w in w0]
     squares = _square_rows(dom, f, vals, {})
-    last = vals[-1]
-    squares_last = squares[-1] or [dom._ZERO] * len(offsets)
+    last, squares_last, zero = vals[-1], squares[-1], dom._ZERO
 
     def key_of(ix):
         return tuple(sort_key(add(bk, offsets[j])) for bk, j in zip(base, ix))
@@ -152,11 +149,16 @@ def _search(f: QuadraticPolynomial, b, base, w0, window: int, first: bool = Fals
     least = math.inf  # least nonzero norm seen
     at = at_num = at_key = None  # its offset indices, value, sort key (lazy)
     for pos, s, lin in _q2_prefixes(dom, f, vals, squares):
-        row = squares_last
-        if lin is not None:
-            row = [add(t, mul(lin, v)) for t, v in zip(row, last)]
-        for j, r in enumerate(row):
-            v = add(s, r)
+        # candidate j's value s + c*w^2 + lin*w at w = last[j], summed
+        # inline so that first stops the row early; an absent term (no
+        # square, no lin, or s zero) is not added
+        s_zero = s == zero
+        for j, w in enumerate(last):
+            r = zero if squares_last is None else squares_last[j]
+            if lin is not None:
+                t = mul(lin, w)
+                r = t if squares_last is None else add(r, t)
+            v = r if s_zero else add(s, r)
             n = norm(v)
             if n and n <= least:
                 if n < least:

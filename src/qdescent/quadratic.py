@@ -46,7 +46,7 @@ class QuadraticPolynomial:
     builds two term tables: _quad_terms, the (i, j, c) of quad in order
     with c = None where the coefficient is the ring's one, so that only
     the other coefficients cost a multiply; and _lin_terms, the (i, c) of
-    lin with c nonzero.
+    lin with c nonzero, again with c = None for the ring's one.
     """
 
     __slots__ = ("domain", "d", "quad", "lin", "const", "_quad_terms", "_lin_terms")
@@ -72,7 +72,8 @@ class QuadraticPolynomial:
         quad = {k: table[k] for k in sorted(table)}
         self._fill(domain, d, quad, tuple(linv), domain.coerce_raw(const),
                    tuple((i, j, None if c == domain._ONE else c) for (i, j), c in quad.items()),
-                   tuple((i, c) for i, c in enumerate(linv) if not domain._is_zero(c)))
+                   tuple((i, None if c == domain._ONE else c)
+                         for i, c in enumerate(linv) if not domain._is_zero(c)))
 
     def _fill(self, *values):
         """Set the slots of a new polynomial to values, in __slots__ order,
@@ -102,10 +103,11 @@ class QuadraticPolynomial:
 
     def _f1_raw(self, vec):
         dom = self.domain
-        acc = dom._ZERO
+        acc = None
         for i, c in self._lin_terms:
-            acc = dom._add(acc, dom._mul(c, vec[i]))
-        return acc
+            t = vec[i] if c is None else dom._mul(c, vec[i])
+            acc = t if acc is None else dom._add(acc, t)
+        return dom._ZERO if acc is None else acc
 
     def _eval_raw(self, vec):
         dom = self.domain

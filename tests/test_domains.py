@@ -4,6 +4,7 @@ import pickle
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -24,6 +25,7 @@ from qdescent import (
     check_norm_axioms,
     domain_from_name,
 )
+from qdescent import domains
 from qdescent.enumeration import SEARCH_BUDGET
 
 F2 = GFpT(2)
@@ -428,11 +430,20 @@ def test_polynomial_norm_multiplicative(u, v):
 
 def test_divexact_and_gcd_random():
     rng = random.Random(4)
-    for dom in (ZZ, ZI, F3):
+    for dom in (ZZ, ZI, F3, GFpT(1000003)):
+        zero = dom._ZERO
+        pairs = []
         for _ in range(200):
             a = dom._random_raw(rng, 9)
             b = dom._random_raw(rng, 9)
+            # operands with a common factor, zero operands and equal ones
+            c = dom._random_raw(rng, 4)
+            pairs += [(a, b), (dom._mul(c, a), dom._mul(c, b)), (a, zero), (zero, b), (a, a)]
+        pairs.append((zero, zero))
+        for a, b in pairs:
             g = dom._gcd(a, b)
+            if dom not in (ZZ, ZI):
+                assert g == _reference_gcd(dom, a, b), (a, b)
             if dom._is_zero(g):
                 assert dom._is_zero(a) and dom._is_zero(b)
                 continue
@@ -675,9 +686,17 @@ def test_fpt_kernels_return_tuples_of_ints(p):
 
 
 def _gcd_fold(dom, a, rest):
+    # the content by definition: a fold of a gcd that _content does not
+    # run, the reference Euclid over Z[i] and F_p[t] and math.gcd over Z
+    if dom is ZZ:
+        gcd = dom._gcd
+    elif dom is ZI:
+        gcd = _reference_zi_gcd
+    else:
+        gcd = partial(_reference_gcd, dom)
     g = a
     for r in rest:
-        g = dom._gcd(g, r)
+        g = gcd(g, r)
     return g
 
 
@@ -704,6 +723,73 @@ def test_content_matches_the_gcd_fold(dom):
         # only zero numerators: the denominator's canonical associate
         assert dom._content(a, [zero] * len(rest)) == _gcd_fold(dom, a, [zero] * len(rest))
     assert dom._content(zero, [zero, zero]) == zero
+    if dom is not ZI:
+        return
+    # the operands of an x1*x2 step: a1*a2 = c*b^2, so numerators and
+    # denominator of 10^300 and more share large Gaussian factors, some
+    # shared outright (a non-unit content) and some only through a
+    # conjugate (a common norm factor, often a unit content); with units,
+    # zeros and all-zero lists among them
+    def big():
+        return (rng.randint(-10**150, 10**150), rng.randint(-10**150, 10**150))
+
+    units = list(_ZI_UNITS)
+    for _ in range(12):
+        p, x, y, z = big(), big(), big(), big()
+        conj = (p[0], -p[1])
+        a = ZI._mul(p, x)
+        assert min(map(abs, a)) > 10**250
+        for rest in (
+            [ZI._mul(p, y), ZI._mul(p, z)],
+            [ZI._mul(conj, y), zero, ZI._mul(p, z)],
+            [ZI._mul(ZI._mul(p, conj), y), ZI._mul(ZI._mul(p, p), z)],
+            [ZI._mul(p, y), rng.choice(units), ZI._mul(p, z)],
+            [zero, ZI._mul(p, y)],
+            [zero, zero],
+        ):
+            assert ZI._content(a, rest) == _gcd_fold(ZI, a, rest), (a, rest)
+            assert ZI._content(zero, rest) == _gcd_fold(ZI, zero, rest), rest
+        u = rng.choice(units)
+        assert ZI._content(u, [a, ZI._mul(p, y)]) == ZI._content(a, [u]) == (1, 0)
+        assert ZI._content(a, [zero]) == _gcd_fold(ZI, a, [zero]) == ZI._mul(a, _reference_zi_unit(a))
+    assert ZI._content(zero, [zero] * 5) == zero
+
+
+def test_gaussian_content_runs_one_euclid_chain(monkeypatch):
+    """One _content call runs _zi_euclid at most len(rest) + 1 times, on
+    operands reduced mod the gcd of the norms, and never folds _gcd pair
+    by pair."""
+    calls = []
+    euclid = domains._zi_euclid
+
+    def counted(*args):
+        calls.append(args)
+        return euclid(*args)
+
+    def no_gcd(self, a, b):
+        raise AssertionError("_content folded through _gcd")
+
+    monkeypatch.setattr(domains, "_zi_euclid", counted)
+    monkeypatch.setattr(type(ZI), "_gcd", no_gcd)
+    rng = random.Random("one-chain")
+    folded = 0
+    for _ in range(200):
+        g = (rng.randint(-10**40, 10**40), rng.randint(-10**40, 10**40))
+        a = ZI._mul(g, ZI._random_raw(rng, 10**40))
+        rest = [
+            rng.choice([(0, 0), ZI._mul(g, ZI._random_raw(rng, 10**40)), ZI._random_raw(rng, 10**40)])
+            for _ in range(rng.randint(1, 5))
+        ]
+        calls.clear()
+        got = ZI._content(a, rest)
+        assert len(calls) <= len(rest) + 1
+        folded += bool(calls)
+        # every Euclid operand is reduced below m, the gcd of the norms
+        m = math.gcd(*(ZI._norm(r) for r in [a, *rest]))
+        assert all(max(map(abs, args)) <= m for args in calls)
+        if got != (1, 0):
+            assert all(ZI._quotient_or_none(r, got) is not None for r in [a, *rest])
+    assert folded >= 50
 
 
 def test_gaussian_content_with_a_common_norm_factor_but_unit_content():

@@ -233,10 +233,11 @@ def test_oracle_scan_picks_least_norm_then_least_key(f, x, window):
     assert (found.vnorm, found.y) == (cands[0][0], cands[0][2])
 
 
-def _reference_step(f, x, window):
+def _reference_step(f, x, window, first=False):
     """euclidean_step by definition: f2(x - y) evaluated afresh for every
     candidate.  Returns (y, value, vnorm), or the least nonzero norm when
-    no candidate is admissible."""
+    no candidate is admissible.  With first, the witness is the first
+    admissible candidate in product order of the offsets."""
     dom = f.domain
     base = rounded(x)
     v = _f2_of_difference(f, x, base)
@@ -250,6 +251,8 @@ def _reference_step(f, x, window):
         if vn > 0 and (least is None or vn < least):
             least = vn
         if 0 < vn < 1:
+            if first:
+                return y, v, vn
             key = (vn, tuple(dom._sort_key(c.raw) for c in y))
             if best is None or key < best[0]:
                 best = (key, y, v)
@@ -302,6 +305,55 @@ def test_oracle_matches_reference_scan(dom):
             assert (found.y, found.value, found.vnorm) == ref
     # the sample reaches the scan and its failure branch, not only rounding
     assert scanned >= 20 and failed >= 5
+
+
+@pytest.mark.parametrize(
+    "dom, text, integral",
+    [(ZZ, "x1*x2", [(0,), (1,)]), (ZI, "x1*x2", [(0,), (1,)]), (F3, "x1*x2", [(0,), (1,)]),
+     (ZZ, "x*y+z*w", [(0, 2), (0, 3), (1, 2), (1, 3)])],
+    ids=["Z", "Zi", "Fpt:3", "Z-x*y+z*w"],
+)
+def test_search_on_the_null_cone_matches_the_reference(dom, text, integral):
+    """Null-cone points of forms with no square on the last coordinate:
+    the rounded point has f2(w0) = 0, so every point scans, each row entry
+    is lin*v alone and many prefix sums are zero.  _search, with and
+    without first, returns the reference scan's witness, value and least
+    norm.  Each entry of integral is a set of coordinates whose
+    integrality alone puts a point on the null cone."""
+    f = parse_form(text, dom)
+    rng = random.Random(f"null-cone-{dom.name}-{text}")
+    poly = dom is F3
+    cases = early = 0
+    while cases < 60:
+        den = dom._random_raw(rng, 2 if poly else 6)
+        if dom._is_zero(den) or dom._is_unit(den):
+            continue
+        nums = [dom._random_raw(rng, 3 if poly else 20) for _ in range(f.d)]
+        for k in rng.choice(integral):
+            nums[k] = dom._mul(den, nums[k])
+        x = FractionPoint(dom, nums, den)
+        if x.is_integral():
+            continue
+        window = rng.randint(1, 3)
+        while dom._offset_count(window) ** f.d > 700:
+            window -= 1
+        b = x.den.raw
+        base, w0 = oracle._rounded(dom, [c.raw for c in x.nums], b)
+        assert dom._is_zero(f._f2_raw(w0))
+        cases += 1
+        found = []
+        for first in (False, True):
+            ref = _reference_step(f, x, window, first)
+            y, v, n, b2, nb2 = oracle._search(f, b, base, w0, window, first)
+            if isinstance(ref, Fraction):
+                assert y is None and Fraction(n, nb2) == ref
+            else:
+                got = (tuple(DomainElement(dom, c) for c in y), FractionElement(dom, v, b2))
+                assert got + (Fraction(n, nb2),) == ref
+            found.append(y)
+        early += found[0] != found[1]
+    # the scan with first often stops before the least witness
+    assert early >= 5
 
 
 def test_oracle_window_scan_refused_over_budget(monkeypatch):
