@@ -28,9 +28,10 @@ start by the loop and every later point by the step that built it, and a
 descent of k steps evaluates f at k + 1 points.  descent_step wraps its step's raws
 into a DescentStep; descend wraps its result at once and its steps on
 first read of DescentTrace.steps, so a caller that reads only the result
-wraps no step.  adc_represent and zerotools.verify_adc wrap only the
-result and drop the steps.  A FractionPoint is built only for a point that
-fails, for the text and fields of the error.
+wraps no step.  adc_represent is adc_trace's result, so it wraps none
+either; zerotools.verify_adc runs _descend, wraps only the result and
+drops the steps.  A FractionPoint is built only for a point that fails,
+for the text and fields of the error.
 
 adc_represent solves value representation: for a homogeneous q and a
 point x with q(x) = r in the ring, descending q - r from x lands on an
@@ -155,12 +156,11 @@ def descent_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> D
     and propagates OracleNotFound when no rounding witness exists in the
     window.  All postconditions are asserted exactly before returning.
     """
-    f._check_point(x)
-    a = [n.raw for n in x.nums]
-    _check_zero(f, a, x.den.raw)
+    a, b = f._point_raws(x)
+    _check_zero(f, a, b)
     if x.is_integral():
         raise IntegralPointError(f"{x} is already integral")
-    return _wrap_step(f.domain, x, _step(f, a, x.den.raw, window))
+    return _wrap_step(f.domain, x, _step(f, a, b, window))
 
 
 def _step(f: QuadraticPolynomial, a, b, window: int):
@@ -253,9 +253,8 @@ def descend(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) -> Descen
     steps; crossing that cap is an internal error, not an input error.  An
     oracle failure surfaces as DescentAborted carrying the step index.
     """
-    f._check_point(x)
     dom = f.domain
-    result, raw_steps = _descend(f, [n.raw for n in x.nums], x.den.raw, window)
+    result, raw_steps = _descend(f, *f._point_raws(x), window)
     return DescentTrace._unwrapped(dom, x, raw_steps, tuple(DomainElement(dom, r) for r in result))
 
 
@@ -264,8 +263,7 @@ def _value_shift(q: QuadraticPolynomial, x: FractionPoint):
     homogeneous and that r lies in the ring."""
     if not q.is_form():
         raise NotAFormError("value representation needs a homogeneous form")
-    q._check_point(x)
-    r_raw = q._form_value_raw([n.raw for n in x.nums], x.den.raw)
+    r_raw = q._form_value_raw(*q._point_raws(x))
     if r_raw is None:
         raise ValueNotIntegralError(f"q({x}) = {_shown(q.eval(x))} is not in the base ring")
     return q.sub_scalar(r_raw), r_raw
@@ -287,10 +285,8 @@ def adc_represent(
     q: QuadraticPolynomial, x: FractionPoint, window: int = 2
 ) -> tuple[DomainElement, ...]:
     """An integral point y with q(y) = q(x), found by descending q - q(x):
-    the result of adc_trace, with the same checks, but no step wrapped."""
-    qr, _ = _value_shift(q, x)
-    y, _ = _descend(qr, [n.raw for n in x.nums], x.den.raw, window)
-    return tuple(DomainElement(q.domain, r) for r in y)
+    the result of adc_trace, which wraps no step when steps is not read."""
+    return adc_trace(q, x, window)[0].result
 
 
 class N2Failure(_Record):
@@ -341,9 +337,7 @@ def check_n2(
                 N2Failure(a, f"no witness in window {window} (best norm {err.min_norm})")
             )
             continue
-        w = _cleared_difference(
-            domain, [n.raw for n in x.nums], x.den.raw, [yi.raw for yi in found.y]
-        )
+        w = _cleared_difference(domain, *q._point_raws(x), [yi.raw for yi in found.y])
         nv = domain._norm(q._eval_raw(w))
         bound = x.den.norm() ** 2
         if not 0 < nv < bound:

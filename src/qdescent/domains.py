@@ -10,7 +10,8 @@ exact Fraction.
 Raw carrier values are plain Python data: ints, (re, im) pairs, or tuples
 of coefficients in ascending degree with no trailing zero.  DomainElement
 wraps a raw value together with its Domain so that mixed-domain arithmetic
-fails loudly instead of coercing silently.
+fails loudly instead of coercing silently; elements of different rings
+compare unequal.
 """
 
 from __future__ import annotations
@@ -31,7 +32,22 @@ from .errors import (
 )
 
 
-class _Record:
+class _Frozen:
+    """Base of the package's immutable values: the result records, ring
+    elements, fractions, points and polynomials.  Assigning or deleting
+    any attribute raises AttributeError; each class writes its own fields
+    once, at construction, past this refusal."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class _Record(_Frozen):
     """Base of the package's frozen result records.
 
     A subclass names its fields by annotating them in its class body, in
@@ -39,10 +55,11 @@ class _Record:
     are read.  Records take their fields positionally or by keyword, every
     field exactly once, and compare, hash and print by the field values in
     declaration order, with equality only between records of one class.
-    Assignment and deletion raise AttributeError.  The values live in the
-    instance __dict__, so copy and pickle need no hook; the one exception
-    is a DescentTrace from descend, which holds raw steps until steps is
-    read and so reads its values and pickles through its own hooks.
+    Like every _Frozen value, a record refuses assignment and deletion.
+    The values live in the instance __dict__, written there once by
+    __init__, so copy and pickle need no hook; the one exception is a
+    DescentTrace from descend, which holds raw steps until steps is read
+    and so reads its values and pickles through its own hooks.
     """
 
     _fields = ()
@@ -73,12 +90,6 @@ class _Record:
 
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -293,7 +304,7 @@ class Domain:
         return f"<domain {self.name}>"
 
 
-class DomainElement:
+class DomainElement(_Frozen):
     """A ring element tagged with its domain.  Immutable."""
 
     __slots__ = ("domain", "raw")
@@ -302,9 +313,6 @@ class DomainElement:
         # the slots' own setters, since __setattr__ refuses assignment
         _set_element_domain(self, domain)
         _set_element_raw(self, raw)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DomainElement is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, not __setattr__
@@ -353,13 +361,15 @@ class DomainElement:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        # int operands compare through coercion (test convenience); note that
-        # hash(element) is deliberately not hash(int), so do not mix the two
-        # as keys of one dict.
-        r = self._peer_raw(other) if isinstance(other, (DomainElement, int)) else None
-        if r is None:
-            return NotImplemented
-        return self.raw == r
+        # elements of different rings are unequal, not an error; int operands
+        # compare through coercion (test convenience); note that hash(element)
+        # is deliberately not hash(int), so do not mix the two as keys of one
+        # dict.
+        if isinstance(other, DomainElement):
+            return self.domain == other.domain and self.raw == other.raw
+        if isinstance(other, int):
+            return self.raw == self.domain.coerce_raw(other)
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.domain, self.raw))
@@ -1025,7 +1035,7 @@ def _rounded(dom: Domain, a, b) -> tuple[tuple, tuple]:
     return base, tuple(_cleared_difference(dom, a, b, base))
 
 
-class FractionElement:
+class FractionElement(_Frozen):
     """An element a/b of the fraction field, kept in canonical form.
 
     Canonical means gcd(num, den) is a unit and the denominator is the
@@ -1043,9 +1053,6 @@ class FractionElement:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "num", DomainElement(domain, n))
         object.__setattr__(self, "den", DomainElement(domain, d))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FractionElement is immutable")
 
     def __reduce__(self):
         return (FractionElement, (self.domain, self.num.raw, self.den.raw))
@@ -1067,8 +1074,6 @@ class FractionElement:
     def __add__(self, other):
         if not isinstance(other, FractionElement):
             return NotImplemented
-        if other.domain != self.domain:
-            raise DomainMismatchError("fraction domains differ")
         return FractionElement(
             self.domain,
             self.num * other.den + other.num * self.den,
@@ -1086,8 +1091,6 @@ class FractionElement:
     def __mul__(self, other):
         if not isinstance(other, FractionElement):
             return NotImplemented
-        if other.domain != self.domain:
-            raise DomainMismatchError("fraction domains differ")
         return FractionElement(self.domain, self.num * other.num, self.den * other.den)
 
     def __eq__(self, other):
@@ -1112,7 +1115,7 @@ class FractionElement:
     __repr__ = __str__
 
 
-class FractionPoint:
+class FractionPoint(_Frozen):
     """A point of K^d stored as a numerator vector over one denominator.
 
     Construction canonicalizes: the gcd of all numerators and the
@@ -1141,9 +1144,6 @@ class FractionPoint:
         _set_point_nums(self, tuple(DomainElement(domain, r) for r in nums))
         _set_point_den(self, DomainElement(domain, den))
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FractionPoint is immutable")
 
     def __reduce__(self):
         return (FractionPoint, (self.domain, tuple(n.raw for n in self.nums), self.den.raw))
@@ -1199,7 +1199,8 @@ def check_norm_axioms(
     Per sample pair (u, v): norm vanishes exactly at zero, the norm is
     multiplicative, nonzero elements have nonzero product, units have norm
     one, and the fraction-field extension norm(a)/norm(b) is multiplicative
-    and agrees with the ring norm on denominators equal to 1.  More than
+    and agrees with the ring norm on denominators equal to 1.  A negative
+    samples or bound raises ValueError before anything is sized.  More than
     SEARCH_BUDGET samples raises SearchBudgetError before any is drawn, and
     so does a samples * cost over it, where cost models the time of one
     sample in units of about 1.4 us (SEARCH_BUDGET units take about 14 s).
@@ -1216,10 +1217,12 @@ def check_norm_axioms(
     """
     from .enumeration import _within_budget  # enumeration imports this module
 
-    _within_budget(samples, "the norm-axiom check")
     fpt = isinstance(domain, PrimeFieldPolynomials)
     if bound is None:
         bound = 8 if fpt else 10**6
+    if samples < 0 or bound < 0:
+        raise ValueError("samples and bound must be nonnegative")
+    _within_budget(samples, "the norm-axiom check")
     if fpt:
         n, b = bound + 1, domain.p.bit_length()
         pairs = n * n * (16 + b) * (domain.p - 1) * (1024 + n)

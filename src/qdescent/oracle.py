@@ -95,12 +95,11 @@ def euclidean_step(f: QuadraticPolynomial, x: FractionPoint, window: int = 2) ->
     O(d * |offsets|) memory.  The sort key of a candidate is formed only
     when its norm ties the least admissible norm so far.
     """
-    f._check_point(x)
+    a, b = f._point_raws(x)
     if x.is_integral():
         raise IntegralPointError(f"{x} is integral; the witness inequality excludes R^d")
     dom = f.domain
-    b = x.den.raw
-    y, v, n, b2, nb2 = _search(f, b, *_rounded(dom, [c.raw for c in x.nums], b), window)
+    y, v, n, b2, nb2 = _search(f, b, *_rounded(dom, a, b), window)
     if y is None:
         raise OracleNotFound(x, window, Fraction(n, nb2))
     y = tuple(DomainElement(dom, c) for c in y)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .domains import Domain, DomainElement, FractionElement, FractionPoint, _Record
+from .domains import Domain, DomainElement, FractionElement, FractionPoint, _Frozen, _Record
 from .errors import (
     DimensionMismatchError,
     DomainMismatchError,
@@ -37,7 +37,7 @@ class LineExpansion(_Record):
     C: DomainElement
 
 
-class QuadraticPolynomial:
+class QuadraticPolynomial(_Frozen):
     """f = f2 + f1 + f0 with coefficients in one domain.
 
     quad maps (i, j) with i <= j to the coefficient of X_i X_j; entries
@@ -82,9 +82,6 @@ class QuadraticPolynomial:
             object.__setattr__(self, name, value)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadraticPolynomial is immutable")
-
     def __reduce__(self):
         return (QuadraticPolynomial, (self.domain, self.d, self.quad, self.lin, self.const))
 
@@ -126,7 +123,10 @@ class QuadraticPolynomial:
             )
         return vec
 
-    def _check_point(self, x: FractionPoint):
+    def _point_raws(self, x: FractionPoint):
+        """The raws (a, b) of the point x = a/b, after checking that x is
+        in this polynomial's domain and dimension: the one way from a
+        public point to its raws."""
         if x.domain != self.domain:
             raise DomainMismatchError(
                 f"point over {x.domain.name}, polynomial over {self.domain.name}"
@@ -135,6 +135,7 @@ class QuadraticPolynomial:
             raise DimensionMismatchError(
                 f"point has {x.dim} coordinates, polynomial has {self.d}"
             )
+        return [n.raw for n in x.nums], x.den.raw
 
     # -- public evaluation -------------------------------------------------
 
@@ -159,9 +160,8 @@ class QuadraticPolynomial:
 
     def eval(self, x: FractionPoint) -> FractionElement:
         """Exact value f(x) in the fraction field."""
-        self._check_point(x)
-        b = x.den.raw
-        cleared = self._cleared_raw([n.raw for n in x.nums], b)
+        a, b = self._point_raws(x)
+        cleared = self._cleared_raw(a, b)
         return FractionElement(self.domain, cleared, self.domain._mul(b, b))
 
     def eval_at_integral(self, pt) -> DomainElement:

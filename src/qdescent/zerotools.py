@@ -30,7 +30,7 @@ checked in place, q2(a) = r, the check a descent of no step would make,
 and the first one of each value goes into a value table that answers
 most witness queries; the graded zero search runs only for the rest.
 Every other point that passes is descended on raws by descent._descend,
-the loop adc_represent runs, with every certificate of every step, on
+the loop under adc_represent, with every certificate of every step, on
 q - r, which is built only for the values such a descent or a witness
 search needs, once per value; the zero check of its last step,
 q2(y) - r = 0, certifies q(y) = r.  A FractionPoint is built only for a

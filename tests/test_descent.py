@@ -483,17 +483,23 @@ def test_adc_represent_frozen():
     ],
     ids=["Z", "Zi", "Fpt:2", "Fpt:3"],
 )
-def test_adc_represent_equals_adc_trace_result(dom, text, bound):
-    # adc_represent runs the descent loop without wrapping any step; it must
-    # land where the traced descent of adc_trace does
+def test_adc_represent_equals_adc_trace_result(monkeypatch, dom, text, bound):
+    # adc_represent is the result of adc_trace and wraps no step (a wrapped
+    # step raises here); it lands where the traced descent does
+    def no_wrap(*args):
+        raise AssertionError("adc_represent wrapped a step")
+
     f = parse_form(text, dom)
     q = QuadraticPolynomial(dom, f.d, f.quad)  # f = q - c
     y0 = brute_integral_zero(f, SearchBox(bound))
     for seed in range(8):
         x = random_rational_zero(f, y0, seed=seed, height_min=3, direction_bound=40)
+        with monkeypatch.context() as patch:
+            patch.setattr(descent_module, "_wrap_step", no_wrap)
+            y = adc_represent(q, x)
         trace, r = adc_trace(q, x)
         assert trace.steps
-        assert adc_represent(q, x) == trace.result
+        assert y == trace.result
         assert q.eval_at_integral(trace.result) == r == -f.eval_at_integral([0] * f.d)
 
 

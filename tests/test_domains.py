@@ -1,5 +1,6 @@
 import copy
 import math
+import operator
 import pickle
 import random
 import time
@@ -18,6 +19,7 @@ from qdescent import (
     FractionElement,
     FractionPoint,
     GFpT,
+    N2Failure,
     SearchBudgetError,
     ZI,
     ZZ,
@@ -301,6 +303,25 @@ def test_fraction_arithmetic():
     assert FractionElement(ZZ, -3, 2).ext_norm() == Fraction(3, 2)
 
 
+@pytest.mark.parametrize("dom, other", [(ZZ, ZI), (ZI, F3), (F3, GFpT(5))],
+                         ids=["Z", "Zi", "Fpt:3"])
+def test_cross_ring_values_are_unequal_but_do_not_mix(dom, other):
+    # == and != answer a bool across rings, so `in`, list.index and records
+    # holding elements of different rings compare; arithmetic still refuses
+    a, b = dom.element(1), other.element(1)
+    assert (a == b) is False and (a != b) is True and (b == a) is False
+    assert a not in [b] and [b, a].index(a) == 1
+    assert N2Failure(a, "why") != N2Failure(b, "why")
+    fa, fb = FractionElement(dom, 1, 2), FractionElement(other, 1, 2)
+    assert (fa == fb) is False and (fa != fb) is True
+    assert (FractionElement(dom, 1, 1) == b) is False
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(DomainMismatchError, match="cannot mix elements"):
+            op(fa, fb)
+        with pytest.raises(DomainMismatchError, match="cannot mix elements"):
+            op(a, b)
+
+
 def test_fraction_point_canonicalization():
     p = FractionPoint(ZZ, [2, 4], 6)
     assert [n.raw for n in p.nums] == [1, 2]
@@ -384,6 +405,14 @@ def test_norm_axioms_hold(dom):
     report = check_norm_axioms(dom, samples=300, seed=11)
     assert report.ok, report.failures
     assert report.checked == 300
+
+
+@pytest.mark.parametrize("dom", [ZZ, ZI, F3], ids=lambda d: d.name)
+@pytest.mark.parametrize("kwargs", [{"samples": -3}, {"bound": -2}], ids=["samples", "bound"])
+def test_norm_axioms_refuse_negative_inputs(dom, kwargs):
+    with pytest.raises(ValueError, match="samples and bound must be nonnegative"):
+        check_norm_axioms(dom, **kwargs)
+    assert check_norm_axioms(dom, samples=0, bound=0) == domains.NormAxiomReport(0, ())
 
 
 def test_norm_axioms_refused_over_budget():
@@ -826,9 +855,19 @@ def test_domain_element_is_an_immutable_value(dom, raw):
     e = DomainElement(dom, raw)
     assert e.domain is dom and e.raw == raw
     for name, value in (("raw", raw), ("domain", dom), ("other", 1)):
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="^DomainElement is immutable$"):
             setattr(e, name, value)
+        with pytest.raises(AttributeError, match="^DomainElement is immutable$"):
+            delattr(e, name)
     assert e.raw == raw
+    # fraction elements and points refuse assignment and deletion the same way
+    fe = FractionElement(dom, raw, 1)
+    for name in ("domain", "num", "den"):
+        with pytest.raises(AttributeError, match="^FractionElement is immutable$"):
+            setattr(fe, name, e)
+        with pytest.raises(AttributeError, match="^FractionElement is immutable$"):
+            delattr(fe, name)
+    assert fe == e
     twin = DomainElement(dom, raw)
     assert e == twin and hash(e) == hash(twin) == hash((dom, raw))
     assert e != DomainElement(dom, dom._ONE)
@@ -839,5 +878,9 @@ def test_domain_element_is_an_immutable_value(dom, raw):
     # a point built from trusted canonical raws equals the checked constructor's
     x = FractionPoint._trusted(dom, [raw, dom._ONE], dom._ONE)
     assert x == FractionPoint(dom, [raw, dom._ONE], dom._ONE) and hash(x) == hash(copy.deepcopy(x))
-    with pytest.raises(AttributeError):
-        x.den = e
+    for name in ("domain", "nums", "den"):
+        with pytest.raises(AttributeError, match="^FractionPoint is immutable$"):
+            setattr(x, name, e)
+        with pytest.raises(AttributeError, match="^FractionPoint is immutable$"):
+            delattr(x, name)
+    assert x.den == dom.one

@@ -317,8 +317,12 @@ def test_points_polynomials_and_reports_copy_and_pickle(dom, text, bound, q_text
     assert hash(again) == hash(x) and again.domain == dom
     assert dup(f).eval(x) == 0
     assert descend(dup(f), dup(x)) == trace
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="^QuadraticPolynomial is immutable$"):
         dup(f).d = 1
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="^QuadraticPolynomial is immutable$"):
+        del dup(f).const
+    with pytest.raises(AttributeError, match="^FractionPoint is immutable$"):
         dup(x).den = None
+    with pytest.raises(AttributeError, match="^FractionPoint is immutable$"):
+        del dup(x).den
 
