@@ -32,7 +32,8 @@ only comparison with SEARCH_BUDGET in the package:
   ops for every polynomial over every ring (_first_zero_walk), with exact
   roots where the ring has a square root (Z and Z[i]) and a test of the
   solved axis elsewhere; only a positive diagonal form over Z minus a
-  constant takes the pruned integer search _first_zero_z.
+  constant takes the pruned integer search _first_zero_z, over the
+  nonpositive orthant only, each level cut to one closed-form band.
   _size_first_zero sizes it, and zerotools.verify_adc's witness queries,
   in one step.
 
@@ -369,89 +370,86 @@ def _first_zero_z(f, bounds):
     """Graded-first zero over Z of a positive diagonal form minus a
     constant with a square term on every coordinate, by exact fiber solving.
 
-    Fix every coordinate but y_k.  On that fiber f = 0 reads a*t^2 = m in
-    t = y_k, whose roots are +-isqrt(m/a) when a divides m and m/a is a
-    square.  The graded order is the order of (sum |y_i|, y), so the answer
-    is the least such key over all roots inside the box, and of the two
-    roots -isqrt(m/a) comes first.
+    f(y) depends only on the |y_i|, so for any zero y, -|y| is a zero of
+    the same sum that comes no later in coordinate order: the graded-first
+    zero is nonpositive.  So each level runs x = |u| from its cap down to 0
+    and fixes u = -x, and the fiber of the solved y_k reads a*t^2 = m in
+    t = |y_k|: t = r/a when a*m is a square r^2 and a divides r.
 
-    The coordinates u_i left at a level must supply sum c_i*u_i^2 = m.  So
-    a level returns when m < 0, caps |u| at isqrt(m // c) and, once a zero
-    is known, at the best sum less the prefix sum, and returns when the
-    prefix sum plus the least L with L^2 * c_max >= m (c_max over the
-    coordinates left, the solved one included) exceeds the best sum, as
-    (sum |u_i|)^2 >= m / c_max.  The innermost level scans only the |u|
-    where c*u^2 + a*t^2 = m allows |u| + |t| <= B = best sum - prefix sum,
-    that is (a+c)u^2 - 2aB|u| + aB^2 - m >= 0, with isqrt rounding both
-    roots outward.  Only a larger sum is pruned, so ties still go to
-    coordinate order, and the search is still sized as every fiber.
-    Memory is O(d).
+    The coordinates left at a level must supply sum c_i*u_i^2 = m, so x is
+    capped at isqrt(m // c).  Given a best sum S and a prefix sum s, a child
+    at x can reach a sum of at most S only if x <= B = S - s and
+    c_next*(B - x)^2 + c*x^2 >= m, c_next being the largest square
+    coefficient after this level, the solved one's included.  kept() keeps
+    the x outside the roots of that quadratic, isqrt rounding both outward,
+    and recomputes them whenever S falls; S starts at sum(bounds) + 1,
+    which no zero in the box reaches.  Only a strictly larger sum is cut,
+    so ties still go to coordinate order; the search is still sized as
+    every fiber.  Memory is O(d): one prefix and one band per level.
     """
-    if min(bounds) < 0:
+    m = -f.const
+    if min(bounds) < 0 or m < 0:
         return None
     quad = f.quad
     k = _fiber_axis(bounds)
     bk, a = bounds[k], quad[k, k]
     others = [i for i in range(f.d) if i != k]
     # level p fixes u = y_{others[p]}: its bound, its square coefficient and
-    # the largest square coefficient from level p on, the solved axis's
+    # c_next, the largest square coefficient after it, the solved axis's
     # included
     levels = [
-        (bounds[i], quad[i, i], max(quad[j, j] for j in others[p:] + [k]))
+        (bounds[i], quad[i, i], max([quad[j, j] for j in others[p + 1 :]] + [a]))
         for p, i in enumerate(others)
     ]
-    best = None  # (sum of |y_i|, y)
+    best = (sum(bounds) + 1,)  # then (sum of |y_i|, y); compares above every zero
 
-    def offer(prefix, s, m):
+    def offer(prefix, s, r):
+        # a*t^2 = m with a*m = r^2: t = r/a when a divides r
         nonlocal best
-        q, rem = divmod(m, a)
-        if q < 0 or rem:
-            return
-        t = math.isqrt(q)
-        if t * t == q and t <= bk:
+        t, rem = divmod(r, a)
+        if not rem and t <= bk:
             cand = (s + t, prefix[:k] + (-t,) + prefix[k:])
-            if best is None or cand < best:
+            if cand < best:
                 best = cand
 
-    def level(p, m, s, prefix):
-        bound, c, cmax = levels[p]
-        if m < 0:
-            return
-        lim = min(bound, math.isqrt(m // c))
-        if best is not None:
-            lim = min(lim, best[0] - s)
-            # the coordinates left have (sum |u_i|)^2 >= m / c_max
-            sq = -(-m // cmax)
-            if s + (math.isqrt(sq - 1) + 1 if sq else 0) > best[0]:
+    def kept(x, m, s, c, c_next):
+        # x = |u| from x down to 0, less the band the best sum cuts
+        while x >= 0:
+            S = best[0]
+            B = S - s
+            x = min(x, B)
+            cB, cc = c_next * B, c_next + c
+            r = math.isqrt(max(cc * m - c_next * c * B * B, 0))
+            lo, hi = (cB - r) // cc, (cB + r) // cc
+            for x in chain(range(x, max(hi, lo + 1) - 1, -1), range(min(lo, x), -1, -1)):
+                yield x
+                if best[0] < S:
+                    break
+            else:
                 return
+            x -= 1
+
+    def level(p, m, s, prefix):
+        bound, c, c_next = levels[p]
+        xs = kept(min(bound, math.isqrt(m // c)), m, s, c, c_next)
         if p + 1 < len(levels):
-            for u in range(-lim, lim + 1):
-                level(p + 1, m - c * u * u, s + abs(u), prefix + (u,))
+            for x in xs:
+                level(p + 1, m - c * x * x, s + x, prefix + (-x,))
             return
-        us = range(-lim, lim + 1)
-        if best is not None:
-            B = best[0] - s
-            aB, ac = a * B, a + c
-            disc = aB * aB - ac * (aB * B - m)
-            if disc > 0:
-                r = math.isqrt(disc)
-                lo, hi = (aB - r) // ac, (aB + r) // ac
-                if lo < lim and hi > lo + 1:
-                    us = chain(range(-lim, -hi + 1), range(-lo, lo + 1), range(hi, lim + 1))
-        # innermost fibers, the root test inline: a*t^2 = m - c*u^2 needs
-        # a*(m - c*u^2) to be a square; offer() decides
-        am, acu = a * m, a * c
-        for u in us:
-            x = am - acu * u * u
-            r = math.isqrt(x)
-            if r * r == x:
-                offer(prefix + (u,), s + abs(u), m - c * u * u)
+        # innermost fibers, the root test inline: a*t^2 = m - c*x^2 needs
+        # a*(m - c*x^2) to be a square; offer() decides
+        am, ac = a * m, a * c
+        for x in xs:
+            v = am - ac * x * x
+            r = math.isqrt(v)
+            if r * r == v:
+                offer(prefix + (-x,), s + x, r)
 
     if levels:
-        level(0, -f.const, 0, ())
-    else:
-        offer((), 0, -f.const)
-    return None if best is None else tuple(DomainElement(f.domain, c) for c in best[1])
+        level(0, m, 0, ())
+    elif (r := math.isqrt(a * m)) ** 2 == a * m:
+        offer((), 0, r)
+    return None if len(best) == 1 else tuple(DomainElement(f.domain, c) for c in best[1])
 
 
 def _exact_roots(dom: Domain, a, bound: int):

@@ -7,7 +7,8 @@ for it by one walk over the ring: exactly over Z and Z[i], in at most
 (2B+1)^(d-1) and (2B+1)^(2(d-1)) fibers for a box of radius B, with one
 graded axis per distinct bound in memory; over F_p[t] by testing the
 solved axis on each fiber.  A positive diagonal form over Z minus a
-constant runs a pruned search on plain integers in O(1) memory instead.
+constant runs a pruned search on plain integers in O(d) memory instead,
+over the nonpositive orthant, where its first zero lies.
 Every search is sized before it starts by enumeration._size_first_zero,
 the one owner of the rule, and refused with SearchBudgetError over
 enumeration.SEARCH_BUDGET; Z[i] and F_p[t] searches are sized as their

@@ -248,6 +248,50 @@ def test_first_zero_three_squares_400_to_2500():
         assert raws(got) == three_squares_reference(n), n
 
 
+def walk_zero(cs, r, bounds):
+    return raws(enumeration._first_zero_walk(diagonal_form(cs, r), list(bounds)))
+
+
+def test_first_zero_z_positive_diagonal_matches_the_walk_at_larger_values():
+    # the bands of the pruned search cut more as values grow, past the
+    # reach of the sorted reference: the ring-generic walk decides, on
+    # values drawn up to 5,000, with and without a zero (three squares at
+    # n = 7 mod 8 among them), bounds random (most of them around a planted
+    # zero, whose value may exceed 5,000) or as verify_adc derives them, and
+    # a solved axis that is not the last; a case whose walk would run more
+    # than 6,000 fibers is drawn again, so the reference stays fast
+    rng = random.Random(20261022)
+    found = empty = ties = inner_axis = 0
+    for trial in range(300):
+        d = 2 + trial % 3
+        no_zero = trial % 25 == 0  # three squares at n = 7 mod 8, up to 20,000 fibers
+        while True:
+            if no_zero:
+                cs, r = [1, 1, 1], 8 * rng.randint(0, 624) + 7
+            else:
+                cs, r = [rng.randint(1, 7) for _ in range(d)], rng.randint(0, 5000)
+            bounds = [math.isqrt(r // c) for c in cs]
+            if trial % 2:
+                bounds = [rng.randint(0, b) for b in bounds]
+                if not no_zero and rng.random() < 0.6:  # a zero inside the box
+                    r = sum(c * rng.randint(0, b) ** 2 for c, b in zip(cs, bounds))
+            if _size_first_zero(ZZ, bounds) <= (20000 if no_zero else 6000):
+                break
+        got = raws(first_zero(diagonal_form(cs, r), bounds))
+        assert got == walk_zero(cs, r, bounds), (cs, r, bounds)
+        if got is None:
+            empty += 1
+            continue
+        assert all(v <= 0 for v in got), (cs, r, bounds)
+        found += 1
+        # the walk over the reversed coordinates finds another zero of the
+        # least sum when coordinate order is what decides
+        other = walk_zero(cs[::-1], r, bounds[::-1])[::-1]
+        ties += tuple(-abs(v) for v in other) != got and sum(map(abs, other)) == -sum(got)
+        inner_axis += enumeration._fiber_axis(bounds) != len(cs) - 1
+    assert found > 150 and empty > 100 and ties > 45 and inner_axis > 100, (found, empty, ties, inner_axis)
+
+
 @pytest.mark.parametrize(
     "quad, lin",
     [
